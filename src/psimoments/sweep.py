@@ -22,6 +22,21 @@ in closed form through antiderivatives G with G' = g:
 each continuous at u = 0, so a piece whose residual changes sign is handled
 exactly without an explicit split: the two half-piece integrals telescope.
 
+For an integer order n the difference G(ul) - G(ur) is not formed: ul - ur
+is delta times the piece length, tiny next to |u|, so the subtraction would
+cancel.  Instead the piece integral is the exact divided difference
+    length * h_n(ul, ur) / (n+1),  h_n(a, b) = sum_j a^j b^(n-j),
+evaluated by products, e.g. (a+b)(a^2+b^2) for n = 3; for n = 1 it is the
+midpoint rule.  Positive and negative parts clip u at 0 first, and over a
+sign change the clipped part covers (a - b)/delta of the piece instead of
+its length.  Absolute orders other than even integers keep the closed
+form, with G(u) = copysign(|u|^(m+1), u)/(m+1).  Fixed pieces raise the
+constant residual to integer orders by products too.  No ``**`` ever takes
+a negative base: numpy's power leaves its vectorised path there and costs
+an order of magnitude more per element.
+
+Piece lengths are exact integer key differences divided by K once.
+
 The x range [1, X] is cut into chunks that are processed independently
 (optionally in a thread pool) and combined in a fixed order, so results do
 not depend on the thread count.  Within a chunk the running sum for S is
@@ -163,12 +178,14 @@ def _prepare_geometry(window: WindowSpec) -> _Geometry:
     return _Geometry("scaled", p + q, q, 0, p + q, p / q)
 
 
-def _neumaier_sum(arr: np.ndarray, block: int = 1 << 14) -> float:
-    """Compensated sum: pairwise within blocks, Neumaier across blocks."""
+_BLOCK = 1 << 14
+
+
+def _neumaier(partials) -> float:
+    """Neumaier-compensated sum of an iterable of floats."""
     total = 0.0
     comp = 0.0
-    for i in range(0, arr.size, block):
-        x = float(np.sum(arr[i : i + block]))
+    for x in partials:
         t = total + x
         if abs(total) >= abs(x):
             comp += (total - t) + x
@@ -178,8 +195,97 @@ def _neumaier_sum(arr: np.ndarray, block: int = 1 << 14) -> float:
     return total + comp
 
 
-def _combine(partials: Sequence[float]) -> float:
-    return math.fsum(partials)
+def _neumaier_sum(arr: np.ndarray, block: int = _BLOCK) -> float:
+    """Compensated sum: pairwise within blocks, Neumaier across blocks."""
+    return _neumaier(
+        float(np.sum(arr[i : i + block])) for i in range(0, arr.size, block)
+    )
+
+
+def _power(u: np.ndarray, n: int) -> np.ndarray:
+    """u**n for an integer n >= 1 by binary powering.
+
+    Only products, so a negative base costs no more than a positive one.
+    The result may be ``u`` itself; callers must not write into it.
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = u if result is None else result * u
+        n >>= 1
+        if not n:
+            return result
+        u = u * u
+
+
+def _divided_power(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """h_n(a, b) = (a^(n+1) - b^(n+1)) / (a - b) = sum_j a^j b^(n-j).
+
+    Odd n factor as (a + b) h_{(n-1)/2}(a^2, b^2), even n as
+    a^n + b h_{n-1}(a, b); n = 3 gives (a + b)(a^2 + b^2).
+    """
+    if n % 2 == 0:
+        return _power(a, n) + b * _divided_power(a, b, n - 1)
+    s = a + b
+    if n == 1:
+        return s
+    return s * _divided_power(a * a, b * b, n // 2)
+
+
+def _by_products(order: float, kind: Kind) -> bool:
+    """Whether g(u) is a plain integer power of the clipped residual: all
+    kinds but absolute (their orders are integers), and even absolute
+    orders, where |u|^n = u^n."""
+    return kind != Kind.ABSOLUTE or (order == int(order) and int(order) % 2 == 0)
+
+
+def _clip(u: np.ndarray, kind: Kind) -> np.ndarray:
+    """The part of the residual a kind raises to its order."""
+    if kind == Kind.POSITIVE_PART:
+        return np.maximum(u, 0.0)
+    if kind == Kind.NEGATIVE_PART:
+        return np.minimum(u, 0.0)
+    return u
+
+
+def _integrand(u: np.ndarray, order: float, kind: Kind) -> np.ndarray:
+    """g(u) pointwise: integer orders by products, others by ** on |u|."""
+    if _by_products(order, kind):
+        return _power(_clip(u, kind), int(order))
+    u = np.abs(u)
+    if order == int(order):
+        return _power(u, int(order))
+    return u**order
+
+
+def _piece_integrals(
+    ul: np.ndarray,
+    ur: np.ndarray | None,
+    lengths: np.ndarray,
+    order: float,
+    kind: Kind,
+    inv_delta: float,
+) -> np.ndarray:
+    """Integral of g(u) over each piece, u falling linearly from ul to ur.
+
+    ``ur`` is None for fixed-window pieces, where u = ul is constant.
+    """
+    if ur is None:
+        return _integrand(ul, order, kind) * lengths
+    if not _by_products(order, kind):
+        m = order + 1.0
+        ga = np.copysign(np.abs(ul) ** m, ul)
+        gb = np.copysign(np.abs(ur) ** m, ur)
+        return (ga - gb) * (inv_delta / m)
+    n = int(order)
+    a, b = _clip(ul, kind), _clip(ur, kind)
+    # where a clipped part starts or ends inside the piece, it covers
+    # (a - b) / delta of it instead of the whole length
+    if kind == Kind.POSITIVE_PART:
+        lengths = np.where(ur >= 0.0, lengths, a * inv_delta)
+    elif kind == Kind.NEGATIVE_PART:
+        lengths = np.where(ul <= 0.0, lengths, -b * inv_delta)
+    return lengths * (1.0 / (n + 1)) * _divided_power(a, b, n)
 
 
 def _chunk_moments(
@@ -207,65 +313,43 @@ def _chunk_moments(
     keys = keys[order]
     running = np.cumsum(deltas[order].astype(np.longdouble))
 
-    lefts = np.concatenate([np.array([ka], dtype=np.int64), keys])
-    rights = np.concatenate([keys, np.array([kb], dtype=np.int64)])
-    svals = np.concatenate([np.zeros(1, dtype=np.longdouble), running])
+    # pieces [points[i], points[i+1]); once the empty ones are dropped the
+    # rest tile [ka, kb), so each piece ends where the next one starts
+    points = np.concatenate([[ka], keys, [kb]])
+    keep = points[1:] > points[:-1]
+    svals = np.concatenate([np.zeros(1, dtype=np.longdouble), running])[keep]
+    points = np.append(points[:-1][keep], kb)
+    piece_count = int(svals.size)
 
-    mask = rights > lefts
-    lefts = lefts[mask]
-    rights = rights[mask]
-    svals = svals[mask]
-    piece_count = int(lefts.size)
-
-    xl = lefts.astype(np.longdouble) / K
-    xr = rights.astype(np.longdouble) / K
-    if x_end is not None and piece_count:
-        xr[-1] = np.longdouble(x_end)
-    lengths = (xr - xl).astype(np.float64)
+    # exact integer differences, rounded once
+    lengths = np.diff(points) / K
+    if x_end is not None:
+        lengths[-1] = float(Fraction(x_end) - Fraction(int(points[-2]), K))
     length_sum = _neumaier_sum(lengths)
 
-    values = []
     if geom.kind == "fixed":
-        resid = (svals - np.longdouble(geom.width64)).astype(np.float64)
-        for order_, kind in pairs:
-            m = float(order_)
-            if kind == Kind.SIGNED or (kind == Kind.ABSOLUTE and m % 2 == 0):
-                g = resid**m
-            elif kind == Kind.ABSOLUTE:
-                g = np.abs(resid) ** m
-            elif kind == Kind.POSITIVE_PART:
-                g = np.maximum(resid, 0.0) ** m
-            else:
-                g = np.minimum(resid, 0.0) ** m
-            values.append(_neumaier_sum(g * lengths))
-        return values, piece_count, length_sum
-
-    delta_ld = np.longdouble(geom.width64)
-    ul = (svals - delta_ld * xl).astype(np.float64)
-    ur = (svals - delta_ld * xr).astype(np.float64)
+        ul = (svals - np.longdouble(geom.width64)).astype(np.float64)
+        ur = None
+    else:
+        dx = np.longdouble(geom.width64) * (points.astype(np.longdouble) / K)
+        if x_end is not None:
+            dx[-1] = np.longdouble(geom.width64) * np.longdouble(x_end)
+        ul = (svals - dx[:-1]).astype(np.float64)
+        ur = (svals - dx[1:]).astype(np.float64)
     inv_delta = 1.0 / geom.width64
-    for order_, kind in pairs:
-        m = float(order_) + 1.0
-        if kind == Kind.SIGNED or (kind == Kind.ABSOLUTE and float(order_) % 2 == 0):
-            if order_ == 1:
-                # midpoint form is exact for a linear integrand and avoids
-                # the cancellation of G(ul) - G(ur)
-                contrib = lengths * 0.5 * (ul + ur)
-            else:
-                contrib = (ul**m - ur**m) * (inv_delta / m)
-        elif kind == Kind.ABSOLUTE:
-            ga = np.sign(ul) * np.abs(ul) ** m
-            gb = np.sign(ur) * np.abs(ur) ** m
-            contrib = (ga - gb) * (inv_delta / m)
-        elif kind == Kind.POSITIVE_PART:
-            contrib = (np.maximum(ul, 0.0) ** m - np.maximum(ur, 0.0) ** m) * (
-                inv_delta / m
-            )
-        else:
-            contrib = (np.minimum(ul, 0.0) ** m - np.minimum(ur, 0.0) ** m) * (
-                inv_delta / m
-            )
-        values.append(_neumaier_sum(contrib))
+    # integrate block by block, so the temporaries stay in cache
+    blocks = [
+        (
+            ul[i : i + _BLOCK],
+            None if ur is None else ur[i : i + _BLOCK],
+            lengths[i : i + _BLOCK],
+        )
+        for i in range(0, piece_count, _BLOCK)
+    ]
+    values = [
+        _neumaier(float(np.sum(_piece_integrals(*b, o, k, inv_delta))) for b in blocks)
+        for o, k in pairs
+    ]
     return values, piece_count, length_sum
 
 
@@ -356,10 +440,10 @@ def sweep_moments(
         chunk_results = [run_chunk(i) for i in range(n_chunks)]
 
     piece_count = max(1, sum(r[1] for r in chunk_results))
-    length_sum = _combine([r[2] for r in chunk_results])
+    length_sum = math.fsum(r[2] for r in chunk_results)
     results = []
     for j, (order, kind) in enumerate(pairs):
-        value = _combine([r[0][j] for r in chunk_results])
+        value = math.fsum(r[0][j] for r in chunk_results)
         results.append(MomentResult(order, kind, value, piece_count, (1.0, X)))
     diag = SweepDiagnostics(
         piece_count=piece_count,
@@ -439,7 +523,8 @@ def grid_oracle(
     X = float(window.X)
     scalar = isinstance(order, (int, float))
     orders = [float(order)] if scalar else [float(o) for o in order]
-    _validate_pairs([(o, Kind(kind)) for o in orders])
+    kind = Kind(kind)
+    _validate_pairs([(o, kind) for o in orders])
     if X <= 1.0:
         return 0.0 if scalar else [0.0] * len(orders)
     if not 0 < step <= (X - 1.0) / 10.0:
@@ -471,15 +556,7 @@ def grid_oracle(
         S = (prefix[hi_idx] - prefix[lo_idx]).astype(np.float64)
         u = S - resid_lin
         for j, o in enumerate(orders):
-            if kind == Kind.SIGNED or (kind == Kind.ABSOLUTE and o % 2 == 0):
-                g = u**o
-            elif kind == Kind.ABSOLUTE:
-                g = np.abs(u) ** o
-            elif kind == Kind.POSITIVE_PART:
-                g = np.maximum(u, 0.0) ** o
-            else:
-                g = np.minimum(u, 0.0) ** o
-            totals[j] += np.sum(g)
+            totals[j] += np.sum(_integrand(u, o, kind))
     values = [float(t * width) for t in totals]
     return values[0] if scalar else values
 

@@ -180,7 +180,7 @@ def test_kind_algebra(events_small):
     # u = max(u,0) + min(u,0) pointwise, so the integrals split the same way
     for geometry in (Fixed(Fraction(20)), Scaled(Fraction(1, 100))):
         w = WindowSpec(5000.0, geometry)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 5):
             res, _ = sweep_moments(
                 w,
                 [(n, Kind.ABSOLUTE), (n, Kind.SIGNED), (n, Kind.POSITIVE_PART), (n, Kind.NEGATIVE_PART)],
@@ -195,6 +195,66 @@ def test_kind_algebra(events_small):
                 assert a == pytest.approx(p + q, rel=1e-11)
             assert abs(s) <= a * (1 + 1e-12)
             assert p >= 0.0 >= (q if n % 2 else -q)
+
+
+def mpmath_scaled_moment(window, pairs, events, dps=40):
+    """High-precision reference for scaled windows: exact Fraction
+    breakpoints, an mpf running sum of the float64 weights, and the closed
+    form (G(u_a) - G(u_b)) / delta on every piece at ``dps`` digits, where
+    G(u) = u^(m+1)/(m+1) (signed) or sgn(u)|u|^(m+1)/(m+1) (absolute)."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    delta = window.geometry.delta
+    X = Fraction(window.X)
+    ns, ws = events.range(2, window.limit() + 1)
+    steps = []
+    for n, w in zip(ns.tolist(), ws.tolist()):
+        steps.append((Fraction(n) / (1 + delta), w))
+        steps.append((Fraction(n), -w))
+    steps.sort(key=lambda s: s[0])
+    cuts = sorted({Fraction(1), X} | {c for c, _ in steps if 1 < c < X})
+    with mp.workdps(dps):
+        d = mpmath.mpf(delta.numerator) / delta.denominator
+
+        def G(u, j):
+            order, kind = pairs[j]
+            if kind == Kind.SIGNED:
+                return u ** (int(order) + 1) / (int(order) + 1)
+            m1 = mpmath.mpf(order) + 1
+            return mpmath.sign(u) * abs(u) ** m1 / m1
+
+        totals = [mpmath.mpf(0)] * len(pairs)
+        S = mpmath.mpf(0)
+        i = 0
+        for a, b in zip(cuts, cuts[1:]):
+            while i < len(steps) and steps[i][0] <= a:
+                S += steps[i][1]
+                i += 1
+            ua = S - d * (mpmath.mpf(a.numerator) / a.denominator)
+            ub = S - d * (mpmath.mpf(b.numerator) / b.denominator)
+            for j in range(len(pairs)):
+                totals[j] += (G(ua, j) - G(ub, j)) / d
+        return totals
+
+
+def test_scaled_sweep_against_mpmath():
+    # X = 2e4, delta = 1/100: 4,679 pieces, mid-size residuals; the signed
+    # odd moments are the ones an undivided G(u_a) - G(u_b) gets wrong
+    window = WindowSpec(2e4, Scaled(Fraction(1, 100)))
+    events = EventSource(window.limit())
+    pairs = [
+        (3.0, Kind.SIGNED),
+        (5.0, Kind.SIGNED),
+        (2.1, Kind.ABSOLUTE),
+        (6.5, Kind.ABSOLUTE),
+    ]
+    gates = [1e-14, 1e-14, 1e-12, 1e-12]
+    res, diag = sweep_moments(window, pairs, events=events)
+    assert diag.piece_count == 4679
+    want = mpmath_scaled_moment(window, pairs, events)
+    for r, w, gate in zip(res, want, gates):
+        dev = float(abs((r.value - w) / w))
+        assert dev <= gate, (r.order, r.kind, dev)
 
 
 def test_power_mean_monotone(events_small):
