@@ -11,7 +11,6 @@ function identities those predictions lean on.
 
 from .errors import (
     ConfigError,
-    CorruptCacheError,
     CoverageError,
     DomainError,
     InvalidOrderError,
@@ -21,15 +20,7 @@ from .errors import (
     RangeLimitError,
     ResourceError,
 )
-from .sieve import (
-    EventSource,
-    PrimePowerEvent,
-    enumerate_prime_powers,
-    iter_event_blocks,
-    load_events,
-    persist_events,
-    psi,
-)
+from .sieve import EventSource, psi
 from .specfun import (
     VerifierConfig,
     duplication_residual,
@@ -93,7 +84,6 @@ __all__ = [
     "E_CONSTANT",
     "AverageReport",
     "ConfigError",
-    "CorruptCacheError",
     "CoverageError",
     "DomainError",
     "EquivalenceReport",
@@ -105,7 +95,6 @@ __all__ = [
     "Kind",
     "MomentRequest",
     "MomentResult",
-    "PrimePowerEvent",
     "QuadratureError",
     "RangeLimitError",
     "ReportRow",
@@ -119,7 +108,6 @@ __all__ = [
     "double_factorial",
     "duplication_residual",
     "emit",
-    "enumerate_prime_powers",
     "evaluate",
     "even_main_b_fixed",
     "even_main_b_scaled",
@@ -129,14 +117,11 @@ __all__ = [
     "gamma",
     "gaussian_abs_moment",
     "grid_oracle",
-    "iter_event_blocks",
-    "load_events",
     "moment_constant_residual",
     "moment_fixed",
     "moment_scaled",
     "odd_normalizer",
     "parse_rows",
-    "persist_events",
     "predict_rows",
     "psi",
     "reproduce_tables",

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 configuration problems, 3 resource problems
-(missing or corrupt cache, out of memory), 4 violated numerical
+(unreadable file, integer range, out of memory), 4 violated numerical
 invariants.
 """
 
@@ -15,7 +15,6 @@ import sys
 from .equivalence import decomposition_check, saffari_vaughan_average
 from .errors import ConfigError, InvariantError, ResourceError
 from .report import (
-    CACHE_ENV_VAR,
     FORMULA_NAMES,
     RunConfig,
     emit,
@@ -25,7 +24,7 @@ from .report import (
     reproduce_tables,
     run,
 )
-from .sieve import EventSource, load_events, persist_events
+from .sieve import EventSource
 from .specfun import (
     DEFAULT_VERIFIER,
     duplication_residual,
@@ -41,22 +40,6 @@ def _add_window_args(p: argparse.ArgumentParser):
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--h", help="fixed window width (rational, e.g. 100 or 1/2)")
     g.add_argument("--delta", help="scaled window width (rational, e.g. 1e-4)")
-
-
-def _add_run_args(p: argparse.ArgumentParser):
-    p.add_argument(
-        "--orders",
-        required=True,
-        help="comma separated moment orders, e.g. 1,2.1,3",
-    )
-    p.add_argument(
-        "--kind",
-        default="absolute",
-        choices=[k.value for k in Kind],
-        help="integrand kind (default absolute)",
-    )
-    p.add_argument("--threads", type=int, default=0, help="0 = pick automatically")
-    p.add_argument("--cache", help=f"event cache path (or set {CACHE_ENV_VAR})")
 
 
 def _add_output_args(p: argparse.ArgumentParser):
@@ -79,8 +62,6 @@ def _build_config(args, formulas=()) -> RunConfig:
         kwargs["delta"] = parse_rational(args.delta)
     else:
         raise ConfigError("need a window width: pass --h or --delta")
-    if getattr(args, "cache", None):
-        kwargs["cache_path"] = args.cache
     return RunConfig(**kwargs)
 
 
@@ -189,24 +170,6 @@ def _cmd_reproduce_tables(args) -> int:
     return 0
 
 
-def _cmd_cache(args) -> int:
-    if args.cache_cmd == "build":
-        limit = int(float(args.limit))
-        src = EventSource(limit)
-        count = persist_events(src, args.path)
-        print(f"wrote {count} events up to {limit} -> {args.path}")
-        return 0
-    src = load_events(args.path)
-    ns, ws = src.arrays()
-    print(f"path: {args.path}")
-    print(f"events: {len(ns)}")
-    print(f"limit: {src.limit}")
-    if len(ns):
-        print(f"first: n={ns[0]} weight={ws[0]:.17g}")
-        print(f"last: n={ns[-1]} weight={ws[-1]:.17g}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psimoments",
@@ -229,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma separated predictions to compare ({', '.join(FORMULA_NAMES)})",
     )
     p.add_argument("--threads", type=int, default=0)
-    p.add_argument("--cache", help=f"event cache path (or set {CACHE_ENV_VAR})")
     _add_output_args(p)
     p.set_defaults(func=_cmd_moments)
 
@@ -275,15 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--threads", type=int, default=0)
     p.set_defaults(func=_cmd_reproduce_tables)
-
-    p = sub.add_parser("cache", help="build or inspect event caches")
-    cs = p.add_subparsers(dest="cache_cmd", required=True)
-    pb = cs.add_parser("build")
-    pb.add_argument("--limit", required=True, help="largest prime power to include")
-    pb.add_argument("--path", required=True)
-    pi = cs.add_parser("info")
-    pi.add_argument("--path", required=True)
-    p.set_defaults(func=_cmd_cache)
 
     return parser
 

@@ -27,10 +27,10 @@ from .predictions import fixed_main_term, odd_normalizer
 from .sieve import EventSource
 from .specfun import gamma
 from .sweep import (
-    Fixed,
     Kind,
     Scaled,
     WindowSpec,
+    residual_sampler,
     sweep_moments,
 )
 
@@ -73,24 +73,8 @@ def _pointwise_clip_bound(residuals: np.ndarray):
 
 def _sample_residuals(window: WindowSpec, events: EventSource, count: int = 4096):
     X = float(window.X)
-    ns, ws = events.range(2, window.limit() + 1)
-    prefix = np.concatenate(
-        [np.zeros(1, dtype=np.longdouble), np.cumsum(ws.astype(np.longdouble))]
-    )
     x = np.linspace(1.0, X, count, endpoint=False) + (X - 1.0) / (2.0 * count)
-    if isinstance(window.geometry, Fixed):
-        width = float(window.geometry.h)
-        hi = x + width
-        lin = np.full_like(x, width)
-    else:
-        d = float(window.geometry.delta)
-        hi = x * (1.0 + d)
-        lin = d * x
-    S = (
-        prefix[np.searchsorted(ns, hi, side="right")]
-        - prefix[np.searchsorted(ns, x, side="right")]
-    ).astype(np.float64)
-    return S - lin
+    return residual_sampler(window, events)(x)
 
 
 def decomposition_check(

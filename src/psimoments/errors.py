@@ -25,17 +25,8 @@ class DomainError(ConfigError):
 
 
 class ResourceError(RuntimeError):
-    """Missing or unusable external resource: cache file, sieve coverage,
-    integer range of the platform."""
-
-
-class CorruptCacheError(ResourceError):
-    """Persisted event file failed validation.  Carries the byte offset of
-    the first offending record."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
+    """Missing or unusable resource: an unreadable file, too little sieve
+    coverage, the integer range of the platform."""
 
 
 class CoverageError(ResourceError):

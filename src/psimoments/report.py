@@ -2,8 +2,8 @@
 
 A RunConfig names a window, the orders and kinds to sweep, and optionally
 prediction formulas to put alongside.  Results come back as ReportRow
-records and can be emitted as CSV or JSON with 17 significant digits, so a
-parse of the output reproduces every float bit for bit.
+records and can be emitted as CSV (17 significant digits) or JSON (float
+repr), so a parse of the output reproduces every float bit for bit.
 
 reproduce_tables recomputes the bundled reference values: absolute scaled
 moments for lambda in {1.0, 2.1, 3.2, 4.3, 5.4, 6.5} and signed odd
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,10 +30,8 @@ from .predictions import (
     scaled_main_term,
     scaled_refined_term,
 )
-from .sieve import EventSource, load_events, persist_events
+from .sieve import EventSource
 from .sweep import Fixed, Kind, Scaled, WindowSpec, sweep_moments
-
-CACHE_ENV_VAR = "PRIME_MOMENT_CACHE"
 
 CSV_HEADER = "lambda,kind,actual,formula,predicted,ratio,rel_err,piece_count,wall_seconds"
 
@@ -76,8 +73,6 @@ class RunConfig:
     kinds: Sequence[Kind] = (Kind.ABSOLUTE,)
     formulas: Sequence[str] = ()
     threads: int = 1
-    chunk_events: int = 1 << 20
-    cache_path: Optional[str] = None
 
     def __post_init__(self):
         if (self.h is None) == (self.delta is None):
@@ -93,17 +88,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunConfig":
-        known = {
-            "x",
-            "h",
-            "delta",
-            "orders",
-            "kinds",
-            "formulas",
-            "threads",
-            "chunk_events",
-            "cache_path",
-        }
+        known = {"x", "h", "delta", "orders", "kinds", "formulas", "threads"}
         unknown = set(k.lower() for k in data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -121,10 +106,6 @@ class RunConfig:
             formulas=list(data.get("formulas", [])),
             threads=int(data.get("threads", 1)),
         )
-        if "chunk_events" in data:
-            kwargs["chunk_events"] = int(data["chunk_events"])
-        if "cache_path" in data:
-            kwargs["cache_path"] = data["cache_path"]
         if "h" in data:
             kwargs["h"] = parse_rational(data["h"])
         if "delta" in data:
@@ -179,37 +160,12 @@ def _formula_value(name: str, window: WindowSpec, order: float) -> float:
     return table[name]()
 
 
-def resolve_cache(config: RunConfig) -> Optional[str]:
-    return os.environ.get(CACHE_ENV_VAR) or config.cache_path
-
-
-def _event_source(config: RunConfig, limit: int) -> EventSource:
-    path = resolve_cache(config)
-    if path:
-        if os.path.exists(path):
-            src = load_events(path)
-            if src.limit >= limit:
-                return src
-        src = EventSource(limit)
-        src.arrays()
-        persist_events(src, path)
-        return src
-    return EventSource(limit)
-
-
 def run(config: RunConfig) -> List[ReportRow]:
     """Sweep every (order, kind) pair, pair each with requested formulas."""
     window = config.window()
-    events = _event_source(config, window.limit())
     pairs = [(o, k) for k in config.kinds for o in config.orders]
     t0 = time.monotonic()
-    results, diag = sweep_moments(
-        window,
-        pairs,
-        events=events,
-        threads=config.threads,
-        chunk_events=config.chunk_events,
-    )
+    results, diag = sweep_moments(window, pairs, threads=config.threads)
     wall = time.monotonic() - t0
     rows: List[ReportRow] = []
     for res in results:
@@ -307,24 +263,22 @@ def emit_csv(rows: Sequence[ReportRow]) -> str:
 
 
 def emit_json(rows: Sequence[ReportRow]) -> str:
-    """JSON array of row objects, floats carried at 17 significant digits."""
-    parts = []
-    for r in rows:
-        fields = [
-            ("lambda", _fmt(r.order) or "null"),
-            ("kind", json.dumps(r.kind.value)),
-            ("actual", _fmt(r.actual) or "null"),
-            ("formula", json.dumps(r.formula) if r.formula else "null"),
-            ("predicted", _fmt(r.predicted) or "null"),
-            ("ratio", _fmt(r.ratio) or "null"),
-            ("rel_err", _fmt(r.rel_err) or "null"),
-            ("piece_count", str(r.piece_count)),
-            ("wall_seconds", _fmt(r.wall_seconds) or "null"),
-        ]
-        parts.append(
-            "  {" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields) + "}"
-        )
-    return "[\n" + ",\n".join(parts) + "\n]\n"
+    """JSON array of row objects; float repr round-trips every value exactly."""
+    objs = [
+        {
+            "lambda": r.order,
+            "kind": r.kind.value,
+            "actual": r.actual,
+            "formula": r.formula,
+            "predicted": r.predicted,
+            "ratio": r.ratio,
+            "rel_err": r.rel_err,
+            "piece_count": r.piece_count,
+            "wall_seconds": r.wall_seconds,
+        }
+        for r in rows
+    ]
+    return json.dumps(objs, indent=2) + "\n"
 
 
 def emit(rows: Sequence[ReportRow], fmt: str = "csv", path: Optional[str] = None) -> str:

@@ -1,8 +1,12 @@
 """Prime power enumeration with von Mangoldt weights.
 
-Every n = p^a <= limit is an event (n, log p).  Events come out in strictly
-ascending n, produced segment by segment so memory stays bounded by the
-segment size plus the base prime table (primes up to sqrt(limit)).
+Every n = p^a <= limit is an event (n, log p).  Events reach the rest of
+the package through range requests: ``sieve_range(lo, hi)`` sieves just
+[lo, hi) against the base primes up to sqrt(hi), so memory is bounded by
+the span a caller asks for.  ``EventSource`` answers range requests up to
+a limit, slicing one sieved table for small limits and re-sieving each
+span past PRELOAD_LIMIT.  Adjacent spans tile the full table bit for bit,
+whatever the cut points.
 
 The weight of p^a reuses the float computed for p itself, so a prime and
 all its powers carry bitwise identical weights.
@@ -11,40 +15,19 @@ all its powers carry bitwise identical weights.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .errors import CorruptCacheError, CoverageError, RangeLimitError
+from .errors import CoverageError, RangeLimitError
 
-DEFAULT_SEGMENT = 1 << 20
 # beyond this limit events are re-sieved per range instead of held in memory
 PRELOAD_LIMIT = 1 << 28
 # key arithmetic in the sweep must stay inside int64
 MAX_LIMIT = 1 << 62
-
-CACHE_MAGIC = b"PPOWCHE1"
-_RECORD_DTYPE = np.dtype([("n", "<u8"), ("w", "<f8")])
-
-
-@dataclass(frozen=True)
-class PrimePowerEvent:
-    n: int
-    weight: float
-
-
-@dataclass(frozen=True)
-class SieveConfig:
-    limit: int
-    segment_size: int = DEFAULT_SEGMENT
-
-    def __post_init__(self):
-        if self.limit > MAX_LIMIT:
-            raise RangeLimitError(f"limit {self.limit} exceeds 64-bit key range")
-        if self.segment_size < 64:
-            raise ValueError("segment_size must be at least 64")
+# psi streams its weights in range requests of this width
+PSI_SPAN = 1 << 20
 
 
 def _simple_primes(limit: int) -> np.ndarray:
@@ -126,35 +109,6 @@ def sieve_range(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
     return ns[order], ws[order]
 
 
-def iter_event_blocks(config: SieveConfig) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Yield (n, weight) array blocks covering [2, limit] in ascending order.
-
-    Memory use is bounded by the segment size plus the base prime table;
-    the emitted stream is bit-identical for any valid segment_size.
-    """
-    limit = config.limit
-    if limit < 2:
-        return
-    base = _simple_primes(math.isqrt(limit))
-    base_logs = np.log(base.astype(np.float64)) if base.size else np.empty(0)
-    base_odd = base[base != 2]
-    for lo in range(2, limit + 1, config.segment_size):
-        hi = min(lo + config.segment_size, limit + 1)
-        primes = _sieve_segment(lo, hi, base_odd)
-        pw_n, pw_w = _higher_powers(base, base_logs, lo, hi)
-        ns = np.concatenate([primes, pw_n])
-        ws = np.concatenate([np.log(primes.astype(np.float64)), pw_w])
-        order = np.argsort(ns, kind="stable")
-        yield ns[order], ws[order]
-
-
-def enumerate_prime_powers(config: SieveConfig) -> Iterator[PrimePowerEvent]:
-    """Ascending stream of PrimePowerEvent up to config.limit inclusive."""
-    for ns, ws in iter_event_blocks(config):
-        for n, w in zip(ns.tolist(), ws.tolist()):
-            yield PrimePowerEvent(n, w)
-
-
 @dataclass
 class EventSource:
     """Random access view of the events up to ``limit``.
@@ -165,15 +119,16 @@ class EventSource:
     """
 
     limit: int
-    segment_size: int = DEFAULT_SEGMENT
-    preload: bool | None = None
-    _arrays: tuple | None = field(default=None, repr=False)
+    _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.limit > MAX_LIMIT:
             raise RangeLimitError(f"limit {self.limit} exceeds 64-bit key range")
-        if self.preload is None:
-            self.preload = self.limit <= PRELOAD_LIMIT
+
+    @property
+    def preload(self) -> bool:
+        """Whether range requests slice one table sieved up front."""
+        return self.limit <= PRELOAD_LIMIT
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         if self._arrays is None:
@@ -193,20 +148,13 @@ class EventSource:
             return ns[i:j], ws[i:j]
         return sieve_range(lo, hi)
 
-    def blocks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        if self._arrays is not None:
-            yield self._arrays
-            return
-        yield from iter_event_blocks(SieveConfig(self.limit, self.segment_size))
-
-    def events(self) -> Iterator[PrimePowerEvent]:
-        for ns, ws in self.blocks():
-            for n, w in zip(ns.tolist(), ws.tolist()):
-                yield PrimePowerEvent(n, w)
-
 
 def psi(x: float, events: EventSource | None = None) -> float:
-    """Chebyshev psi: compensated sum of weights over n <= x."""
+    """Chebyshev psi: the correctly rounded sum of weights over n <= x.
+
+    Weights stream from consecutive PSI_SPAN-wide range requests into one
+    math.fsum, so the result does not depend on how the events are held.
+    """
     if x < 2:
         return 0.0
     n_max = int(math.floor(x))
@@ -214,84 +162,8 @@ def psi(x: float, events: EventSource | None = None) -> float:
         events = EventSource(n_max)
     elif events.limit < n_max:
         raise CoverageError(f"event source covers n <= {events.limit}, psi needs {n_max}")
-    total = math.fsum(
-        math.fsum(ws[: np.searchsorted(ns, n_max, side="right")].tolist())
-        for ns, ws in events.blocks()
+    return math.fsum(
+        w
+        for lo in range(2, n_max + 1, PSI_SPAN)
+        for w in events.range(lo, min(lo + PSI_SPAN, n_max + 1))[1].tolist()
     )
-    return total
-
-
-def persist_events(events, path: str) -> int:
-    """Write events to ``path`` in the binary cache format; returns count.
-
-    Accepts an EventSource, an iterable of PrimePowerEvent, or an
-    (n_array, weight_array) pair.
-    """
-    if isinstance(events, EventSource):
-        blocks = events.blocks()
-    elif isinstance(events, tuple) and len(events) == 2:
-        blocks = iter([events])
-    else:
-        ev = [(e.n, e.weight) for e in events]
-        ns = np.array([n for n, _ in ev], dtype=np.int64)
-        ws = np.array([w for _, w in ev], dtype=np.float64)
-        blocks = iter([(ns, ws)])
-    count = 0
-    with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(np.uint64(0).tobytes())  # placeholder, fixed up below
-        prev = 0
-        for ns, ws in blocks:
-            if ns.size == 0:
-                continue
-            if ns[0] <= prev or np.any(np.diff(ns) <= 0):
-                raise ValueError("events must be strictly ascending")
-            prev = int(ns[-1])
-            rec = np.empty(ns.size, dtype=_RECORD_DTYPE)
-            rec["n"] = ns
-            rec["w"] = ws
-            rec.tofile(f)
-            count += ns.size
-        f.seek(len(CACHE_MAGIC))
-        f.write(np.uint64(count).tobytes())
-    return count
-
-
-def load_events(path: str) -> EventSource:
-    """Validate and load a persisted event file into an EventSource."""
-    try:
-        size = os.path.getsize(path)
-        with open(path, "rb") as f:
-            header = f.read(16)
-    except OSError as exc:
-        raise CorruptCacheError(f"cannot read cache {path}: {exc}", 0) from None
-    if len(header) < 16 or header[:8] != CACHE_MAGIC:
-        raise CorruptCacheError("bad magic", 0)
-    count = int(np.frombuffer(header[8:16], dtype="<u8")[0])
-    body = size - 16
-    n_records = body // _RECORD_DTYPE.itemsize
-    if body % _RECORD_DTYPE.itemsize:
-        raise CorruptCacheError(
-            "truncated record", 16 + n_records * _RECORD_DTYPE.itemsize
-        )
-    if n_records != count:
-        raise CorruptCacheError(
-            f"header count {count} does not match {n_records} records on disk",
-            16 + min(n_records, count) * _RECORD_DTYPE.itemsize,
-        )
-    rec = np.fromfile(path, dtype=_RECORD_DTYPE, offset=16)
-    ns = rec["n"].astype(np.int64)
-    ws = rec["w"].astype(np.float64)
-    if ns.size:
-        if ns[0] < 2:
-            raise CorruptCacheError(f"event n={int(ns[0])} below 2", 16)
-        bad = np.flatnonzero(np.diff(ns) <= 0)
-        if bad.size:
-            raise CorruptCacheError(
-                "ordering violation",
-                16 + (int(bad[0]) + 1) * _RECORD_DTYPE.itemsize,
-            )
-    limit = int(ns[-1]) if ns.size else 1
-    src = EventSource(limit, preload=True)
-    src._arrays = (ns, ws)
-    return src

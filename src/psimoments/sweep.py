@@ -507,6 +507,37 @@ def first_moment_exact(window: WindowSpec, events: EventSource | None = None) ->
     return positive - linear
 
 
+def residual_sampler(window: WindowSpec, events: EventSource | None = None):
+    """The residual u(x) = S(x) - width as a function of sample points x.
+
+    S(x) is read off a longdouble prefix sum of the weights by binary
+    search, so sampling shares nothing with the sweep's piece machinery.
+    """
+    geom = _prepare_geometry(window)
+    limit = window.limit()
+    if events is None:
+        events = EventSource(limit)
+    ns, ws = events.range(2, limit + 1)
+    prefix = np.concatenate(
+        [np.zeros(1, dtype=np.longdouble), np.cumsum(ws.astype(np.longdouble))]
+    )
+
+    def residuals(x: np.ndarray) -> np.ndarray:
+        if geom.kind == "fixed":
+            hi = x + geom.width64
+            lin = geom.width64
+        else:
+            hi = x * (1.0 + geom.width64)
+            lin = geom.width64 * x
+        S = (
+            prefix[np.searchsorted(ns, hi, side="right")]
+            - prefix[np.searchsorted(ns, x, side="right")]
+        ).astype(np.float64)
+        return S - lin
+
+    return residuals
+
+
 def grid_oracle(
     window: WindowSpec,
     order,
@@ -529,32 +560,14 @@ def grid_oracle(
         return 0.0 if scalar else [0.0] * len(orders)
     if not 0 < step <= (X - 1.0) / 10.0:
         raise InvalidWindowError(f"step must lie in (0, (X-1)/10], got {step}")
-    geom = _prepare_geometry(window)
-    limit = window.limit()
-    if events is None:
-        events = EventSource(limit)
-    ns, ws = events.range(2, limit + 1)
-    prefix = np.concatenate(
-        [np.zeros(1, dtype=np.longdouble), np.cumsum(ws.astype(np.longdouble))]
-    )
-
+    residuals = residual_sampler(window, events)
     n_cells = int(math.ceil((X - 1.0) / step))
     width = (X - 1.0) / n_cells
     totals = np.zeros(len(orders), dtype=np.float64)
     block = 1 << 20
     for start_idx in range(0, n_cells, block):
         count = min(block, n_cells - start_idx)
-        x = 1.0 + (start_idx + np.arange(count) + 0.5) * width
-        if geom.kind == "fixed":
-            hi = x + geom.width64
-            resid_lin = geom.width64
-        else:
-            hi = x * (1.0 + geom.width64)
-            resid_lin = geom.width64 * x
-        lo_idx = np.searchsorted(ns, x, side="right")
-        hi_idx = np.searchsorted(ns, hi, side="right")
-        S = (prefix[hi_idx] - prefix[lo_idx]).astype(np.float64)
-        u = S - resid_lin
+        u = residuals(1.0 + (start_idx + np.arange(count) + 0.5) * width)
         for j, o in enumerate(orders):
             totals[j] += np.sum(_integrand(u, o, kind))
     values = [float(t * width) for t in totals]

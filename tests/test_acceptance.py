@@ -188,7 +188,7 @@ def test_criterion_7_structural(events_1e6):
 def test_criterion_8_extended_full_scale():
     X, d = 1e10, Fraction(1, 100000)
     window = WindowSpec(X, Scaled(d))
-    events = EventSource(window.limit())  # past preload size: segment re-sieve mode
+    events = EventSource(window.limit())  # past PRELOAD_LIMIT: each chunk re-sieves its range
     pairs = [(o, Kind.ABSOLUTE) for o in DESK_ABS_ORDERS]
     t0 = time.monotonic()
     res, _ = sweep_moments(window, pairs, events=events, threads=default_threads())

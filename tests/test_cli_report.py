@@ -1,10 +1,13 @@
 import json
 import math
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from psimoments.cli import main
+from psimoments.cli import build_parser, main
 from psimoments.errors import ConfigError
 from psimoments.report import (
     CSV_HEADER,
@@ -215,28 +218,28 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["moments", "--config", str(bad)]) == 2
     assert main(["predict", "--x", "10", "--h", "20", "--orders", "1", "--formulas", "fixed-main"]) == 2
-    # 3: resource problems
-    assert main(["cache", "info", "--path", str(tmp_path / "nope.bin")]) == 3
+    # unknown config keys fail loudly, never silently ignored
+    for key, value in (("cache_path", "events.bin"), ("chunk_events", 4096)):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({"x": 1000, "delta": "1e-2", "orders": [1.0], key: value}))
+        assert main(["moments", "--config", str(cfg)]) == 2
+    # 3: resource problems (keys past the 64-bit range)
+    assert main(["moments", "--x", "1e20", "--h", "1", "--orders", "1"]) == 3
     capsys.readouterr()
 
 
-def test_cli_cache_roundtrip(tmp_path, capsys):
-    path = str(tmp_path / "ev.bin")
-    assert main(["cache", "build", "--limit", "500", "--path", path]) == 0
-    assert main(["cache", "info", "--path", path]) == 0
-    out = capsys.readouterr().out
-    assert "events:" in out and "limit: 499" in out
-
-
-def test_cli_cache_env_override(tmp_path, monkeypatch, capsys):
-    cache = tmp_path / "env_cache.bin"
-    monkeypatch.setenv("PRIME_MOMENT_CACHE", str(cache))
-    code = main(["moments", "--x", "200", "--h", "5", "--orders", "1", "--threads", "1"])
-    assert code == 0
-    assert cache.exists()  # the run built and persisted the cache
-    # second run reuses it
-    assert main(["moments", "--x", "200", "--h", "5", "--orders", "1", "--threads", "1"]) == 0
-    capsys.readouterr()
+def test_readme_commands_parse():
+    # every documented command line must name real subcommands and flags
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.sub(r"\\\n\s*", " ", text)
+    commands = re.findall(r"^\s*\$ psimoments (.*)$", text, flags=re.M)
+    assert commands
+    parser = build_parser()
+    for cmd in commands:
+        try:
+            parser.parse_args(shlex.split(cmd))
+        except SystemExit:
+            pytest.fail(f"README command does not parse: psimoments {cmd}")
 
 
 def test_cli_verify_identities(capsys):

@@ -5,18 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psimoments.errors import CorruptCacheError, CoverageError
-from psimoments.sieve import (
-    EventSource,
-    SieveConfig,
-    _simple_primes,
-    enumerate_prime_powers,
-    iter_event_blocks,
-    load_events,
-    persist_events,
-    psi,
-    sieve_range,
-)
+from psimoments.errors import CoverageError
+from psimoments.sieve import EventSource, _simple_primes, psi, sieve_range
 
 
 def brute_prime_powers(limit):
@@ -39,10 +29,10 @@ def brute_prime_powers(limit):
 
 
 def test_small_events_against_trial_division():
-    got = [(e.n, e.weight) for e in enumerate_prime_powers(SieveConfig(512))]
+    ns, ws = EventSource(512).arrays()
     want = brute_prime_powers(512)
-    assert [n for n, _ in got] == [n for n, _ in want]
-    for (_, wg), (_, ww) in zip(got, want):
+    assert ns.tolist() == [n for n, _ in want]
+    for wg, (_, ww) in zip(ws.tolist(), want):
         assert wg == pytest.approx(ww, rel=1e-15)
 
 
@@ -72,26 +62,18 @@ def test_prime_count_1e6():
     assert int(primes.sum()) == 78498
 
 
-def test_segment_size_invariance():
-    base = list(enumerate_prime_powers(SieveConfig(20_000, segment_size=1 << 14)))
-    for seg in (64, 1000, 1 << 10, 30_000):
-        other = list(enumerate_prime_powers(SieveConfig(20_000, segment_size=seg)))
-        assert [(e.n, e.weight) for e in other] == [(e.n, e.weight) for e in base]
-
-
-def test_blocks_cover_and_ascend():
-    cfg = SieveConfig(50_000, segment_size=1 << 12)
-    last = 1
-    total = 0
-    for ns, ws in iter_event_blocks(cfg):
-        assert len(ns) == len(ws)
-        if len(ns) == 0:
-            continue
-        assert ns[0] > last
-        assert np.all(np.diff(ns) > 0)
-        last = int(ns[-1])
-        total += len(ns)
-    assert total == len(brute_prime_powers(50_000))
+def test_adjacent_ranges_tile_arrays():
+    # the streamed re-sieve relies on spans concatenating to the full table
+    limit = 50_000
+    full_ns, full_ws = EventSource(limit).arrays()
+    assert np.all(np.diff(full_ns) > 0)
+    assert full_ns.size == len(brute_prime_powers(limit))
+    for step in (64, 1000, 4096, 30_000):
+        spans = [sieve_range(lo, min(lo + step, limit + 1)) for lo in range(2, limit + 1, step)]
+        ns = np.concatenate([s[0] for s in spans])
+        ws = np.concatenate([s[1] for s in spans])
+        assert ns.tobytes() == full_ns.tobytes()
+        assert ws.tobytes() == full_ws.tobytes()
 
 
 def test_sieve_range_windows():
@@ -118,6 +100,19 @@ def test_psi_monotone_steps():
         assert b >= a
 
 
+def test_psi_independent_of_source_state():
+    # one fsum over all weights: correctly rounded, however the events are held
+    class Streamed(EventSource):
+        preload = False  # re-sieve every psi span
+
+    src = EventSource(3_000_000)
+    before = psi(2.5e6, events=src)
+    ns, ws = src.arrays()
+    assert psi(2.5e6, events=src) == before
+    assert psi(2.5e6, events=Streamed(3_000_000)) == before
+    assert before == math.fsum(ws[ns <= 2_500_000].tolist())
+
+
 def test_psi_coverage_guard():
     src = EventSource(100)
     with pytest.raises(CoverageError):
@@ -130,59 +125,6 @@ def test_event_source_range_matches_preload():
     ns_b, ws_b = sieve_range(30_000, 60_000)
     assert ns_a.tolist() == ns_b.tolist()
     assert ws_a.tolist() == ws_b.tolist()
-
-
-def test_cache_roundtrip(tmp_path):
-    path = str(tmp_path / "events.bin")
-    src = EventSource(5000)
-    count = persist_events(src, path)
-    ns, ws = src.arrays()
-    assert count == len(ns)
-    back = load_events(path)
-    ns2, ws2 = back.arrays()
-    assert ns2.tolist() == ns.tolist()
-    # weights must survive bit for bit
-    assert ws2.tobytes() == ws.tobytes()
-    assert back.limit == int(ns[-1])
-
-
-def test_cache_corruption_offsets(tmp_path):
-    path = str(tmp_path / "events.bin")
-    persist_events(EventSource(1000), path)
-    blob = bytearray(open(path, "rb").read())
-
-    bad = bytearray(blob)
-    bad[:4] = b"WXYZ"
-    p = tmp_path / "magic.bin"
-    p.write_bytes(bytes(bad))
-    with pytest.raises(CorruptCacheError) as info:
-        load_events(str(p))
-    assert info.value.offset == 0
-
-    p = tmp_path / "short.bin"
-    p.write_bytes(bytes(blob[:-7]))  # truncated final record
-    with pytest.raises(CorruptCacheError):
-        load_events(str(p))
-
-    # swap two records to break the ordering
-    bad = bytearray(blob)
-    rec0 = bad[16:32]
-    bad[16:32] = bad[32:48]
-    bad[32:48] = rec0
-    p = tmp_path / "order.bin"
-    p.write_bytes(bytes(bad))
-    with pytest.raises(CorruptCacheError) as info:
-        load_events(str(p))
-    assert info.value.offset > 0
-
-
-def test_cache_empty_is_valid(tmp_path):
-    path = str(tmp_path / "empty.bin")
-    count = persist_events((np.empty(0, dtype=np.int64), np.empty(0)), path)
-    assert count == 0
-    back = load_events(path)
-    ns, _ = back.arrays()
-    assert len(ns) == 0
 
 
 @settings(deadline=None, max_examples=30)
