@@ -9,129 +9,55 @@ psimoments.predictions, and psimoments.specfun checks the special
 function identities those predictions lean on.
 """
 
-from .errors import (
-    ConfigError,
-    CoverageError,
-    DomainError,
-    InvalidOrderError,
-    InvalidWindowError,
-    InvariantError,
-    QuadratureError,
-    RangeLimitError,
-    ResourceError,
-)
-from .sieve import EventSource, psi
+from .errors import ConfigError, InvariantError, ResourceError
+from .sieve import EventSource
 from .specfun import (
-    VerifierConfig,
     duplication_residual,
-    gamma,
     gaussian_abs_moment,
     moment_constant_residual,
     sin_fourth_integral,
     sin_power_coefficients,
     sin_squared_integral,
 )
-from .predictions import (
-    B_CONSTANT,
-    C0,
-    E_CONSTANT,
-    double_factorial,
-    even_main_b_fixed,
-    even_main_b_scaled,
-    fixed_main_term,
-    fixed_refined_term,
-    odd_normalizer,
-    scaled_main_term,
-    scaled_refined_term,
-)
+from .predictions import double_factorial, odd_normalizer, scaled_refined_term
 from .sweep import (
     Fixed,
     Kind,
-    MomentRequest,
-    MomentResult,
     Scaled,
     WindowSpec,
     default_threads,
-    evaluate,
     first_moment_exact,
     grid_oracle,
-    moment_fixed,
-    moment_scaled,
     sweep_moments,
 )
-from .equivalence import (
-    AverageReport,
-    EquivalenceReport,
-    decomposition_check,
-    saffari_vaughan_average,
-    smallness_ratio,
-)
-from .report import (
-    ReportRow,
-    RunConfig,
-    emit,
-    parse_rows,
-    predict_rows,
-    reproduce_tables,
-    run,
-)
+from .equivalence import decomposition_check, saffari_vaughan_average
 
 __version__ = "0.1.0"
 
+# Names callers import from the package root; everything else is imported
+# from its submodule.
 __all__ = [
-    "B_CONSTANT",
-    "C0",
-    "E_CONSTANT",
-    "AverageReport",
     "ConfigError",
-    "CoverageError",
-    "DomainError",
-    "EquivalenceReport",
     "EventSource",
     "Fixed",
-    "InvalidOrderError",
-    "InvalidWindowError",
     "InvariantError",
     "Kind",
-    "MomentRequest",
-    "MomentResult",
-    "QuadratureError",
-    "RangeLimitError",
-    "ReportRow",
     "ResourceError",
-    "RunConfig",
     "Scaled",
-    "VerifierConfig",
     "WindowSpec",
     "decomposition_check",
     "default_threads",
     "double_factorial",
     "duplication_residual",
-    "emit",
-    "evaluate",
-    "even_main_b_fixed",
-    "even_main_b_scaled",
     "first_moment_exact",
-    "fixed_main_term",
-    "fixed_refined_term",
-    "gamma",
     "gaussian_abs_moment",
     "grid_oracle",
     "moment_constant_residual",
-    "moment_fixed",
-    "moment_scaled",
     "odd_normalizer",
-    "parse_rows",
-    "predict_rows",
-    "psi",
-    "reproduce_tables",
-    "run",
     "saffari_vaughan_average",
-    "scaled_main_term",
     "scaled_refined_term",
     "sin_fourth_integral",
     "sin_power_coefficients",
     "sin_squared_integral",
-    "smallness_ratio",
     "sweep_moments",
 ]

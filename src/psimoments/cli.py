@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from .equivalence import decomposition_check, saffari_vaughan_average
+from .equivalence import decomposition_check, saffari_vaughan_average, width_grid
 from .errors import ConfigError, InvariantError, ResourceError
 from .report import (
     FORMULA_NAMES,
@@ -32,7 +32,13 @@ from .specfun import (
     sin_fourth_integral,
     sin_squared_integral,
 )
-from .sweep import Fixed, Kind, Scaled, WindowSpec, default_threads
+from .sweep import Kind, Scaled, WindowSpec, default_threads
+
+
+def _threads(text: str) -> int:
+    """--threads value; 0 or less means one per core, up to 8."""
+    n = int(text)
+    return n if n > 0 else default_threads()
 
 
 def _add_window_args(p: argparse.ArgumentParser):
@@ -47,22 +53,24 @@ def _add_output_args(p: argparse.ArgumentParser):
     p.add_argument("--output", help="write to this file instead of stdout")
 
 
-def _build_config(args, formulas=()) -> RunConfig:
-    orders = [float(tok) for tok in args.orders.split(",") if tok.strip()]
-    kwargs = dict(
-        X=float(args.x),
-        orders=orders,
-        kinds=[Kind(args.kind)],
-        formulas=list(formulas),
-        threads=args.threads if args.threads > 0 else default_threads(),
-    )
-    if args.h is not None:
-        kwargs["h"] = parse_rational(args.h)
-    elif args.delta is not None:
-        kwargs["delta"] = parse_rational(args.delta)
-    else:
-        raise ConfigError("need a window width: pass --h or --delta")
-    return RunConfig(**kwargs)
+def _flag_config(args) -> RunConfig:
+    """The window, order, kind, formula and thread flags, turned into a
+    config-file object and parsed like one."""
+    flags = vars(args)
+    data = {k: flags[k] for k in ("x", "h", "delta", "threads") if flags.get(k) is not None}
+    for key in ("orders", "formulas"):
+        if flags.get(key):
+            data[key] = [tok for tok in flags[key].split(",") if tok.strip()]
+    if "kind" in flags:
+        data["kinds"] = [flags["kind"]]
+    return RunConfig.from_dict(data)
+
+
+def _write_rows(args, rows) -> int:
+    text = emit(rows, args.format, args.output)
+    if not args.output:
+        sys.stdout.write(text)
+    return 0
 
 
 def _cmd_moments(args) -> int:
@@ -75,29 +83,12 @@ def _cmd_moments(args) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from None
     else:
-        if args.x is None or args.orders is None:
-            raise ConfigError("moments needs --config or both --x and --orders")
-        formulas = (
-            [tok for tok in args.formulas.split(",") if tok.strip()]
-            if args.formulas
-            else []
-        )
-        config = _build_config(args, formulas)
-    rows = run(config)
-    text = emit(rows, args.format, args.output)
-    if not args.output:
-        sys.stdout.write(text)
-    return 0
+        config = _flag_config(args)
+    return _write_rows(args, run(config))
 
 
 def _cmd_predict(args) -> int:
-    formulas = [tok for tok in args.formulas.split(",") if tok.strip()]
-    config = _build_config(args, formulas)
-    rows = predict_rows(config)
-    text = emit(rows, args.format, args.output)
-    if not args.output:
-        sys.stdout.write(text)
-    return 0
+    return _write_rows(args, predict_rows(_flag_config(args)))
 
 
 def _cmd_verify_identities(args) -> int:
@@ -132,25 +123,33 @@ def _cmd_verify_identities(args) -> int:
 
 
 def _cmd_equivalence(args) -> int:
-    X = float(args.x)
-    if args.h is not None:
-        window = WindowSpec(X, Fixed(parse_rational(args.h)))
-    else:
-        window = WindowSpec(X, Scaled(parse_rational(args.delta)))
-    threads = args.threads if args.threads > 0 else default_threads()
-    orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
-    events = EventSource(window.limit())
+    config = _flag_config(args)
+    if any(n != int(n) for n in config.orders):
+        raise ConfigError(f"equivalence needs integer orders, got {args.orders}")
+    orders = [int(n) for n in config.orders]
+    window = config.window()
+    # one event source, sized for the widest window either step sweeps
+    limit = window.limit()
+    if args.average_delta is not None:
+        Delta = float(parse_rational(args.average_delta))
+        widest = max(width_grid(config.X, Delta, args.grid_points))
+        limit = max(limit, WindowSpec(config.X, Scaled(widest)).limit())
+    events = EventSource(limit)
     for n in orders:
-        rep = decomposition_check(window, n, events=events, threads=threads)
+        rep = decomposition_check(window, n, events=events, threads=config.threads)
         print(
             f"n={n}: absolute={rep.absolute:.6e} signed={rep.signed:.6e} "
             f"positive={rep.positive_part:.6e} signed/normalizer={rep.ratio:.3e}"
         )
     if args.average_delta is not None:
-        Delta = float(parse_rational(args.average_delta))
         for n in orders:
             avg = saffari_vaughan_average(
-                X, Delta, n, grid_points=args.grid_points, events=events, threads=threads
+                config.X,
+                Delta,
+                n,
+                grid_points=args.grid_points,
+                events=events,
+                threads=config.threads,
             )
             print(
                 f"n={n} averaged over delta<={Delta:g}: lhs={avg.lhs:.6e} "
@@ -160,11 +159,10 @@ def _cmd_equivalence(args) -> int:
 
 
 def _cmd_reproduce_tables(args) -> int:
-    threads = args.threads if args.threads > 0 else default_threads()
     tables = reproduce_tables(
         args.scale,
         include_actual=not args.formulas_only,
-        threads=threads,
+        threads=args.threads,
     )
     sys.stdout.write(format_tables(tables))
     return 0
@@ -191,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--formulas",
         help=f"comma separated predictions to compare ({', '.join(FORMULA_NAMES)})",
     )
-    p.add_argument("--threads", type=int, default=0)
+    p.add_argument("--threads", type=_threads, default="0")
     _add_output_args(p)
     p.set_defaults(func=_cmd_moments)
 
@@ -200,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", required=True)
     p.add_argument("--kind", default="absolute", choices=[k.value for k in Kind])
     p.add_argument("--formulas", required=True)
-    p.add_argument("--threads", type=int, default=0)
     _add_output_args(p)
     p.set_defaults(func=_cmd_predict)
 
@@ -225,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the width-averaged comparison up to this delta",
     )
     p.add_argument("--grid-points", type=int, default=16)
-    p.add_argument("--threads", type=int, default=0)
+    p.add_argument("--threads", type=_threads, default="0")
     p.set_defaults(func=_cmd_equivalence)
 
     p = sub.add_parser("reproduce-tables", help="recompute the reference tables")
@@ -235,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the sweeps; prediction columns only",
     )
-    p.add_argument("--threads", type=int, default=0)
+    p.add_argument("--threads", type=_threads, default="0")
     p.set_defaults(func=_cmd_reproduce_tables)
 
     return parser

@@ -3,8 +3,8 @@
 For odd integer order n the pointwise identity |u|^n + u^n = 2 max(u,0)^n
 lifts to the moments: Absolute + Signed = 2 PositivePart.  The one-sided
 moment therefore carries the size of the absolute moment whenever the
-signed moment is comparatively small; smallness_ratio measures exactly
-that, against the scaled main term at order n.
+signed moment is comparatively small; decomposition_check reports the
+signed moment against the scaled main term at order n.
 
 saffari_vaughan_average probes the same mechanism after averaging over the
 width: the left side integrates the positive-part moment over delta in
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy.integrate import quad, trapezoid
@@ -126,26 +126,27 @@ def decomposition_check(
     )
 
 
-def smallness_ratio(
-    X: float,
-    delta,
-    n: int,
-    *,
-    events: EventSource | None = None,
-    threads: int = 1,
-) -> float:
-    """Signed scaled moment at odd order n over the scaled main term."""
-    if n < 1 or n % 2 == 0:
-        raise DomainError(f"smallness ratio needs odd order, got {n}")
-    window = WindowSpec(X, Scaled(Fraction(delta)))
-    results, _ = sweep_moments(
-        window, [(n, Kind.SIGNED)], events=events, threads=threads
-    )
-    return results[0].value / odd_normalizer(float(X), float(Fraction(delta)), n)
-
-
 def _width_integrand_constant(n: int) -> float:
     return gamma(n + 1.0) / (gamma(n / 2.0 + 2.0) * 2.0 ** (n / 2.0))
+
+
+def width_grid(X: float, Delta: float, grid_points: int = 16) -> List[Fraction]:
+    """The widths saffari_vaughan_average sweeps: log-spaced over
+    [Delta/100, Delta], each rationalized as finely as the exact-key range
+    allows.  The widest of them sets the event limit the average needs.
+    """
+    if not 1.0 / X < Delta < 1:
+        raise DomainError(f"Delta must lie in (1/X, 1), got {Delta}")
+    if grid_points < 8:
+        raise DomainError("grid_points must be at least 8")
+    cap = min(10**9, max(10**4, (1 << 62) // (8 * (int(X) + 1))))
+    fracs = []
+    for d in np.geomspace(Delta / 100.0, Delta, grid_points):
+        f = Fraction(float(d)).limit_denominator(cap)
+        if f <= 0:
+            f = Fraction(1, cap)
+        fracs.append(f)
+    return fracs
 
 
 def saffari_vaughan_average(
@@ -167,20 +168,7 @@ def saffari_vaughan_average(
     """
     if n < 1 or n != int(n) or int(n) % 2 == 0:
         raise DomainError(f"order must be an odd positive integer, got {n}")
-    if not 1.0 / X < Delta < 1:
-        raise DomainError(f"Delta must lie in (1/X, 1), got {Delta}")
-    if grid_points < 8:
-        raise DomainError("grid_points must be at least 8")
-
-    # rationalize each grid delta as finely as the exact-key range allows
-    cap = min(10**9, max(10**4, (1 << 62) // (8 * (int(X) + 1))))
-    deltas_f = np.geomspace(Delta / 100.0, Delta, grid_points)
-    fracs = []
-    for d in deltas_f:
-        f = Fraction(float(d)).limit_denominator(cap)
-        if f <= 0:
-            f = Fraction(1, cap)
-        fracs.append(f)
+    fracs = width_grid(X, Delta, grid_points)
     if events is None:
         top = WindowSpec(X, Scaled(max(fracs))).limit()
         events = EventSource(top)

@@ -132,19 +132,16 @@ def double_factorial(m: int) -> int:
     return out
 
 
-def even_main_b_fixed(X: float, h: float, k: int, allow_odd: bool = False) -> float:
-    """Classical even-moment form for fixed windows:
-    (k-1)!! h^(k/2) int_1^X (log(x/h) + B)^(k/2) dx.
+def _check_even_order(k: int):
+    # odd k has vanishing Gaussian moment, so the form does not apply
+    if k < 1 or k != int(k) or k % 2:
+        raise DomainError(f"order must be an even positive integer, got {k}")
 
-    Odd k has vanishing Gaussian moment; by default that is rejected, with
-    allow_odd=True it returns exactly 0.0.
-    """
-    if k < 1 or k != int(k):
-        raise DomainError(f"order must be a positive integer, got {k}")
-    if k % 2:
-        if allow_odd:
-            return 0.0
-        raise DomainError(f"even order required, got {k} (pass allow_odd for 0)")
+
+def even_main_b_fixed(X: float, h: float, k: int) -> float:
+    """Classical even-moment form for fixed windows:
+    (k-1)!! h^(k/2) int_1^X (log(x/h) + B)^(k/2) dx."""
+    _check_even_order(k)
     _check_fixed_width(X, h)
     half = k // 2
     mu_k = double_factorial(k - 1)
@@ -154,15 +151,10 @@ def even_main_b_fixed(X: float, h: float, k: int, allow_odd: bool = False) -> fl
     return mu_k * h**half * integral
 
 
-def even_main_b_scaled(X: float, delta: float, k: int, allow_odd: bool = False) -> float:
+def even_main_b_scaled(X: float, delta: float, k: int) -> float:
     """Classical even-moment form for scaled windows:
     (k-1)!!/(k/2+1) X^(k/2+1) delta^(k/2) (log(1/delta) + B)^(k/2)."""
-    if k < 1 or k != int(k):
-        raise DomainError(f"order must be a positive integer, got {k}")
-    if k % 2:
-        if allow_odd:
-            return 0.0
-        raise DomainError(f"even order required, got {k} (pass allow_odd for 0)")
+    _check_even_order(k)
     _check_scaled_width(X, delta)
     half = k // 2
     mu_k = double_factorial(k - 1)

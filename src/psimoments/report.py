@@ -14,11 +14,10 @@ and the full scale (X = 1e10, delta = 1e-5).
 from __future__ import annotations
 
 import json
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .errors import ConfigError
 from .predictions import (
@@ -33,17 +32,21 @@ from .predictions import (
 from .sieve import EventSource
 from .sweep import Fixed, Kind, Scaled, WindowSpec, sweep_moments
 
-CSV_HEADER = "lambda,kind,actual,formula,predicted,ratio,rel_err,piece_count,wall_seconds"
+# name -> (window geometry it needs, value at (X, width, order)).  The
+# lambdas look each prediction up by its module-level name at call time,
+# so wrappers installed on those names (perfbench/layers.py) see the call.
+FORMULAS = {
+    "fixed-main": (Fixed, lambda X, w, o: fixed_main_term(X, w, o)),
+    "scaled-main": (Scaled, lambda X, w, o: scaled_main_term(X, w, o)),
+    "fixed-refined": (Fixed, lambda X, w, o: fixed_refined_term(X, w, o)),
+    "scaled-refined": (Scaled, lambda X, w, o: scaled_refined_term(X, w, o)),
+    "odd-normalizer": (Scaled, lambda X, w, o: odd_normalizer(X, w, int(o))),
+    "even-b-fixed": (Fixed, lambda X, w, o: even_main_b_fixed(X, w, int(o))),
+    "even-b-scaled": (Scaled, lambda X, w, o: even_main_b_scaled(X, w, int(o))),
+}
+FORMULA_NAMES = tuple(FORMULAS)
 
-FORMULA_NAMES = (
-    "fixed-main",
-    "scaled-main",
-    "fixed-refined",
-    "scaled-refined",
-    "odd-normalizer",
-    "even-b-fixed",
-    "even-b-scaled",
-)
+_CONFIG_KEYS = {"x", "h", "delta", "orders", "kinds", "formulas", "threads"}
 
 
 def parse_rational(text) -> Fraction:
@@ -52,15 +55,11 @@ def parse_rational(text) -> Fraction:
     Decimal strings convert exactly ('1e-4' is 1/10000, not the float64
     nearest to it); bare floats convert via their exact binary value.
     """
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, float):
-        return Fraction(text)
+    if not isinstance(text, (Fraction, int, float)):
+        text = str(text).strip()
     try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"cannot parse rational from {text!r}: {exc}") from None
 
 
@@ -81,38 +80,37 @@ class RunConfig:
             raise ConfigError("at least one order is required")
         self.kinds = tuple(Kind(k) for k in self.kinds)
         for f in self.formulas:
-            if f not in FORMULA_NAMES:
+            if f not in FORMULAS:
                 raise ConfigError(
                     f"unknown formula {f!r}; valid: {', '.join(FORMULA_NAMES)}"
                 )
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunConfig":
-        known = {"x", "h", "delta", "orders", "kinds", "formulas", "threads"}
-        unknown = set(k.lower() for k in data) - known
+        """RunConfig from a config-file object.
+
+        The CLI turns its flags into the same object, so every outside
+        value is converted here: anything malformed raises ConfigError.
+        """
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be an object, got {type(data).__name__}")
+        data = {k.lower(): v for k, v in data.items()}
+        unknown = set(data) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        data = {k.lower(): v for k, v in data.items()}
         if "x" not in data:
-            raise ConfigError("config needs an 'x' entry")
+            raise ConfigError("X is required: an 'x' config entry or --x")
         try:
-            x = float(data["x"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad X value {data['x']!r}") from None
-        kwargs = dict(
-            X=x,
-            orders=[float(o) for o in data.get("orders", [])],
-            kinds=[Kind(k) for k in data.get("kinds", ["absolute"])],
-            formulas=list(data.get("formulas", [])),
-            threads=int(data.get("threads", 1)),
-        )
-        if "h" in data:
-            kwargs["h"] = parse_rational(data["h"])
-        if "delta" in data:
-            kwargs["delta"] = parse_rational(data["delta"])
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
+            return cls(
+                X=float(data["x"]),
+                h=parse_rational(data["h"]) if "h" in data else None,
+                delta=parse_rational(data["delta"]) if "delta" in data else None,
+                orders=[float(o) for o in data.get("orders", [])],
+                kinds=data.get("kinds", ["absolute"]),
+                formulas=list(data.get("formulas", [])),
+                threads=int(data.get("threads", 1)),
+            )
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
     def window(self) -> WindowSpec:
@@ -132,32 +130,57 @@ class ReportRow:
     piece_count: int
     wall_seconds: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "kind", Kind(self.kind))
+
+
+# Output columns: the ReportRow fields in order, ``order`` named lambda.
+COLUMNS = tuple("lambda" if f.name == "order" else f.name for f in fields(ReportRow))
+CSV_HEADER = ",".join(COLUMNS)
+
 
 def _formula_value(name: str, window: WindowSpec, order: float) -> float:
-    X = float(window.X)
-    fixed = isinstance(window.geometry, Fixed)
-    width = float(window.geometry.h) if fixed else float(window.geometry.delta)
-    table: Dict[str, Callable[[], float]] = {
-        "fixed-main": lambda: fixed_main_term(X, width, order),
-        "scaled-main": lambda: scaled_main_term(X, width, order),
-        "fixed-refined": lambda: fixed_refined_term(X, width, order),
-        "scaled-refined": lambda: scaled_refined_term(X, width, order),
-        "odd-normalizer": lambda: odd_normalizer(X, width, int(order)),
-        "even-b-fixed": lambda: even_main_b_fixed(X, width, int(order)),
-        "even-b-scaled": lambda: even_main_b_scaled(X, width, int(order)),
-    }
-    wants_fixed = name in ("fixed-main", "fixed-refined", "even-b-fixed")
-    wants_scaled = name in (
-        "scaled-main",
-        "scaled-refined",
-        "odd-normalizer",
-        "even-b-scaled",
-    )
-    if wants_fixed and not fixed:
-        raise ConfigError(f"formula {name} needs a fixed window")
-    if wants_scaled and fixed:
-        raise ConfigError(f"formula {name} needs a scaled window")
-    return table[name]()
+    geometry, formula = FORMULAS[name]
+    g = window.geometry
+    if not isinstance(g, geometry):
+        raise ConfigError(f"formula {name} needs a {geometry.__name__.lower()} window")
+    width = g.h if isinstance(g, Fixed) else g.delta
+    return formula(float(window.X), float(width), order)
+
+
+def _rows(
+    window: WindowSpec,
+    formulas: Sequence[str],
+    order: float,
+    kind: Kind,
+    actual: Optional[float] = None,
+    piece_count: int = 0,
+    wall: Optional[float] = None,
+) -> List[ReportRow]:
+    """One row per formula, or one bare row when there are none.
+
+    With ``wall`` None each row times its own formula evaluation.
+    """
+    rows = []
+    for name in formulas or (None,):
+        t0 = time.monotonic()
+        predicted = None if name is None else _formula_value(name, window, order)
+        seconds = time.monotonic() - t0 if wall is None else wall
+        compare = actual is not None and bool(predicted)
+        rows.append(
+            ReportRow(
+                order=order,
+                kind=kind,
+                actual=actual,
+                formula=name,
+                predicted=predicted,
+                ratio=actual / predicted if compare else None,
+                rel_err=abs(actual - predicted) / abs(predicted) if compare else None,
+                piece_count=piece_count,
+                wall_seconds=seconds,
+            )
+        )
+    return rows
 
 
 def run(config: RunConfig) -> List[ReportRow]:
@@ -165,45 +188,15 @@ def run(config: RunConfig) -> List[ReportRow]:
     window = config.window()
     pairs = [(o, k) for k in config.kinds for o in config.orders]
     t0 = time.monotonic()
-    results, diag = sweep_moments(window, pairs, threads=config.threads)
+    results, _ = sweep_moments(window, pairs, threads=config.threads)
     wall = time.monotonic() - t0
-    rows: List[ReportRow] = []
-    for res in results:
-        if config.formulas:
-            for name in config.formulas:
-                predicted = _formula_value(name, window, res.order)
-                ratio = res.value / predicted if predicted else None
-                rel_err = (
-                    abs(res.value - predicted) / abs(predicted) if predicted else None
-                )
-                rows.append(
-                    ReportRow(
-                        order=res.order,
-                        kind=res.kind,
-                        actual=res.value,
-                        formula=name,
-                        predicted=predicted,
-                        ratio=ratio,
-                        rel_err=rel_err,
-                        piece_count=res.piece_count,
-                        wall_seconds=wall,
-                    )
-                )
-        else:
-            rows.append(
-                ReportRow(
-                    order=res.order,
-                    kind=res.kind,
-                    actual=res.value,
-                    formula=None,
-                    predicted=None,
-                    ratio=None,
-                    rel_err=None,
-                    piece_count=res.piece_count,
-                    wall_seconds=wall,
-                )
-            )
-    return rows
+    return [
+        row
+        for res in results
+        for row in _rows(
+            window, config.formulas, res.order, res.kind, res.value, res.piece_count, wall
+        )
+    ]
 
 
 def predict_rows(config: RunConfig) -> List[ReportRow]:
@@ -211,74 +204,35 @@ def predict_rows(config: RunConfig) -> List[ReportRow]:
     window = config.window()
     if not config.formulas:
         raise ConfigError("predict needs at least one formula")
-    rows = []
-    for kind in config.kinds:
-        for order in config.orders:
-            for name in config.formulas:
-                t0 = time.monotonic()
-                predicted = _formula_value(name, window, float(order))
-                rows.append(
-                    ReportRow(
-                        order=float(order),
-                        kind=kind,
-                        actual=None,
-                        formula=name,
-                        predicted=predicted,
-                        ratio=None,
-                        rel_err=None,
-                        piece_count=0,
-                        wall_seconds=time.monotonic() - t0,
-                    )
-                )
-    return rows
+    return [
+        row
+        for kind in config.kinds
+        for order in config.orders
+        for row in _rows(window, config.formulas, float(order), kind)
+    ]
+
+
+def _cells(row: ReportRow) -> list:
+    """Row values in COLUMNS order, the kind as its string value."""
+    return [v.value if isinstance(v, Kind) else v for v in astuple(row)]
 
 
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, int):
+    if isinstance(x, (int, str)):
         return str(x)
     return format(x, ".17g")
 
 
 def emit_csv(rows: Sequence[ReportRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.order),
-                    r.kind.value,
-                    _fmt(r.actual),
-                    r.formula or "",
-                    _fmt(r.predicted),
-                    _fmt(r.ratio),
-                    _fmt(r.rel_err),
-                    str(r.piece_count),
-                    _fmt(r.wall_seconds),
-                ]
-            )
-        )
+    lines = [CSV_HEADER] + [",".join(_fmt(v) for v in _cells(r)) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def emit_json(rows: Sequence[ReportRow]) -> str:
     """JSON array of row objects; float repr round-trips every value exactly."""
-    objs = [
-        {
-            "lambda": r.order,
-            "kind": r.kind.value,
-            "actual": r.actual,
-            "formula": r.formula,
-            "predicted": r.predicted,
-            "ratio": r.ratio,
-            "rel_err": r.rel_err,
-            "piece_count": r.piece_count,
-            "wall_seconds": r.wall_seconds,
-        }
-        for r in rows
-    ]
-    return json.dumps(objs, indent=2) + "\n"
+    return json.dumps([dict(zip(COLUMNS, _cells(r))) for r in rows], indent=2) + "\n"
 
 
 def emit(rows: Sequence[ReportRow], fmt: str = "csv", path: Optional[str] = None) -> str:
@@ -294,44 +248,26 @@ def emit(rows: Sequence[ReportRow], fmt: str = "csv", path: Optional[str] = None
     return text
 
 
+def _parse_cell(column: str, text: str):
+    if column in ("kind", "formula"):
+        return text or None
+    if column == "piece_count":
+        return int(text)
+    return float(text) if text else None
+
+
 def parse_rows(text: str, fmt: str = "csv") -> List[ReportRow]:
     """Inverse of emit, used to verify bit-exact roundtrips."""
-    rows = []
     if fmt == "csv":
         lines = [ln for ln in text.strip().splitlines() if ln]
         if lines[0] != CSV_HEADER:
             raise ConfigError("unexpected CSV header")
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            rows.append(
-                ReportRow(
-                    order=float(parts[0]),
-                    kind=Kind(parts[1]),
-                    actual=float(parts[2]) if parts[2] else None,
-                    formula=parts[3] or None,
-                    predicted=float(parts[4]) if parts[4] else None,
-                    ratio=float(parts[5]) if parts[5] else None,
-                    rel_err=float(parts[6]) if parts[6] else None,
-                    piece_count=int(parts[7]),
-                    wall_seconds=float(parts[8]),
-                )
-            )
-        return rows
-    for obj in json.loads(text):
-        rows.append(
-            ReportRow(
-                order=obj["lambda"],
-                kind=Kind(obj["kind"]),
-                actual=obj["actual"],
-                formula=obj["formula"],
-                predicted=obj["predicted"],
-                ratio=obj["ratio"],
-                rel_err=obj["rel_err"],
-                piece_count=obj["piece_count"],
-                wall_seconds=obj["wall_seconds"],
-            )
-        )
-    return rows
+        records = [
+            [_parse_cell(c, t) for c, t in zip(COLUMNS, ln.split(","))] for ln in lines[1:]
+        ]
+    else:
+        records = [[obj[c] for c in COLUMNS] for obj in json.loads(text)]
+    return [ReportRow(*cells) for cells in records]
 
 
 # Reference values for the two published scales, used for regression
@@ -399,7 +335,7 @@ class Table:
     name: str
     X: float
     delta: Fraction
-    rows: List[TableRow] = field(default_factory=list)
+    rows: List[TableRow]
 
 
 def reproduce_tables(
@@ -424,46 +360,34 @@ def reproduce_tables(
         X = params["X"]
         delta = params["delta"]
         window = WindowSpec(X, Scaled(delta))
-        abs_orders = sorted(REFERENCE_ABSOLUTE[sc])
-        odd_orders = sorted(REFERENCE_ODD[sc])
-        actep = {}
+        references = {Kind.ABSOLUTE: REFERENCE_ABSOLUTE[sc], Kind.SIGNED: REFERENCE_ODD[sc]}
+        computed = {}
         if include_actual:
-            src = events if events is not None and events.limit >= window.limit() else None
-            if src is None:
-                src = EventSource(window.limit())
-            pairs = [(o, Kind.ABSOLUTE) for o in abs_orders] + [
-                (float(o), Kind.SIGNED) for o in odd_orders
-            ]
-            results, _ = sweep_moments(window, pairs, events=src, threads=threads)
-            for res in results:
-                actep[(res.order, res.kind)] = res.value
-        t_abs = Table(f"absolute-{sc}", X, delta)
-        for o in abs_orders:
-            ref_act, ref_pred = REFERENCE_ABSOLUTE[sc][o]
-            t_abs.rows.append(
-                TableRow(
-                    order=o,
-                    kind=Kind.ABSOLUTE,
-                    computed=actep.get((o, Kind.ABSOLUTE)),
-                    reference=ref_act if include_actual else None,
-                    predicted=scaled_refined_term(X, float(delta), o),
-                    reference_predicted=ref_pred,
+            if events is None or events.limit < window.limit():
+                events = EventSource(window.limit())
+            pairs = [(float(o), k) for k, ref in references.items() for o in sorted(ref)]
+            results, _ = sweep_moments(window, pairs, events=events, threads=threads)
+            computed = {(res.order, res.kind): res.value for res in results}
+        for kind, ref in references.items():
+            rows = []
+            for o in sorted(ref):
+                ref_act, ref_pred = ref[o]
+                if kind == Kind.ABSOLUTE:
+                    predicted = scaled_refined_term(X, float(delta), o)
+                else:
+                    predicted = odd_normalizer(X, float(delta), o)
+                rows.append(
+                    TableRow(
+                        order=float(o),
+                        kind=kind,
+                        computed=computed.get((float(o), kind)),
+                        reference=ref_act if include_actual else None,
+                        predicted=predicted,
+                        reference_predicted=ref_pred,
+                    )
                 )
-            )
-        t_odd = Table(f"signed-odd-{sc}", X, delta)
-        for o in odd_orders:
-            ref_act, ref_norm = REFERENCE_ODD[sc][o]
-            t_odd.rows.append(
-                TableRow(
-                    order=float(o),
-                    kind=Kind.SIGNED,
-                    computed=actep.get((float(o), Kind.SIGNED)),
-                    reference=ref_act if include_actual else None,
-                    predicted=odd_normalizer(X, float(delta), o),
-                    reference_predicted=ref_norm,
-                )
-            )
-        tables.extend([t_abs, t_odd])
+            name = "absolute" if kind == Kind.ABSOLUTE else "signed-odd"
+            tables.append(Table(f"{name}-{sc}", X, delta, rows))
     return tables
 
 

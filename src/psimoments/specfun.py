@@ -33,15 +33,12 @@ _GAMMA_OVERFLOW = 171.7
 class VerifierConfig:
     quad_rel_tol: float = 1e-8
     osc_cutoff_periods: int = 100  # integrate oscillatory part up to cutoff * pi
-    taylor_terms: int = 10
 
     def __post_init__(self):
         if not 0 < self.quad_rel_tol <= 1e-2:
             raise ValueError("quad_rel_tol must lie in (0, 1e-2]")
         if self.osc_cutoff_periods < 2:
             raise ValueError("osc_cutoff_periods must be at least 2")
-        if self.taylor_terms < 2:
-            raise ValueError("taylor_terms must be at least 2")
 
 
 DEFAULT_VERIFIER = VerifierConfig()

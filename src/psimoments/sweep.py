@@ -50,7 +50,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Tuple
@@ -107,8 +107,8 @@ class WindowSpec:
     geometry: Fixed | Scaled
 
     def __post_init__(self):
-        if not self.X >= 1:
-            raise InvalidWindowError(f"X must be at least 1, got {self.X}")
+        if not 1 <= self.X < math.inf:
+            raise InvalidWindowError(f"X must be finite and at least 1, got {self.X}")
         if isinstance(self.geometry, Fixed) and self.X > 1:
             if self.geometry.h >= Fraction(self.X):
                 raise InvalidWindowError(
@@ -126,19 +126,11 @@ class WindowSpec:
 
 
 @dataclass(frozen=True)
-class MomentRequest:
-    window: WindowSpec
-    orders: Tuple[float, ...]
-    kind: Kind
-
-
-@dataclass(frozen=True)
 class MomentResult:
     order: float
     kind: Kind
     value: float
     piece_count: int
-    x_range: Tuple[float, float]
 
 
 @dataclass
@@ -162,10 +154,9 @@ def _validate_pairs(pairs: Sequence[Tuple[float, Kind]]):
 @dataclass(frozen=True)
 class _Geometry:
     kind: str  # "fixed" | "scaled"
-    K: int  # common key denominator
-    entry_mul: int
+    K: int  # common key denominator; event n leaves at key n*K
+    entry_mul: int  # and enters at key n*entry_mul - entry_sub
     entry_sub: int
-    exit_mul: int
     width64: float  # h or delta, rounded to float64 once
 
 
@@ -173,9 +164,9 @@ def _prepare_geometry(window: WindowSpec) -> _Geometry:
     g = window.geometry
     if isinstance(g, Fixed):
         hp, hq = g.h.numerator, g.h.denominator
-        return _Geometry("fixed", hq, hq, hp, hq, hp / hq)
+        return _Geometry("fixed", hq, hq, hp, hp / hq)
     p, q = g.delta.numerator, g.delta.denominator
-    return _Geometry("scaled", p + q, q, 0, p + q, p / q)
+    return _Geometry("scaled", p + q, q, 0, p / q)
 
 
 _BLOCK = 1 << 14
@@ -371,14 +362,11 @@ def sweep_moments(
     X = float(window.X)
     if X <= 1.0:
         diag = SweepDiagnostics(piece_count=1, wall_seconds=time.monotonic() - start)
-        return (
-            [MomentResult(o, k, 0.0, 1, (1.0, X)) for o, k in pairs],
-            diag,
-        )
+        return [MomentResult(o, k, 0.0, 1) for o, k in pairs], diag
 
     geom = _prepare_geometry(window)
     limit = window.limit()
-    if limit * geom.exit_mul >= _KEY_LIMIT or limit * geom.entry_mul >= _KEY_LIMIT:
+    if limit * geom.K >= _KEY_LIMIT or limit * geom.entry_mul >= _KEY_LIMIT:
         raise RangeLimitError(
             f"keys for X={X} with denominator {geom.K} overflow 64-bit range"
         )
@@ -399,7 +387,7 @@ def sweep_moments(
         x_end = X
     if b_key <= a_key:
         diag = SweepDiagnostics(piece_count=1, wall_seconds=time.monotonic() - start)
-        return [MomentResult(o, k, 0.0, 1, (1.0, X)) for o, k in pairs], diag
+        return [MomentResult(o, k, 0.0, 1) for o, k in pairs], diag
 
     est_events = max(64, int(limit / max(math.log(max(limit, 3)), 1.0)))
     n_chunks = max(1, math.ceil(est_events / chunk_events))
@@ -409,12 +397,12 @@ def sweep_moments(
     def load_chunk(i: int):
         ka, kb = bounds[i], bounds[i + 1]
         # events overlapping [ka, kb): exit > ka and entry < kb
-        n_lo = ka // geom.exit_mul + 1  #  n*exit_mul > ka
+        n_lo = ka // geom.K + 1  #  n*K > ka
         n_hi = (kb + geom.entry_sub + geom.entry_mul - 1) // geom.entry_mul
         n_hi = min(n_hi, limit + 1)
         ns, ws = events.range(n_lo, n_hi)
         entry = ns * geom.entry_mul - geom.entry_sub
-        exit_ = ns * geom.exit_mul
+        exit_ = ns * geom.K
         keep = (exit_ > ka) & (entry < kb)
         return entry[keep], exit_[keep], ws[keep], ka, kb
 
@@ -444,7 +432,7 @@ def sweep_moments(
     results = []
     for j, (order, kind) in enumerate(pairs):
         value = math.fsum(r[0][j] for r in chunk_results)
-        results.append(MomentResult(order, kind, value, piece_count, (1.0, X)))
+        results.append(MomentResult(order, kind, value, piece_count))
     diag = SweepDiagnostics(
         piece_count=piece_count,
         length_sum=length_sum,
@@ -452,31 +440,6 @@ def sweep_moments(
         chunks=n_chunks,
     )
     return results, diag
-
-
-def evaluate(request: MomentRequest, **kwargs) -> list:
-    """MomentResult list for every order in the request."""
-    pairs = [(o, request.kind) for o in request.orders]
-    results, _ = sweep_moments(request.window, pairs, **kwargs)
-    return results
-
-
-def moment_fixed(
-    X: float, h, order: float, kind: Kind = Kind.ABSOLUTE, **kwargs
-) -> MomentResult:
-    """Moment of psi(x+h) - psi(x) - h over x in [1, X], exact up to rounding."""
-    window = WindowSpec(X, Fixed(Fraction(h)))
-    results, _ = sweep_moments(window, [(order, kind)], **kwargs)
-    return results[0]
-
-
-def moment_scaled(
-    X: float, delta, order: float, kind: Kind = Kind.ABSOLUTE, **kwargs
-) -> MomentResult:
-    """Moment of psi(x(1+delta)) - psi(x) - delta x over x in [1, X]."""
-    window = WindowSpec(X, Scaled(Fraction(delta)))
-    results, _ = sweep_moments(window, [(order, kind)], **kwargs)
-    return results[0]
 
 
 def first_moment_exact(window: WindowSpec, events: EventSource | None = None) -> float:
@@ -496,7 +459,7 @@ def first_moment_exact(window: WindowSpec, events: EventSource | None = None) ->
         events = EventSource(limit)
     ns, ws = events.range(2, limit + 1)
     entry = (ns * geom.entry_mul - geom.entry_sub).astype(np.float64) / geom.K
-    exit_ = (ns * geom.exit_mul).astype(np.float64) / geom.K
+    exit_ = (ns * geom.K).astype(np.float64) / geom.K
     overlap = np.minimum(exit_, X) - np.maximum(entry, 1.0)
     overlap = np.maximum(overlap, 0.0)
     positive = _neumaier_sum(ws * overlap)
@@ -540,24 +503,21 @@ def residual_sampler(window: WindowSpec, events: EventSource | None = None):
 
 def grid_oracle(
     window: WindowSpec,
-    order,
+    orders: Sequence[float],
     kind: Kind,
     step: float,
     events: EventSource | None = None,
-):
-    """Midpoint-rule approximation sampling psi directly; converges to the
-    sweep value as step -> 0.  Slow, only for modest X; independent of the
-    sweep's piece machinery.
-
-    ``order`` may be a scalar or a sequence; the scalar form returns a float.
+) -> list:
+    """Midpoint-rule approximation sampling psi directly, one value per
+    order; converges to the sweep value as step -> 0.  Slow, only for
+    modest X; independent of the sweep's piece machinery.
     """
     X = float(window.X)
-    scalar = isinstance(order, (int, float))
-    orders = [float(order)] if scalar else [float(o) for o in order]
+    orders = [float(o) for o in orders]
     kind = Kind(kind)
     _validate_pairs([(o, kind) for o in orders])
     if X <= 1.0:
-        return 0.0 if scalar else [0.0] * len(orders)
+        return [0.0] * len(orders)
     if not 0 < step <= (X - 1.0) / 10.0:
         raise InvalidWindowError(f"step must lie in (0, (X-1)/10], got {step}")
     residuals = residual_sampler(window, events)
@@ -570,8 +530,7 @@ def grid_oracle(
         u = residuals(1.0 + (start_idx + np.arange(count) + 0.5) * width)
         for j, o in enumerate(orders):
             totals[j] += np.sum(_integrand(u, o, kind))
-    values = [float(t * width) for t in totals]
-    return values[0] if scalar else values
+    return [float(t * width) for t in totals]
 
 
 def default_threads() -> int:

@@ -210,22 +210,50 @@ def test_cli_config_file(tmp_path, capsys):
     assert "scaled-main" in out
 
 
+def _config_file(tmp_path, name, data):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 def test_cli_exit_codes(tmp_path, capsys):
-    # 2: config problems of several shapes
-    assert main(["moments", "--x", "10", "--orders", "1"]) == 2
-    assert main(["moments", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert main(["moments", "--config", str(bad)]) == 2
-    assert main(["predict", "--x", "10", "--h", "20", "--orders", "1", "--formulas", "fixed-main"]) == 2
-    # unknown config keys fail loudly, never silently ignored
-    for key, value in (("cache_path", "events.bin"), ("chunk_events", 4096)):
-        cfg = tmp_path / f"{key}.json"
-        cfg.write_text(json.dumps({"x": 1000, "delta": "1e-2", "orders": [1.0], key: value}))
-        assert main(["moments", "--config", str(cfg)]) == 2
-    # 3: resource problems (keys past the 64-bit range)
-    assert main(["moments", "--x", "1e20", "--h", "1", "--orders", "1"]) == 3
+    cfg = {"x": 1000, "delta": "1e-2", "orders": [1.0]}
+    cases = [
+        # 2: config problems of several shapes
+        (["moments", "--x", "10", "--orders", "1"], 2),
+        (["moments", "--config", str(tmp_path / "missing.json")], 2),
+        (["moments", "--config", str(bad)], 2),
+        (["predict", "--x", "10", "--h", "20", "--orders", "1", "--formulas", "fixed-main"], 2),
+        # malformed numbers and config values
+        (["moments", "--x", "abc", "--h", "1", "--orders", "1"], 2),
+        (["moments", "--x", "100", "--h", "1", "--orders", "1,x"], 2),
+        (["moments", "--x", "inf", "--h", "1", "--orders", "1"], 2),
+        (["predict", "--x", "1e8", "--delta", "1e-4", "--orders", "one",
+          "--formulas", "scaled-main"], 2),
+        (["equivalence", "--x", "2000", "--delta", "1/50", "--orders", "1.5"], 2),
+        (["moments", "--config", _config_file(tmp_path, "orders", {**cfg, "orders": ["x"]})], 2),
+        (["moments", "--config", _config_file(tmp_path, "kinds", {**cfg, "kinds": ["bogus"]})], 2),
+        (["moments", "--config", _config_file(tmp_path, "threads", {**cfg, "threads": "many"})], 2),
+        (["moments", "--config", _config_file(tmp_path, "array", [cfg])], 2),
+        # unknown config keys fail loudly, never silently ignored
+        (["moments", "--config", _config_file(tmp_path, "cache", {**cfg, "cache_path": "e.bin"})], 2),
+        (["moments", "--config", _config_file(tmp_path, "chunk", {**cfg, "chunk_events": 4096})], 2),
+        # 3: resource problems (keys past the 64-bit range)
+        (["moments", "--x", "1e20", "--h", "1", "--orders", "1"], 3),
+    ]
+    for argv, code in cases:
+        assert main(argv) == code, argv
     capsys.readouterr()
+
+
+def test_cli_equivalence_average_wider_than_window(capsys):
+    # the one event source must cover the averaging widths up to Delta too
+    argv = ["equivalence", "--x", "2e4", "--delta", "1/1000", "--orders", "1",
+            "--average-delta", "1/100", "--threads", "1"]
+    assert main(argv) == 0
+    assert "averaged over delta<=0.01" in capsys.readouterr().out
 
 
 def test_readme_commands_parse():

@@ -100,10 +100,8 @@ def test_odd_normalizer_rejects_even():
 def test_even_forms_reject_odd_orders():
     with pytest.raises(DomainError):
         even_main_b_fixed(1e6, 100.0, 3)
-    assert even_main_b_fixed(1e6, 100.0, 3, allow_odd=True) == 0.0
     with pytest.raises(DomainError):
         even_main_b_scaled(1e6, 1e-3, 1)
-    assert even_main_b_scaled(1e6, 1e-3, 1, allow_odd=True) == 0.0
 
 
 def test_width_domain_errors():

@@ -192,8 +192,6 @@ def test_verifier_config_validation():
         VerifierConfig(quad_rel_tol=0.0)
     with pytest.raises(ValueError):
         VerifierConfig(osc_cutoff_periods=1)
-    with pytest.raises(ValueError):
-        VerifierConfig(taylor_terms=0)
     assert DEFAULT_VERIFIER.quad_rel_tol == 1e-8
 
 

@@ -11,14 +11,10 @@ from psimoments.sieve import EventSource
 from psimoments.sweep import (
     Fixed,
     Kind,
-    MomentRequest,
     Scaled,
     WindowSpec,
-    evaluate,
     first_moment_exact,
     grid_oracle,
-    moment_fixed,
-    moment_scaled,
     sweep_moments,
 )
 
@@ -84,18 +80,18 @@ def events_toy():
 
 
 def test_fixed_toy_signed_first_moment(events_toy):
-    res = moment_fixed(10.0, Fraction(2), 1, Kind.SIGNED, events=events_toy)
-    want = brute_moment(WindowSpec(10.0, Fixed(Fraction(2))), 1, Kind.SIGNED, events_toy)
+    w = WindowSpec(10.0, Fixed(Fraction(2)))
+    (res,), _ = sweep_moments(w, [(1, Kind.SIGNED)], events=events_toy)
+    want = brute_moment(w, 1, Kind.SIGNED, events_toy)
     assert res.value == pytest.approx(want, rel=1e-12)
     assert res.value == pytest.approx(-0.6312235467506362, rel=1e-12)
     assert res.piece_count == 9
 
 
 def test_scaled_toy_signed_first_moment(events_toy):
-    res = moment_scaled(10.0, Fraction(1, 2), 1, Kind.SIGNED, events=events_toy)
-    want = brute_moment(
-        WindowSpec(10.0, Scaled(Fraction(1, 2))), 1, Kind.SIGNED, events_toy
-    )
+    w = WindowSpec(10.0, Scaled(Fraction(1, 2)))
+    (res,), _ = sweep_moments(w, [(1, Kind.SIGNED)], events=events_toy)
+    want = brute_moment(w, 1, Kind.SIGNED, events_toy)
     assert res.value == pytest.approx(want, rel=1e-12)
     assert res.value == pytest.approx(-0.08369059678421209, rel=1e-12)
 
@@ -152,12 +148,6 @@ def test_sweep_matches_grid_oracle(events_small):
     grid = grid_oracle(w, orders, Kind.ABSOLUTE, step=1e-3, events=events_small)
     for r, g in zip(res, grid):
         assert r.value == pytest.approx(g, rel=1e-3)
-
-
-def test_grid_oracle_scalar_form(events_small):
-    w = WindowSpec(1e4, Fixed(Fraction(50)))
-    one = grid_oracle(w, 2.0, Kind.ABSOLUTE, step=1e-2, events=events_small)
-    assert isinstance(one, float)
 
 
 def test_degenerate_window():
@@ -288,18 +278,6 @@ def test_chunk_size_stability(events_1e6):
         assert res[0].value == pytest.approx(base[0].value, rel=1e-12)
 
 
-def test_evaluate_request(events_small):
-    req = MomentRequest(
-        window=WindowSpec(100.0, Fixed(Fraction(5))),
-        orders=(1.0, 2.0),
-        kind=Kind.ABSOLUTE,
-    )
-    out = evaluate(req, events=events_small)
-    assert [r.order for r in out] == [1.0, 2.0]
-    assert all(r.kind == Kind.ABSOLUTE for r in out)
-    assert all(r.x_range == (1.0, 100.0) for r in out)
-
-
 def test_validation_errors():
     with pytest.raises(InvalidWindowError):
         Fixed(Fraction(0))
@@ -311,13 +289,14 @@ def test_validation_errors():
         WindowSpec(0.5, Fixed(Fraction(1, 4)))
     with pytest.raises(InvalidWindowError):
         WindowSpec(10.0, Fixed(Fraction(11)))
+    w = WindowSpec(10.0, Fixed(Fraction(2)))
     with pytest.raises(InvalidOrderError):
-        moment_fixed(10.0, Fraction(2), 0.0)
+        sweep_moments(w, [(0.0, Kind.ABSOLUTE)])
     with pytest.raises(InvalidOrderError):
-        moment_fixed(10.0, Fraction(2), 2.5, Kind.SIGNED)
+        sweep_moments(w, [(2.5, Kind.SIGNED)])
     src = EventSource(64)
     with pytest.raises(InvalidWindowError):
-        grid_oracle(WindowSpec(10.0, Fixed(Fraction(2))), 1.0, Kind.ABSOLUTE, step=5.0, events=src)
+        grid_oracle(w, [1.0], Kind.ABSOLUTE, step=5.0, events=src)
 
 
 @settings(deadline=None, max_examples=40)
