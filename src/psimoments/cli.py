@@ -32,13 +32,7 @@ from .specfun import (
     sin_fourth_integral,
     sin_squared_integral,
 )
-from .sweep import Kind, Scaled, WindowSpec, default_threads
-
-
-def _threads(text: str) -> int:
-    """--threads value; 0 or less means one per core, up to 8."""
-    n = int(text)
-    return n if n > 0 else default_threads()
+from .sweep import Kind, Scaled, WindowSpec
 
 
 def _add_window_args(p: argparse.ArgumentParser):
@@ -189,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--formulas",
         help=f"comma separated predictions to compare ({', '.join(FORMULA_NAMES)})",
     )
-    p.add_argument("--threads", type=_threads, default="0")
+    p.add_argument("--threads", type=int, default=0, help="0: one per core")
     _add_output_args(p)
     p.set_defaults(func=_cmd_moments)
 
@@ -222,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the width-averaged comparison up to this delta",
     )
     p.add_argument("--grid-points", type=int, default=16)
-    p.add_argument("--threads", type=_threads, default="0")
+    p.add_argument("--threads", type=int, default=0, help="0: one per core")
     p.set_defaults(func=_cmd_equivalence)
 
     p = sub.add_parser("reproduce-tables", help="recompute the reference tables")
@@ -232,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the sweeps; prediction columns only",
     )
-    p.add_argument("--threads", type=_threads, default="0")
+    p.add_argument("--threads", type=int, default=0, help="0: one per core")
     p.set_defaults(func=_cmd_reproduce_tables)
 
     return parser

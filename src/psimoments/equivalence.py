@@ -20,12 +20,11 @@ from fractions import Fraction
 from typing import List, Tuple
 
 import numpy as np
-from scipy.integrate import quad, trapezoid
 
 from .errors import DomainError, InvariantError
 from .predictions import fixed_main_term, odd_normalizer
 from .sieve import EventSource
-from .specfun import gamma
+from .specfun import gaussian_abs_moment, upper_gamma
 from .sweep import (
     Kind,
     Scaled,
@@ -126,10 +125,6 @@ def decomposition_check(
     )
 
 
-def _width_integrand_constant(n: int) -> float:
-    return gamma(n + 1.0) / (gamma(n / 2.0 + 2.0) * 2.0 ** (n / 2.0))
-
-
 def width_grid(X: float, Delta: float, grid_points: int = 16) -> List[Fraction]:
     """The widths saffari_vaughan_average sweeps: log-spaced over
     [Delta/100, Delta], each rationalized as finely as the exact-key range
@@ -149,6 +144,18 @@ def width_grid(X: float, Delta: float, grid_points: int = 16) -> List[Fraction]:
     return fracs
 
 
+def _width_integral(X: float, d: float, n: int) -> float:
+    """Predicted positive-part moment integrated over widths in (0, d]:
+    (1/2) C_n int_0^(d X) h^(n/2) (log(X/h))^(n/2) dh, C_n = mu(n)/(n/2+1).
+
+    With h = X e^(-u) and v = s u, s = n/2+1, this is
+    (1/2) C_n X^s s^(-s) Gamma(s, s log(1/d)).
+    """
+    s = n / 2.0 + 1.0
+    c = gaussian_abs_moment(n) / s
+    return 0.5 * c * X**s * s ** (-s) * upper_gamma(s, -s * math.log(d))
+
+
 def saffari_vaughan_average(
     X: float,
     Delta: float,
@@ -162,13 +169,15 @@ def saffari_vaughan_average(
 
     lhs: int_0^Delta PositivePart(X, delta, n) d delta, approximated by
     trapezoids on a log-spaced delta grid over [Delta/100, Delta]; the
-    omitted head is bounded by the main-term integral and reported.
+    omitted head is bounded by the rhs form taken up to Delta/100 and reported.
     rhs: (1/2) C_n int_0^(Delta X) h^(n/2) (log(X/h))^(n/2) dh with
-    C_n = Gamma(n+1) / (Gamma(n/2+2) 2^(n/2)).
+    C_n = mu(n)/(n/2+1), in closed form (see _width_integral).
     """
     if n < 1 or n != int(n) or int(n) % 2 == 0:
         raise DomainError(f"order must be an odd positive integer, got {n}")
     fracs = width_grid(X, Delta, grid_points)
+    rhs = _width_integral(X, Delta, n)
+    head_bound = _width_integral(X, Delta / 100.0, n)
     if events is None:
         top = WindowSpec(X, Scaled(max(fracs))).limit()
         events = EventSource(top)
@@ -182,26 +191,8 @@ def saffari_vaughan_average(
         )
         vals.append(results[0].value)
         xs.append(float(f))
-    lhs = float(trapezoid(np.asarray(vals), x=np.asarray(xs)))
-
-    c = _width_integrand_constant(n)
-    half = n / 2.0
-    head_bound, _ = quad(
-        lambda d: 0.5 * c * X ** (half + 1.0) * d**half * math.log(1.0 / d) ** half,
-        0.0,
-        Delta / 100.0,
-        epsabs=0.0,
-        epsrel=1e-8,
-        limit=200,
-    )
-    rhs, _ = quad(
-        lambda h: 0.5 * c * h**half * math.log(X / h) ** half,
-        0.0,
-        Delta * X,
-        epsabs=0.0,
-        epsrel=1e-8,
-        limit=200,
-    )
+    vals = np.asarray(vals)
+    lhs = float((np.diff(xs) * (vals[1:] + vals[:-1]) / 2.0).sum())
     return AverageReport(
         order=n,
         X=float(X),

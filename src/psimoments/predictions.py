@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 
-from scipy.integrate import quad
-
 from .errors import DomainError
 from .specfun import gaussian_abs_moment
 
@@ -26,31 +24,20 @@ C0 = 0.57721566490153286061
 B_CONSTANT = 1.0 - C0 - math.log(2.0 * math.pi)
 E_CONSTANT = 2.0 * math.pi * math.exp(C0 - 1.0)
 
-_QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-12, limit=200)
-
 
 class WidthRangeWarning(UserWarning):
     """Width outside the band where the asymptotic is expected to apply."""
 
 
-def _check_fixed_width(X: float, h: float):
-    if not 0 < h < X:
-        raise DomainError(f"need 0 < h < X, got h={h}, X={X}")
-    if X > 8 and not math.log(X) <= h <= X / math.log(X):
+def _check_width(X: float, width: float, name: str, top: float):
+    """0 < width < top (X for h, 1 for delta), or DomainError.  Outside
+    [log X, X/log X] * top/X the width gets a WidthRangeWarning."""
+    if not 0 < width < top < math.inf:
+        raise DomainError(f"need finite 0 < {name} < {top:g}, got {name}={width}")
+    lo, hi = (math.log(X) * top / X, top / math.log(X)) if X > 8 else (0, math.inf)
+    if not lo <= width <= hi:
         warnings.warn(
-            f"h={h} outside [log X, X/log X] at X={X}; the prediction "
-            "is extrapolated beyond its expected range",
-            WidthRangeWarning,
-            stacklevel=3,
-        )
-
-
-def _check_scaled_width(X: float, delta: float):
-    if not 0 < delta < 1:
-        raise DomainError(f"need 0 < delta < 1, got {delta}")
-    if X > 8 and not math.log(X) / X <= delta <= 1 / math.log(X):
-        warnings.warn(
-            f"delta={delta} outside [log X / X, 1/log X] at X={X}; the "
+            f"{name}={width} outside [{lo:.6g}, {hi:.6g}] at X={X}; the "
             "prediction is extrapolated beyond its expected range",
             WidthRangeWarning,
             stacklevel=3,
@@ -60,7 +47,7 @@ def _check_scaled_width(X: float, delta: float):
 def fixed_main_term(X: float, h: float, order: float) -> float:
     """Leading prediction for the fixed-window moment of given order:
     mu(order) X h^(order/2) (log(X/h))^(order/2)."""
-    _check_fixed_width(X, h)
+    _check_width(X, h, "h", X)
     mu = gaussian_abs_moment(order)
     return mu * X * h ** (order / 2.0) * math.log(X / h) ** (order / 2.0)
 
@@ -68,13 +55,29 @@ def fixed_main_term(X: float, h: float, order: float) -> float:
 def scaled_main_term(X: float, delta: float, order: float) -> float:
     """Leading prediction for the scaled-window moment:
     mu(order)/(order/2+1) X^(order/2+1) delta^(order/2) (log(1/delta))^(order/2)."""
-    _check_scaled_width(X, delta)
-    mu = gaussian_abs_moment(order) / (order / 2.0 + 1.0)
-    return (
-        mu
-        * X ** (order / 2.0 + 1.0)
-        * delta ** (order / 2.0)
-        * math.log(1.0 / delta) ** (order / 2.0)
+    _check_width(X, delta, "delta", 1.0)
+    log_term = math.log(1.0 / delta)
+    return _scaled_form(X, delta, gaussian_abs_moment(order), order / 2.0, log_term)
+
+
+def _scaled_form(X: float, delta: float, mu: float, a: float, log_term: float) -> float:
+    """mu/(a+1) X^(a+1) delta^a log_term^a, the shape of every scaled form."""
+    return mu / (a + 1.0) * X ** (a + 1.0) * delta**a * log_term**a
+
+
+def _positive_series(first: float, ratio, x: float) -> float:
+    """fsum of the positive terms t_0 = first, t_k = t_(k-1) ratio(k),
+    taken until k > x and the term is below 1e-17 of the sum."""
+    terms = [first]
+    while len(terms) <= x + 1 or terms[-1] >= 1e-17 * math.fsum(terms):
+        terms.append(terms[-1] * ratio(len(terms)))
+    return math.fsum(terms)
+
+
+def _power_exp_integral(a: float, T: float) -> float:
+    """int_0^T t^a e^t dt = sum_k T^(a+k+1) / (k! (a+k+1)) for T >= 0."""
+    return T ** (a + 1.0) * _positive_series(
+        1.0 / (a + 1.0), lambda k: T * (a + k) / (k * (a + k + 1.0)), T
     )
 
 
@@ -82,18 +85,18 @@ def fixed_refined_term(X: float, h: float, order: float) -> float:
     """Refined fixed-window prediction:
     mu(order) h^(order/2+1) int_E^(X/h) (log(x/E))^(order/2) dx.
 
-    After t = log(x/E) the integrand is E t^(order/2) e^t on [0, T] with
-    T = log(X/(hE)); evaluated by adaptive quadrature to 1e-10 relative.
+    After t = log(x/E) the integral is E int_0^T t^(order/2) e^t dt with
+    T = log(X/(hE)), summed in closed form as the all-positive series
+    sum_k T^(order/2+k+1) / (k! (order/2+k+1)).
     """
-    _check_fixed_width(X, h)
+    _check_width(X, h, "h", X)
     if X / h <= E_CONSTANT:
         raise DomainError(
             f"refined form needs X/h > E = {E_CONSTANT:.6f}, got X/h = {X / h}"
         )
     a = order / 2.0
     T = math.log(X / (h * E_CONSTANT))
-    integral, _ = quad(lambda t: t**a * math.exp(t), 0.0, T, **_QUAD_OPTS)
-    integral *= E_CONSTANT
+    integral = _power_exp_integral(a, T) * E_CONSTANT
     mu = gaussian_abs_moment(order)
     return mu * h ** (a + 1.0) * integral
 
@@ -101,18 +104,13 @@ def fixed_refined_term(X: float, h: float, order: float) -> float:
 def scaled_refined_term(X: float, delta: float, order: float) -> float:
     """Refined scaled-window prediction:
     mu(order)/(order/2+1) X^(order/2+1) delta^(order/2) (log(1/(E delta)))^(order/2)."""
-    _check_scaled_width(X, delta)
+    _check_width(X, delta, "delta", 1.0)
     if delta * E_CONSTANT >= 1.0:
         raise DomainError(
             f"refined form needs delta < 1/E = {1.0 / E_CONSTANT:.6f}, got {delta}"
         )
-    mu = gaussian_abs_moment(order) / (order / 2.0 + 1.0)
-    return (
-        mu
-        * X ** (order / 2.0 + 1.0)
-        * delta ** (order / 2.0)
-        * math.log(1.0 / (E_CONSTANT * delta)) ** (order / 2.0)
-    )
+    log_term = math.log(1.0 / (E_CONSTANT * delta))
+    return _scaled_form(X, delta, gaussian_abs_moment(order), order / 2.0, log_term)
 
 
 def odd_normalizer(X: float, delta: float, n: int) -> float:
@@ -140,28 +138,30 @@ def _check_even_order(k: int):
 
 def even_main_b_fixed(X: float, h: float, k: int) -> float:
     """Classical even-moment form for fixed windows:
-    (k-1)!! h^(k/2) int_1^X (log(x/h) + B)^(k/2) dx."""
+    (k-1)!! h^(k/2) int_1^X (log(x/h) + B)^(k/2) dx.
+
+    With m = k/2 and t = log(x/h) + B it is h e^(-B) int_(t0)^T t^m e^t dt,
+    t0 = B - log h, T = log(X/h) + B, split at t = 0 into all-positive
+    series: int_0^T as in fixed_refined_term, and for z = -t0 > 0
+    int_(t0)^0 = (-1)^m e^(-z) z^(m+1) sum_j z^j / ((m+1)(m+2)...(m+1+j)).
+    """
     _check_even_order(k)
-    _check_fixed_width(X, h)
+    _check_width(X, h, "h", X)
     half = k // 2
-    mu_k = double_factorial(k - 1)
-    integral, _ = quad(
-        lambda x: (math.log(x / h) + B_CONSTANT) ** half, 1.0, X, **_QUAD_OPTS
-    )
-    return mu_k * h**half * integral
+    t0 = B_CONSTANT - math.log(h)
+    integral = _power_exp_integral(half, math.log(X / h) + B_CONSTANT)
+    if t0 >= 0:
+        integral -= _power_exp_integral(half, t0)
+    else:
+        series = _positive_series(1.0 / (half + 1), lambda j: -t0 / (half + 1 + j), -t0)
+        integral += (-1) ** half * math.exp(t0) * (-t0) ** (half + 1) * series
+    return double_factorial(k - 1) * h**half * (h * math.exp(-B_CONSTANT) * integral)
 
 
 def even_main_b_scaled(X: float, delta: float, k: int) -> float:
     """Classical even-moment form for scaled windows:
     (k-1)!!/(k/2+1) X^(k/2+1) delta^(k/2) (log(1/delta) + B)^(k/2)."""
     _check_even_order(k)
-    _check_scaled_width(X, delta)
-    half = k // 2
-    mu_k = double_factorial(k - 1)
-    return (
-        mu_k
-        / (half + 1.0)
-        * X ** (half + 1.0)
-        * delta**half
-        * (math.log(1.0 / delta) + B_CONSTANT) ** half
-    )
+    _check_width(X, delta, "delta", 1.0)
+    log_term = math.log(1.0 / delta) + B_CONSTANT
+    return _scaled_form(X, delta, double_factorial(k - 1), k // 2, log_term)

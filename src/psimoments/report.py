@@ -30,7 +30,7 @@ from .predictions import (
     scaled_refined_term,
 )
 from .sieve import EventSource
-from .sweep import Fixed, Kind, Scaled, WindowSpec, sweep_moments
+from .sweep import Fixed, Kind, Scaled, WindowSpec, _validate_pairs, sweep_moments
 
 # name -> (window geometry it needs, value at (X, width, order)).  The
 # lambdas look each prediction up by its module-level name at call time,
@@ -40,9 +40,9 @@ FORMULAS = {
     "scaled-main": (Scaled, lambda X, w, o: scaled_main_term(X, w, o)),
     "fixed-refined": (Fixed, lambda X, w, o: fixed_refined_term(X, w, o)),
     "scaled-refined": (Scaled, lambda X, w, o: scaled_refined_term(X, w, o)),
-    "odd-normalizer": (Scaled, lambda X, w, o: odd_normalizer(X, w, int(o))),
-    "even-b-fixed": (Fixed, lambda X, w, o: even_main_b_fixed(X, w, int(o))),
-    "even-b-scaled": (Scaled, lambda X, w, o: even_main_b_scaled(X, w, int(o))),
+    "odd-normalizer": (Scaled, lambda X, w, o: odd_normalizer(X, w, o)),
+    "even-b-fixed": (Fixed, lambda X, w, o: even_main_b_fixed(X, w, o)),
+    "even-b-scaled": (Scaled, lambda X, w, o: even_main_b_scaled(X, w, o)),
 }
 FORMULA_NAMES = tuple(FORMULAS)
 
@@ -79,6 +79,7 @@ class RunConfig:
         if not self.orders:
             raise ConfigError("at least one order is required")
         self.kinds = tuple(Kind(k) for k in self.kinds)
+        _validate_pairs([(o, k) for k in self.kinds for o in self.orders])
         for f in self.formulas:
             if f not in FORMULAS:
                 raise ConfigError(

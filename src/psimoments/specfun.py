@@ -1,7 +1,8 @@
 """Special function evaluation and identity residuals.
 
 Everything here is classical analysis used to back the moment formulas:
-the gamma function and its Legendre duplication identity, absolute moments
+the gamma function and its Legendre duplication identity, the upper
+incomplete gamma function at half-integers, absolute moments
 of a standard Gaussian, Maclaurin coefficients of sin^2 and sin^4, and the
 oscillatory integrals int_0^inf sin^2(u)/u^(1+lam) du and
 int_0^inf sin^4(u)/u^(2+theta) du.
@@ -58,6 +59,21 @@ def gamma(x: float) -> float:
     if x > _GAMMA_OVERFLOW:
         return math.inf
     return math.gamma(x)
+
+
+def upper_gamma(s: float, z: float) -> float:
+    """Gamma(s, z) = int_z^inf t^(s-1) e^(-t) dt for half-integer s > 0, z >= 0.
+
+    Starts from Gamma(1/2, z) = sqrt(pi) erfc(sqrt z) and climbs by the
+    all-positive recurrence Gamma(r+1, z) = r Gamma(r, z) + z^r e^(-z).
+    """
+    if not (s > 0 and (2 * s) % 2 == 1 and z >= 0):
+        raise DomainError(f"need half-integer s > 0 and z >= 0, got s={s}, z={z}")
+    g, r = SQRT_PI * math.erfc(math.sqrt(z)), 0.5
+    while r < s:
+        g = r * g + z**r * math.exp(-z)
+        r += 1.0
+    return g
 
 
 def gaussian_abs_moment(lam: float) -> float:
@@ -119,13 +135,16 @@ def sin_power_coefficients(power: int, n_terms: int) -> np.ndarray:
     top = 2 * (j0 + n_terms - 1)
     coeffs = np.zeros(top + 1, dtype=np.float64)
     for j in range(j0, j0 + n_terms):
-        fact = math.factorial(2 * j)
-        if power == 2:
-            c = (-1) ** (j + 1) * 2 ** (2 * j - 1) / fact
-        else:
-            c = (-1) ** j * 4 ** (j + 1) * (4 ** (j - 1) - 1) / (8 * fact)
-        coeffs[2 * j] = c
+        coeffs[2 * j] = _sin_power_coefficient(power, j)
     return coeffs
+
+
+def _sin_power_coefficient(power: int, j: int) -> float:
+    """Coefficient of u^(2j) in sin(u)**power, power in {2, 4}."""
+    fact = math.factorial(2 * j)
+    if power == 2:
+        return (-1) ** (j + 1) * 2 ** (2 * j - 1) / fact
+    return (-1) ** j * 4 ** (j + 1) * (4 ** (j - 1) - 1) / (8 * fact)
 
 
 def _series_head(power: int, s: float, omega: float) -> float:
@@ -138,12 +157,7 @@ def _series_head(power: int, s: float, omega: float) -> float:
     j0 = power // 2
     total = 0.0
     for j in range(j0, 90):
-        fact = math.factorial(2 * j)
-        if power == 2:
-            c = (-1) ** (j + 1) * 2 ** (2 * j - 1) / fact
-        else:
-            c = (-1) ** j * 4 ** (j + 1) * (4 ** (j - 1) - 1) / (8 * fact)
-        term = c * omega ** (2 * j) / (2 * j + 1.0 - s)
+        term = _sin_power_coefficient(power, j) * omega ** (2 * j) / (2 * j + 1.0 - s)
         total += term
         if j > j0 + 2 and abs(term) < 1e-17 * max(1.0, abs(total)):
             return total

@@ -143,9 +143,9 @@ class SweepDiagnostics:
 
 def _validate_pairs(pairs: Sequence[Tuple[float, Kind]]):
     for order, kind in pairs:
-        if not order > 0:
-            raise InvalidOrderError(f"order must be positive, got {order}")
-        if kind != Kind.ABSOLUTE and float(order) != int(order):
+        if not 0 < order < math.inf:
+            raise InvalidOrderError(f"order must be positive and finite, got {order}")
+        if kind != Kind.ABSOLUTE and not float(order).is_integer():
             raise InvalidOrderError(
                 f"kind {kind.value} needs an integer order, got {order}"
             )
@@ -355,9 +355,12 @@ def sweep_moments(
     """All requested (order, kind) moments in one pass over the pieces.
 
     Returns (results, diagnostics); results align with ``pairs``.
+    ``threads`` <= 0 means one thread per core, up to 8.
     """
     pairs = [(float(o), Kind(k)) for o, k in pairs]
     _validate_pairs(pairs)
+    if threads <= 0:
+        threads = default_threads()
     start = time.monotonic()
     X = float(window.X)
     if X <= 1.0:
@@ -385,9 +388,6 @@ def sweep_moments(
         # up and trimming the final piece to X keeps the sweep exact
         b_key = int(math.floor(b_key_frac)) + 1
         x_end = X
-    if b_key <= a_key:
-        diag = SweepDiagnostics(piece_count=1, wall_seconds=time.monotonic() - start)
-        return [MomentResult(o, k, 0.0, 1) for o, k in pairs], diag
 
     est_events = max(64, int(limit / max(math.log(max(limit, 3)), 1.0)))
     n_chunks = max(1, math.ceil(est_events / chunk_events))

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from psimoments.cli import build_parser, main
+from psimoments import sweep
+from psimoments.cli import _flag_config, build_parser, main
 from psimoments.errors import ConfigError
 from psimoments.report import (
     CSV_HEADER,
@@ -23,7 +24,7 @@ from psimoments.report import (
     run,
 )
 from psimoments.report import REFERENCE_ABSOLUTE, REFERENCE_ODD
-from psimoments.sweep import Kind
+from psimoments.sweep import Kind, Scaled, WindowSpec, sweep_moments
 
 
 def test_parse_rational_exact():
@@ -46,11 +47,16 @@ def test_parse_rational_rejects_garbage():
 
 def test_run_config_from_dict():
     cfg = RunConfig.from_dict(
-        {"x": 1e4, "delta": "1e-2", "orders": [1, 2.1], "kinds": ["absolute", "signed"]}
+        {"x": 1e4, "delta": "1e-2", "orders": [1, 3], "kinds": ["absolute", "signed"]}
     )
     assert cfg.X == 1e4
     assert cfg.delta == Fraction(1, 100)
     assert cfg.kinds == (Kind.ABSOLUTE, Kind.SIGNED)
+    # every (order, kind) pair is checked once, here: signed needs integers
+    with pytest.raises(ConfigError, match="integer order"):
+        RunConfig.from_dict(
+            {"x": 1e4, "delta": "1e-2", "orders": [1, 2.1], "kinds": ["absolute", "signed"]}
+        )
 
 
 def test_run_config_rejects_bad_shapes():
@@ -233,6 +239,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["predict", "--x", "1e8", "--delta", "1e-4", "--orders", "one",
           "--formulas", "scaled-main"], 2),
         (["equivalence", "--x", "2000", "--delta", "1/50", "--orders", "1.5"], 2),
+        (["moments", "--x", "100", "--h", "1", "--orders", "inf"], 2),
+        # (order, kind) pairs and integer-order formulas are checked for predict too
+        (["predict", "--x", "1e8", "--delta", "1e-4", "--orders", "2.5", "--kind", "signed",
+          "--formulas", "scaled-main"], 2),
+        (["predict", "--x", "1e8", "--h", "1e4", "--orders", "6.5", "--formulas", "even-b-fixed"], 2),
+        (["predict", "--x", "1e8", "--delta", "1e-4", "--orders", "3.2",
+          "--formulas", "odd-normalizer"], 2),
         (["moments", "--config", _config_file(tmp_path, "orders", {**cfg, "orders": ["x"]})], 2),
         (["moments", "--config", _config_file(tmp_path, "kinds", {**cfg, "kinds": ["bogus"]})], 2),
         (["moments", "--config", _config_file(tmp_path, "threads", {**cfg, "threads": "many"})], 2),
@@ -246,6 +259,31 @@ def test_cli_exit_codes(tmp_path, capsys):
     for argv, code in cases:
         assert main(argv) == code, argv
     capsys.readouterr()
+
+
+def test_threads_zero_means_one_per_core(monkeypatch):
+    # the flag and a config file carry the same value to the same place
+    args = build_parser().parse_args(["moments", "--x", "1e4", "--delta", "1/100", "--orders", "1"])
+    flag = _flag_config(args)
+    config = RunConfig.from_dict({"x": 1e4, "delta": "1/100", "orders": [1], "threads": 0})
+    assert flag.threads == config.threads == 0
+    # where sweep_moments reads 0 as one thread per core
+    pools = []
+
+    class Pool(sweep.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(sweep, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(sweep, "default_threads", lambda: 3)
+    window = WindowSpec(2e4, Scaled(Fraction(1, 100)))
+    values = [
+        sweep_moments(window, [(1, Kind.ABSOLUTE)], threads=t, chunk_events=256)[0][0].value
+        for t in (0, -1, 3, 1)
+    ]
+    assert pools == [3, 3, 3]  # threads=1 runs serially, with no pool
+    assert len(set(values)) == 1
 
 
 def test_cli_equivalence_average_wider_than_window(capsys):

@@ -1,9 +1,14 @@
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "psimoments").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "psimoments").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module):
@@ -29,3 +34,33 @@ def _unused_imports(tree: ast.Module):
 def test_no_unused_imports(path):
     unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     assert not unused, f"{path.name}: unused imports (line, name): {unused}"
+
+
+def _runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = (re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"])
+    return {name.lower().replace("-", "_") for name in names}
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_imports_are_declared(path):
+    # every absolute import is stdlib, psimoments itself, or a declared dependency
+    allowed = set(sys.stdlib_module_names) | {"psimoments"} | _runtime_dependencies()
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported.update((node.lineno, a.name.split(".")[0]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not relative
+            imported.add((node.lineno, node.module.split(".")[0]))
+    undeclared = sorted((line, name) for line, name in imported if name not in allowed)
+    assert not undeclared, f"{path.name}: undeclared imports (line, name): {undeclared}"
+
+
+def test_import_loads_no_scipy():
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    code = "import sys, psimoments; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -141,3 +141,64 @@ def test_main_term_monotone_in_order():
     # at desk scale h log(X/h) >> 1, so higher orders dominate
     vals = [fixed_main_term(1e8, 1e4, lam) for lam in (1.0, 2.0, 3.0, 4.0)]
     assert vals == sorted(vals)
+
+
+@pytest.mark.filterwarnings("ignore::psimoments.predictions.WidthRangeWarning")
+def test_closed_forms_against_mpmath():
+    # 40-digit quadrature of each substituted integral; the float forms are
+    # series and incomplete gamma recurrences, so nothing is shared
+    mpmath = pytest.importorskip("mpmath")
+    from psimoments.equivalence import _width_integral
+
+    mpf = mpmath.mpf
+    with mpmath.workdps(40):
+        euler = mpmath.euler
+        E = 2 * mpmath.pi * mpmath.exp(euler - 1)
+        B = 1 - euler - mpmath.log(2 * mpmath.pi)
+
+        def mu(o):
+            o = mpf(o)
+            return mpmath.gamma(o + 1) / (mpmath.gamma(o / 2 + 1) * 2 ** (o / 2))
+
+        def t_integral(a, lo, hi):
+            # int_lo^hi t^a e^t dt, split at 0 and at unit steps
+            steps = (mpf(i) for i in range(int(lo), int(hi) + 1) if lo < i < hi)
+            pts = sorted({lo, hi, *steps})
+            return mpmath.quad(lambda t: t**a * mpmath.exp(t), pts)
+
+        def refined(X, h, o):
+            a = mpf(o) / 2
+            return mu(o) * mpf(h) ** (a + 1) * E * t_integral(a, 0, mpmath.log(X / (h * E)))
+
+        def even_b(X, h, k):
+            m = k // 2
+            lo, hi = B - mpmath.log(h), mpmath.log(mpf(X) / h) + B
+            integral = mpf(h) * mpmath.exp(-B) * t_integral(m, lo, hi)
+            return mpmath.fac2(k - 1) * mpf(h) ** m * integral
+
+        def width(X, d, n):
+            # (1/2) C_n X^(n/2+1) int_0^d u^(n/2) log(1/u)^(n/2) du, u = e^-v
+            s = mpf(n) / 2 + 1
+            tail = mpmath.quad(
+                lambda v: v ** (s - 1) * mpmath.exp(-s * v), [-mpmath.log(d), mpmath.inf]
+            )
+            return mu(n) / s / 2 * mpf(X) ** s * tail
+
+        refined_cases = [(1e8, 1e4, 1), (1e8, 1e4, 2), (1e6, 50, 3), (1e6, 1000, 3),
+                         (1e10, 23, 6.5), (100, 5, 2.1)]
+        even_cases = [(1e6, 100, 2), (1e6, 100, 8), (1e8, 1e4, 4), (1e10, 1e5, 6),
+                      # high orders at large and small X/h, and t0 > 0 (h < e^B)
+                      (1e8, 1e4, 20), (1e4, 100, 40), (50, 10, 60), (1e3, 0.01, 8)]
+        width_cases = [(1e6, 1e-2, 3), (1e5, 1e-3, 1), (1e10, 1e-5, 3),
+                       # the head bounds: d = Delta/100
+                       (1e6, 1e-4, 3), (1e5, 1e-5, 1), (1e10, 1e-7, 3)]
+        cases = [
+            (fixed_refined_term, refined, refined_cases),
+            (even_main_b_fixed, even_b, even_cases),
+            (_width_integral, width, width_cases),
+        ]
+        for fn, oracle, args in cases:
+            for X, w, o in args:
+                want = oracle(mpf(X), mpf(w), o)
+                rel = abs((fn(X, w, o) - want) / want)
+                assert rel < 1e-13, (fn.__name__, X, w, o, float(rel))

@@ -17,6 +17,7 @@ from psimoments.specfun import (
     sin_fourth_integral,
     sin_power_coefficients,
     sin_squared_integral,
+    upper_gamma,
 )
 
 # high precision reference values, series head on [0,1] plus panelled
@@ -207,3 +208,15 @@ def test_sin_squared_positive_and_stable(lam):
     v = sin_squared_integral(lam)
     assert v > 0.0
     assert math.isfinite(v)
+
+
+def test_upper_gamma_half_integers():
+    mpmath = pytest.importorskip("mpmath")
+    for s in (0.5, 1.5, 2.5, 3.5, 7.5, 30.5):
+        for z in (0.0, 1e-3, 0.7, 5.0, 40.0, 300.0):
+            # math.erfc's far tail limits s = 1/2 at z = 300 to 6e-14
+            want = mpmath.gammainc(s, z)
+            assert abs(upper_gamma(s, z) - want) <= 1e-13 * want, (s, z)
+    for s, z in ((1.0, 1.0), (0.0, 1.0), (-0.5, 1.0), (2.5, -1.0)):
+        with pytest.raises(DomainError):
+            upper_gamma(s, z)
