@@ -25,13 +25,7 @@ from .errors import DomainError, InvariantError
 from .predictions import fixed_main_term, odd_normalizer
 from .sieve import EventSource
 from .specfun import gaussian_abs_moment, upper_gamma
-from .sweep import (
-    Kind,
-    Scaled,
-    WindowSpec,
-    residual_sampler,
-    sweep_moments,
-)
+from .sweep import Kind, Scaled, WindowSpec, sweep_moments
 
 DECOMPOSITION_RTOL = 1e-9
 
@@ -59,23 +53,6 @@ class AverageReport:
     grid: Tuple[float, ...]
 
 
-def _pointwise_clip_bound(residuals: np.ndarray):
-    """Sampled check of |max(a,0) - max(b,0)| <= |a - b| on residual pairs."""
-    a = residuals[:-1]
-    b = residuals[1:]
-    lhs = np.abs(np.maximum(a, 0.0) - np.maximum(b, 0.0))
-    rhs = np.abs(a - b)
-    bad = lhs > rhs + 1e-12 * np.maximum(1.0, rhs)
-    if np.any(bad):
-        raise InvariantError("clip bound |max(a,0)-max(b,0)| <= |a-b| failed")
-
-
-def _sample_residuals(window: WindowSpec, events: EventSource, count: int = 4096):
-    X = float(window.X)
-    x = np.linspace(1.0, X, count, endpoint=False) + (X - 1.0) / (2.0 * count)
-    return residual_sampler(window, events)(x)
-
-
 def decomposition_check(
     window: WindowSpec,
     n: int,
@@ -86,13 +63,11 @@ def decomposition_check(
     """Verify Absolute + Signed = 2 PositivePart at odd order n.
 
     Raises InvariantError when the identity fails beyond 1e-9 of the
-    absolute moment.  Also spot-checks the elementary clip bound on
-    sampled residual values.
+    absolute moment.  The three moments come from one sweep, so the check
+    reads exactly the events that sweep reads.
     """
     if n < 1 or n % 2 == 0:
         raise DomainError(f"decomposition needs odd order, got {n}")
-    if events is None:
-        events = EventSource(window.limit())
     results, _ = sweep_moments(
         window,
         [(n, Kind.ABSOLUTE), (n, Kind.SIGNED), (n, Kind.POSITIVE_PART)],
@@ -107,7 +82,6 @@ def decomposition_check(
             f"absolute + signed - 2 positive = {residual:.3e} "
             f"exceeds {DECOMPOSITION_RTOL} of {absolute:.6e}"
         )
-    _pointwise_clip_bound(_sample_residuals(window, events))
 
     X = float(window.X)
     if isinstance(window.geometry, Scaled):

@@ -71,7 +71,7 @@ class RunConfig:
     orders: Sequence[float] = ()
     kinds: Sequence[Kind] = (Kind.ABSOLUTE,)
     formulas: Sequence[str] = ()
-    threads: int = 1
+    threads: int = 0  # 0: one per core, as for --threads
 
     def __post_init__(self):
         if (self.h is None) == (self.delta is None):
@@ -109,7 +109,7 @@ class RunConfig:
                 orders=[float(o) for o in data.get("orders", [])],
                 kinds=data.get("kinds", ["absolute"]),
                 formulas=list(data.get("formulas", [])),
-                threads=int(data.get("threads", 1)),
+                threads=int(data.get("threads", 0)),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None

@@ -31,38 +31,27 @@ PSI_SPAN = 1 << 20
 
 
 def _simple_primes(limit: int) -> np.ndarray:
-    """All primes <= limit by a plain odd-only sieve.  Used for the base
-    table and as an independent cross-check in tests."""
+    """All primes <= limit: one segment [2, limit], sieved by the primes up
+    to sqrt(limit) from a recursive call."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    if limit < 3:
-        return np.array([2], dtype=np.int64)
-    half = (limit - 1) // 2  # odds 3, 5, ..., indexed by (n - 3) // 2
-    mask = np.ones(half, dtype=bool)
-    for i in range((math.isqrt(limit) - 1) // 2):  # p = 2i + 3 <= sqrt(limit)
-        if mask[i]:
-            p = 2 * i + 3
-            start = (p * p - 3) // 2
-            mask[start::p] = False
-    odds = 2 * np.flatnonzero(mask).astype(np.int64) + 3
-    return np.concatenate([np.array([2], dtype=np.int64), odds])
+    return _sieve_segment(2, limit + 1, _simple_primes(math.isqrt(limit))[1:])
 
 
 def _higher_powers(base: np.ndarray, base_logs: np.ndarray, lo: int, hi: int):
-    """Prime powers p^a with a >= 2 in [lo, hi), with the base prime's log."""
+    """Prime powers p^a with a >= 2 in [lo, hi), with the base prime's log.
+
+    Every base prime p satisfies p * p < hi.
+    """
     vals = []
     logs = []
     for p, lp in zip(base.tolist(), base_logs.tolist()):
         v = p * p
-        if v >= hi:
-            break
         while v < hi:
             if v >= lo:
                 vals.append(v)
                 logs.append(lp)
             v *= p
-    if not vals:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     order = np.argsort(np.asarray(vals, dtype=np.int64), kind="stable")
     return (
         np.asarray(vals, dtype=np.int64)[order],
@@ -71,26 +60,19 @@ def _higher_powers(base: np.ndarray, base_logs: np.ndarray, lo: int, hi: int):
 
 
 def _sieve_segment(lo: int, hi: int, base_odd: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi) given odd base primes up to sqrt(hi)."""
-    lo = max(lo, 2)
-    if hi <= lo:
-        return np.empty(0, dtype=np.int64)
+    """Primes in [lo, hi), 2 <= lo < hi, given the odd primes up to
+    sqrt(hi - 1)."""
     first_odd = lo | 1
-    count = max(0, (hi - first_odd + 1) // 2)
-    mask = np.ones(count, dtype=bool)
+    mask = np.ones((hi - first_odd + 1) // 2, dtype=bool)
     for p in base_odd.tolist():
-        if p * p >= hi:
-            break
         start = max(p * p, ((lo + p - 1) // p) * p)
         if start % 2 == 0:
             start += p
         if start < hi:
             mask[(start - first_odd) // 2 :: p] = False
     primes = first_odd + 2 * np.flatnonzero(mask).astype(np.int64)
-    if lo <= 2 < hi:
+    if lo == 2:
         primes = np.concatenate([np.array([2], dtype=np.int64), primes])
-    elif count and first_odd == 1:
-        primes = primes[primes != 1]
     return primes
 
 
@@ -100,8 +82,8 @@ def sieve_range(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
     if hi <= lo:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     base = _simple_primes(math.isqrt(hi - 1))
-    base_logs = np.log(base.astype(np.float64)) if base.size else np.empty(0)
-    primes = _sieve_segment(lo, hi, base[base != 2])
+    base_logs = np.log(base.astype(np.float64))
+    primes = _sieve_segment(lo, hi, base[1:])
     pw_n, pw_w = _higher_powers(base, base_logs, lo, hi)
     ns = np.concatenate([primes, pw_n])
     ws = np.concatenate([np.log(primes.astype(np.float64)), pw_w])

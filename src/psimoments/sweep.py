@@ -40,8 +40,9 @@ Piece lengths are exact integer key differences divided by K once.
 The x range [1, X] is cut into chunks that are processed independently
 (optionally in a thread pool) and combined in a fixed order, so results do
 not depend on the thread count.  Within a chunk the running sum for S is
-carried in extended precision and per-piece contributions are summed with
-blockwise compensation.
+carried in extended precision.  Per-piece contributions are summed
+pairwise (``np.sum``) within blocks of 16384 pieces, and the block sums of
+all chunks are combined with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -172,24 +173,10 @@ def _prepare_geometry(window: WindowSpec) -> _Geometry:
 _BLOCK = 1 << 14
 
 
-def _neumaier(partials) -> float:
-    """Neumaier-compensated sum of an iterable of floats."""
-    total = 0.0
-    comp = 0.0
-    for x in partials:
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp
-
-
-def _neumaier_sum(arr: np.ndarray, block: int = _BLOCK) -> float:
-    """Compensated sum: pairwise within blocks, Neumaier across blocks."""
-    return _neumaier(
-        float(np.sum(arr[i : i + block])) for i in range(0, arr.size, block)
+def _block_sum(arr: np.ndarray) -> float:
+    """Compensated sum: pairwise within blocks, math.fsum across blocks."""
+    return math.fsum(
+        float(np.sum(arr[i : i + _BLOCK])) for i in range(0, arr.size, _BLOCK)
     )
 
 
@@ -316,7 +303,7 @@ def _chunk_moments(
     lengths = np.diff(points) / K
     if x_end is not None:
         lengths[-1] = float(Fraction(x_end) - Fraction(int(points[-2]), K))
-    length_sum = _neumaier_sum(lengths)
+    length_sum = _block_sum(lengths)
 
     if geom.kind == "fixed":
         ul = (svals - np.longdouble(geom.width64)).astype(np.float64)
@@ -338,7 +325,7 @@ def _chunk_moments(
         for i in range(0, piece_count, _BLOCK)
     ]
     values = [
-        _neumaier(float(np.sum(_piece_integrals(*b, o, k, inv_delta))) for b in blocks)
+        math.fsum(float(np.sum(_piece_integrals(*b, o, k, inv_delta))) for b in blocks)
         for o, k in pairs
     ]
     return values, piece_count, length_sum
@@ -363,10 +350,6 @@ def sweep_moments(
         threads = default_threads()
     start = time.monotonic()
     X = float(window.X)
-    if X <= 1.0:
-        diag = SweepDiagnostics(piece_count=1, wall_seconds=time.monotonic() - start)
-        return [MomentResult(o, k, 0.0, 1) for o, k in pairs], diag
-
     geom = _prepare_geometry(window)
     limit = window.limit()
     if limit * geom.K >= _KEY_LIMIT or limit * geom.entry_mul >= _KEY_LIMIT:
@@ -462,43 +445,12 @@ def first_moment_exact(window: WindowSpec, events: EventSource | None = None) ->
     exit_ = (ns * geom.K).astype(np.float64) / geom.K
     overlap = np.minimum(exit_, X) - np.maximum(entry, 1.0)
     overlap = np.maximum(overlap, 0.0)
-    positive = _neumaier_sum(ws * overlap)
+    positive = _block_sum(ws * overlap)
     if geom.kind == "fixed":
         linear = geom.width64 * (X - 1.0)
     else:
         linear = geom.width64 * (X * X - 1.0) / 2.0
     return positive - linear
-
-
-def residual_sampler(window: WindowSpec, events: EventSource | None = None):
-    """The residual u(x) = S(x) - width as a function of sample points x.
-
-    S(x) is read off a longdouble prefix sum of the weights by binary
-    search, so sampling shares nothing with the sweep's piece machinery.
-    """
-    geom = _prepare_geometry(window)
-    limit = window.limit()
-    if events is None:
-        events = EventSource(limit)
-    ns, ws = events.range(2, limit + 1)
-    prefix = np.concatenate(
-        [np.zeros(1, dtype=np.longdouble), np.cumsum(ws.astype(np.longdouble))]
-    )
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        if geom.kind == "fixed":
-            hi = x + geom.width64
-            lin = geom.width64
-        else:
-            hi = x * (1.0 + geom.width64)
-            lin = geom.width64 * x
-        S = (
-            prefix[np.searchsorted(ns, hi, side="right")]
-            - prefix[np.searchsorted(ns, x, side="right")]
-        ).astype(np.float64)
-        return S - lin
-
-    return residuals
 
 
 def grid_oracle(
@@ -510,7 +462,11 @@ def grid_oracle(
 ) -> list:
     """Midpoint-rule approximation sampling psi directly, one value per
     order; converges to the sweep value as step -> 0.  Slow, only for
-    modest X; independent of the sweep's piece machinery.
+    modest X.
+
+    The residual u(x) = S(x) - width at a sample point reads S(x) off a
+    longdouble prefix sum of the weights by binary search, so sampling
+    shares nothing with the sweep's piece machinery.
     """
     X = float(window.X)
     orders = [float(o) for o in orders]
@@ -520,14 +476,28 @@ def grid_oracle(
         return [0.0] * len(orders)
     if not 0 < step <= (X - 1.0) / 10.0:
         raise InvalidWindowError(f"step must lie in (0, (X-1)/10], got {step}")
-    residuals = residual_sampler(window, events)
+    geom = _prepare_geometry(window)
+    if events is None:
+        events = EventSource(window.limit())
+    ns, ws = events.range(2, window.limit() + 1)
+    prefix = np.concatenate(
+        [np.zeros(1, dtype=np.longdouble), np.cumsum(ws.astype(np.longdouble))]
+    )
     n_cells = int(math.ceil((X - 1.0) / step))
     width = (X - 1.0) / n_cells
     totals = np.zeros(len(orders), dtype=np.float64)
     block = 1 << 20
     for start_idx in range(0, n_cells, block):
         count = min(block, n_cells - start_idx)
-        u = residuals(1.0 + (start_idx + np.arange(count) + 0.5) * width)
+        x = 1.0 + (start_idx + np.arange(count) + 0.5) * width
+        if geom.kind == "fixed":
+            hi, lin = x + geom.width64, geom.width64
+        else:
+            hi, lin = x * (1.0 + geom.width64), geom.width64 * x
+        S = prefix[np.searchsorted(ns, hi, side="right")] - prefix[
+            np.searchsorted(ns, x, side="right")
+        ]
+        u = S.astype(np.float64) - lin
         for j, o in enumerate(orders):
             totals[j] += np.sum(_integrand(u, o, kind))
     return [float(t * width) for t in totals]

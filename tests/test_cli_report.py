@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from psimoments import sweep
+from psimoments import report, sweep
 from psimoments.cli import _flag_config, build_parser, main
 from psimoments.errors import ConfigError
 from psimoments.report import (
@@ -17,6 +17,7 @@ from psimoments.report import (
     emit,
     emit_csv,
     emit_json,
+    format_tables,
     parse_rational,
     parse_rows,
     predict_rows,
@@ -180,6 +181,20 @@ def test_reference_formula_columns():
             assert row.predicted_deviation <= 5e-4
 
 
+def test_reproduce_tables_sweep_path(monkeypatch):
+    # the desk table's sweep path at the small scale of the benchmark self-test
+    monkeypatch.setattr(report, "DESK_SCALE", dict(X=2e4, delta=Fraction(1, 100)))
+    tables = reproduce_tables("desk", threads=1)
+    text = format_tables(tables)
+    rows = [r for t in tables for r in t.rows]
+    assert [t.X for t in tables] == [2e4, 2e4] and len(rows) == 9
+    window = WindowSpec(2e4, Scaled(Fraction(1, 100)))
+    want, _ = sweep_moments(window, [(r.order, r.kind) for r in rows])
+    for row, res in zip(rows, want):
+        assert row.computed == res.value  # bit for bit
+        assert f"{row.computed:.5e}" in text
+
+
 def test_reference_table_shapes():
     for scale in ("desk", "full"):
         assert sorted(REFERENCE_ABSOLUTE[scale]) == [1.0, 2.1, 3.2, 4.3, 5.4, 6.5]
@@ -266,7 +281,9 @@ def test_threads_zero_means_one_per_core(monkeypatch):
     args = build_parser().parse_args(["moments", "--x", "1e4", "--delta", "1/100", "--orders", "1"])
     flag = _flag_config(args)
     config = RunConfig.from_dict({"x": 1e4, "delta": "1/100", "orders": [1], "threads": 0})
-    assert flag.threads == config.threads == 0
+    # and a config file without "threads" runs like flags without --threads
+    default = RunConfig.from_dict({"x": 1e4, "delta": "1/100", "orders": [1]})
+    assert flag.threads == config.threads == default.threads == 0
     # where sweep_moments reads 0 as one thread per core
     pools = []
 

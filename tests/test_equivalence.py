@@ -39,6 +39,26 @@ def test_decomposition_at_1e6(events_1e6):
     assert rep.ratio == pytest.approx(rep.signed / rep.normalizer, rel=1e-15)
 
 
+@pytest.mark.filterwarnings("ignore::psimoments.predictions.WidthRangeWarning")
+def test_decomposition_reads_only_its_sweep():
+    # the check makes exactly the range requests of its own three-kind sweep
+    class Recording(EventSource):
+        def __post_init__(self):
+            super().__post_init__()
+            self.calls = []
+
+        def range(self, lo, hi):
+            self.calls.append((lo, hi))
+            return super().range(lo, hi)
+
+    w = WindowSpec(1e5, Scaled(Fraction(1, 1000)))
+    checked, swept = Recording(w.limit()), Recording(w.limit())
+    decomposition_check(w, 3, events=checked)
+    pairs = [(3, Kind.ABSOLUTE), (3, Kind.SIGNED), (3, Kind.POSITIVE_PART)]
+    sweep_moments(w, pairs, events=swept)
+    assert checked.calls == swept.calls != []
+
+
 def test_decomposition_rejects_even(events_1e6):
     w = WindowSpec(1e6, Scaled(Fraction(1, 1000)))
     with pytest.raises(DomainError):

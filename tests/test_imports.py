@@ -1,5 +1,6 @@
 import ast
 import os
+from collections import Counter
 import re
 import subprocess
 import sys
@@ -34,6 +35,43 @@ def _unused_imports(tree: ast.Module):
 def test_no_unused_imports(path):
     unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     assert not unused, f"{path.name}: unused imports (line, name): {unused}"
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) of each module-level _private function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if re.match(r"_[^_]", name))
+
+
+def _references(node: ast.AST) -> Counter:
+    """Names read under a node, bare or as attributes (``sweep._power``)."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+        or isinstance(n, ast.Attribute)
+    )
+
+
+def test_no_dead_private_definitions():
+    # the companion of test_no_unused_imports: a private name no code reads
+    # is dead; uses inside its own definition (recursion) do not count
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SRC}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    dead = [
+        f"{module}:{node.lineno} {name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if used[name] == _references(node)[name]
+    ]
+    assert not dead, f"private definitions referenced nowhere in src/: {dead}"
 
 
 def _runtime_dependencies():

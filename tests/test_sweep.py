@@ -21,57 +21,53 @@ from psimoments.sweep import (
 ALL_KINDS = (Kind.ABSOLUTE, Kind.SIGNED, Kind.POSITIVE_PART, Kind.NEGATIVE_PART)
 
 
+def _exact_piece(ua, ub, length, n, kind):
+    """Exact integral of g(u) over a piece on which u runs linearly from ua
+    to ub without changing sign."""
+    if ua == ub:
+        integral = length * ua**n
+    else:
+        integral = length * (ua ** (n + 1) - ub ** (n + 1)) / ((n + 1) * (ua - ub))
+    negative, positive = ua + ub < 0, ua + ub > 0
+    if kind == Kind.ABSOLUTE and negative:
+        return (-1) ** n * integral
+    if (kind == Kind.POSITIVE_PART and negative) or (kind == Kind.NEGATIVE_PART and positive):
+        return 0
+    return integral
+
+
 def brute_moment(window, order, kind, events):
-    """Naive reference: enumerate breakpoints with Fraction endpoints, sum
-    each constant piece of S directly, integrate the residual power in
-    closed form.  Quadratic in the event count, fine for tiny windows."""
+    """Exact reference for integer orders: enumerate breakpoints as
+    Fractions, sum each constant piece of S over the exact Fraction values
+    of the float weights, split a scaled piece where u = 0, integrate
+    u^order in exact arithmetic and round once at the end.  Quadratic in
+    the event count, fine for tiny windows."""
+    n = int(order)
+    assert n == order
     X = Fraction(window.X)
     ns, ws = events.arrays()
-    ns = [int(n) for n in ns]
-    ws = list(ws)
+    ns = [int(v) for v in ns]
+    ws = [Fraction(w) for w in ws.tolist()]
     if isinstance(window.geometry, Fixed):
-        h = window.geometry.h
-        enters = {n: Fraction(n) - h for n in ns}
-        delta = None
+        width, slope = window.geometry.h, Fraction(0)
+        enters = [Fraction(v) - width for v in ns]
     else:
-        delta = window.geometry.delta
-        enters = {n: Fraction(n) / (1 + delta) for n in ns}
+        width, slope = Fraction(0), window.geometry.delta
+        enters = [Fraction(v) / (1 + slope) for v in ns]
     cuts = {Fraction(1), X}
-    for n in ns:
-        for c in (enters[n], Fraction(n)):
-            if 1 < c < X:
-                cuts.add(c)
+    for v, e in zip(ns, enters):
+        cuts.update(c for c in (e, Fraction(v)) if 1 < c < X)
     cuts = sorted(cuts)
-    total = 0.0
+    total = Fraction(0)
     for a, b in zip(cuts, cuts[1:]):
-        s = math.fsum(
-            w for n, w in zip(ns, ws) if enters[n] <= a and a < Fraction(n)
-        )
-        fa, fb = float(a), float(b)
-        if delta is None:
-            u = s - float(h)
-            # residual constant on the piece
-            vals = {
-                Kind.ABSOLUTE: abs(u) ** order,
-                Kind.SIGNED: u**order,
-                Kind.POSITIVE_PART: max(u, 0.0) ** order,
-                Kind.NEGATIVE_PART: min(u, 0.0) ** order if u < 0 else 0.0,
-            }
-            total += vals[kind] * (fb - fa)
-        else:
-            d = float(delta)
-            ua, ub = s - d * fa, s - d * fb
-            m = order
-            if kind == Kind.SIGNED or (kind == Kind.ABSOLUTE and int(m) % 2 == 0 and m == int(m)):
-                g = lambda u: u ** (m + 1) / (m + 1)
-            elif kind == Kind.ABSOLUTE:
-                g = lambda u: math.copysign(abs(u) ** (m + 1), u) / (m + 1)
-            elif kind == Kind.POSITIVE_PART:
-                g = lambda u: max(u, 0.0) ** (m + 1) / (m + 1)
-            else:
-                g = lambda u: min(u, 0.0) ** (m + 1) / (m + 1)
-            total += (g(ua) - g(ub)) / d
-    return total
+        s = sum((w for v, e, w in zip(ns, enters, ws) if e <= a < v), Fraction(0))
+        ends = [a, b]
+        if slope and a < s / slope < b:
+            ends.insert(1, s / slope)
+        for lo, hi in zip(ends, ends[1:]):
+            u_lo, u_hi = s - width - slope * lo, s - width - slope * hi
+            total += _exact_piece(u_lo, u_hi, hi - lo, n, kind)
+    return float(total)
 
 
 @pytest.fixture(scope="module")
@@ -259,13 +255,16 @@ def test_power_mean_monotone(events_small):
 
 
 def test_thread_count_determinism(events_1e6):
+    # small chunks, so the pools really split the sweep
     w = WindowSpec(1e6, Scaled(Fraction(1, 1000)))
     pairs = [(1.0, Kind.ABSOLUTE), (2.1, Kind.ABSOLUTE), (3.0, Kind.SIGNED)]
-    base, _ = sweep_moments(w, pairs, events=events_1e6, threads=1)
+    base, diag = sweep_moments(w, pairs, events=events_1e6, threads=1, chunk_events=1 << 13)
+    assert diag.chunks == 9
     for threads in (2, 4, 7):
-        res, _ = sweep_moments(w, pairs, events=events_1e6, threads=threads)
-        for r, b in zip(res, base):
-            assert r.value == pytest.approx(b.value, rel=1e-12)
+        res, _ = sweep_moments(
+            w, pairs, events=events_1e6, threads=threads, chunk_events=1 << 13
+        )
+        assert [r.value for r in res] == [b.value for b in base]  # bit for bit
 
 
 def test_chunk_size_stability(events_1e6):
