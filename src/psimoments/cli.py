@@ -26,7 +26,6 @@ from .report import (
 )
 from .sieve import EventSource
 from .specfun import (
-    DEFAULT_VERIFIER,
     duplication_residual,
     moment_constant_residual,
     sin_fourth_integral,
@@ -86,8 +85,10 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_verify_identities(args) -> int:
-    checks = []
     tol = args.tolerance
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"tolerance must be positive and finite, got {tol}")
+    checks = []
     for z in (0.5, 1.0, 2.5, 10.0, 40.0, 100.0):
         checks.append((f"duplication z={z:g}", duplication_residual(z)))
     for lam in (0.5, 1.0, 1.5, 2.0, 3.0, 5.5):
@@ -201,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tolerance",
         type=float,
-        default=DEFAULT_VERIFIER.quad_rel_tol,
+        default=1e-8,
         help="relative residual gate",
     )
     p.set_defaults(func=_cmd_verify_identities)

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: configuration problems exit
-with 2, resource problems (files, memory, integer range) with 3, and
-violated internal invariants with 4.
+Every type here derives from one of three bases, and the CLI maps each
+base onto a process exit code: configuration problems (ConfigError) exit
+with 2, resource problems (ResourceError: files, memory, integer range)
+with 3, and violated internal invariants (InvariantError) with 4.
 """
 
 
@@ -20,8 +21,8 @@ class InvalidOrderError(ConfigError):
 
 
 class DomainError(ConfigError):
-    """Argument outside a formula's domain (gamma at x <= 0, odd k for an
-    even-moment form, ...)."""
+    """Argument outside a formula's domain (an exponent where an integral
+    diverges, odd k for an even-moment form, ...)."""
 
 
 class ResourceError(RuntimeError):
@@ -40,6 +41,3 @@ class RangeLimitError(ResourceError):
 class InvariantError(AssertionError):
     """An internal consistency check failed; results cannot be trusted."""
 
-
-class QuadratureError(RuntimeError):
-    """A quadrature could not meet its requested error budget."""

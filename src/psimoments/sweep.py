@@ -63,7 +63,7 @@ from .errors import (
     InvalidWindowError,
     RangeLimitError,
 )
-from .sieve import EventSource
+from .sieve import PSI_SPAN, EventSource
 
 MAX_DELTA_DENOMINATOR = 10**9
 _KEY_LIMIT = 1 << 62
@@ -279,8 +279,8 @@ def _chunk_moments(
     """Integrate all requested (order, kind) pairs over x in [ka/K, kb/K).
 
     entry/exit_/weights hold exactly the events overlapping the chunk.
-    x_end, when given, replaces the right endpoint of the final piece (used
-    when X*K is not an integer, so the last sliver ends at X itself).
+    x_end, when given, replaces the right endpoint of the final piece, so
+    the last chunk ends at X itself even when X*K is not an integer.
     """
     K = geom.K
     clamped_entry = np.maximum(entry, ka)
@@ -359,18 +359,11 @@ def sweep_moments(
     if events is None:
         events = EventSource(limit)
 
-    xf = Fraction(window.X)
     a_key = geom.K
-    b_key_frac = xf * geom.K
-    if b_key_frac.denominator == 1:
-        # X sits on the key grid; the last piece ends exactly at X
-        b_key = int(b_key_frac)
-        x_end = None
-    else:
-        # no breakpoint falls strictly between floor and ceil, so rounding
-        # up and trimming the final piece to X keeps the sweep exact
-        b_key = int(math.floor(b_key_frac)) + 1
-        x_end = X
+    # no breakpoint falls strictly between floor and ceil of X*K, so rounding
+    # up and trimming the final piece to X keeps the sweep exact; on the key
+    # grid the trim reproduces the untrimmed bits
+    b_key = math.ceil(Fraction(window.X) * geom.K)
 
     est_events = max(64, int(limit / max(math.log(max(limit, 3)), 1.0)))
     n_chunks = max(1, math.ceil(est_events / chunk_events))
@@ -394,14 +387,7 @@ def sweep_moments(
             return [0.0] * len(pairs), 0, 0.0
         entry, exit_, ws, ka, kb = load_chunk(i)
         return _chunk_moments(
-            geom,
-            entry,
-            exit_,
-            ws,
-            ka,
-            kb,
-            pairs,
-            x_end if i == n_chunks - 1 else None,
+            geom, entry, exit_, ws, ka, kb, pairs, X if kb == b_key else None
         )
 
     if threads > 1 and n_chunks > 1:
@@ -430,22 +416,24 @@ def first_moment_exact(window: WindowSpec, events: EventSource | None = None) ->
 
     Each event n contributes weight(n) times the measure of x in [1, X]
     whose window contains n, and the linear part integrates in closed form.
+    Events stream in PSI_SPAN-wide range requests, like psi's.
     Shares nothing with the sweep except the event list, so it serves as an
     independent oracle for it.
     """
     X = float(window.X)
-    if X <= 1.0:
-        return 0.0
     geom = _prepare_geometry(window)
     limit = window.limit()
     if events is None:
         events = EventSource(limit)
-    ns, ws = events.range(2, limit + 1)
-    entry = (ns * geom.entry_mul - geom.entry_sub).astype(np.float64) / geom.K
-    exit_ = (ns * geom.K).astype(np.float64) / geom.K
-    overlap = np.minimum(exit_, X) - np.maximum(entry, 1.0)
-    overlap = np.maximum(overlap, 0.0)
-    positive = _block_sum(ws * overlap)
+
+    def span_sum(lo: int) -> float:
+        ns, ws = events.range(lo, min(lo + PSI_SPAN, limit + 1))
+        entry = (ns * geom.entry_mul - geom.entry_sub).astype(np.float64) / geom.K
+        exit_ = (ns * geom.K).astype(np.float64) / geom.K
+        overlap = np.minimum(exit_, X) - np.maximum(entry, 1.0)
+        return _block_sum(ws * np.maximum(overlap, 0.0))
+
+    positive = math.fsum(span_sum(lo) for lo in range(2, limit + 1, PSI_SPAN))
     if geom.kind == "fixed":
         linear = geom.width64 * (X - 1.0)
     else:

@@ -28,6 +28,22 @@ DESK_ODD_ORDERS = (1, 3, 5)
 
 
 @pytest.fixture(scope="session")
+def recording_source():
+    """An EventSource subclass that records its range requests in .calls."""
+
+    class Recording(EventSource):
+        def __post_init__(self):
+            super().__post_init__()
+            self.calls = []
+
+        def range(self, lo, hi):
+            self.calls.append((lo, hi))
+            return super().range(lo, hi)
+
+    return Recording
+
+
+@pytest.fixture(scope="session")
 def events_small():
     # covers every window with X <= 1e4 used in the n tests
     return EventSource(30_000)

@@ -268,6 +268,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         # unknown config keys fail loudly, never silently ignored
         (["moments", "--config", _config_file(tmp_path, "cache", {**cfg, "cache_path": "e.bin"})], 2),
         (["moments", "--config", _config_file(tmp_path, "chunk", {**cfg, "chunk_events": 4096})], 2),
+        # an identity gate that is not a positive finite number
+        (["verify-identities", "--tolerance", "nan"], 2),
+        (["verify-identities", "--tolerance", "-1"], 2),
         # 3: resource problems (keys past the 64-bit range)
         (["moments", "--x", "1e20", "--h", "1", "--orders", "1"], 3),
     ]

@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psimoments.errors import DomainError, QuadratureError
+from psimoments.errors import DomainError
 from psimoments.predictions import double_factorial
 from psimoments.specfun import (
-    DEFAULT_VERIFIER,
-    VerifierConfig,
     duplication_residual,
-    gamma,
     gaussian_abs_moment,
     moment_constant_residual,
     sin_fourth_integral,
@@ -20,8 +17,8 @@ from psimoments.specfun import (
     upper_gamma,
 )
 
-# high precision reference values, series head on [0,1] plus panelled
-# quadrature with the oscillatory tail split off analytically
+# high precision reference values, frozen from a series head on [0,1] plus
+# panelled quadrature with the oscillatory tail split off analytically
 G_REFERENCE = {
     0.1: 5.6561349870924083,
     0.5: 1.772453850905516,  # sqrt(pi)
@@ -36,29 +33,6 @@ D_REFERENCE = {
     1.5: 0.78311938530718344,
     2.0: 1.0471975511965977,  # pi/3
 }
-
-
-def test_gamma_known_values():
-    assert gamma(1.0) == 1.0
-    assert gamma(5.0) == pytest.approx(24.0, rel=1e-15)
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gamma(7.5) == pytest.approx(1871.2543057977883, rel=1e-13)
-
-
-def test_gamma_recurrence_grid():
-    for x in np.linspace(0.2, 80.0, 101):
-        assert gamma(x + 1.0) == pytest.approx(x * gamma(float(x)), rel=1e-13)
-
-
-def test_gamma_overflow_and_domain():
-    assert math.isinf(gamma(180.0))
-    assert not math.isinf(gamma(170.0))
-    with pytest.raises(DomainError):
-        gamma(0.0)
-    with pytest.raises(DomainError):
-        gamma(-1.5)
-    with pytest.raises(DomainError):
-        gamma(200.5)
 
 
 def test_gaussian_moments_small():
@@ -166,15 +140,35 @@ def test_sin_fourth_scaling_in_omega():
             assert got == pytest.approx(c ** (1.0 + theta) * base, rel=1e-9)
 
 
-def test_integral_converges_under_cutoff_doubling():
-    for lam in (0.5, 1.0, 1.7):
-        a = sin_squared_integral(lam, VerifierConfig(osc_cutoff_periods=100))
-        b = sin_squared_integral(lam, VerifierConfig(osc_cutoff_periods=200))
-        assert a == pytest.approx(b, rel=1e-10)
-    for theta in (0.5, 1.5):
-        a = sin_fourth_integral(theta, VerifierConfig(osc_cutoff_periods=100))
-        b = sin_fourth_integral(theta, VerifierConfig(osc_cutoff_periods=200))
-        assert a == pytest.approx(b, rel=1e-10)
+def test_oscillatory_integrals_against_mpmath():
+    # 20-digit quadrature that shares nothing with the closed forms.  On
+    # [0, 1] the sin^2 integrand loses its u^2 term, integrated exactly, so
+    # lam near 2 converges.  On [1, inf) sin^2 = (1 - cos 2u)/2 and
+    # sin^4 = 3/8 - cos(2u)/2 + cos(4u)/8: the power terms integrate
+    # exactly and quadosc sees only the cosines, which average to zero.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+
+    def cos_tail(a, s):
+        return mp.quadosc(lambda u: mp.cos(a * u) / u**s, [1, mp.inf], omega=a)
+
+    def g_ref(lam):
+        s = 1 + mp.mpf(lam)
+        head = mp.quad(lambda u: (mp.sin(u) ** 2 - u**2) / u**s, [0, 1]) + 1 / (3 - s)
+        return head + 1 / (2 * (s - 1)) - cos_tail(2, s) / 2
+
+    def d_ref(theta):
+        s = 2 + mp.mpf(theta)
+        head = mp.quad(lambda u: mp.sin(u) ** 4 / u**s, [0, 1])
+        return head + mp.mpf(3) / (8 * (s - 1)) - cos_tail(2, s) / 2 + cos_tail(4, s) / 8
+
+    with mp.workdps(20):
+        for lam in (0.1, 1.0, 1.99):
+            want = g_ref(lam)
+            assert abs(sin_squared_integral(lam) - want) <= 1e-13 * want, lam
+        for theta in (0.05, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0):
+            want = d_ref(theta)
+            assert abs(sin_fourth_integral(theta) - want) <= 1e-13 * want, theta
 
 
 def test_integral_domain_limits():
@@ -186,20 +180,6 @@ def test_integral_domain_limits():
         sin_fourth_integral(0.0)
     with pytest.raises(DomainError):
         sin_fourth_integral(2.5)
-
-
-def test_verifier_config_validation():
-    with pytest.raises(ValueError):
-        VerifierConfig(quad_rel_tol=0.0)
-    with pytest.raises(ValueError):
-        VerifierConfig(osc_cutoff_periods=1)
-    assert DEFAULT_VERIFIER.quad_rel_tol == 1e-8
-
-
-@settings(deadline=None, max_examples=40)
-@given(x=st.floats(min_value=0.2, max_value=80.0))
-def test_gamma_recurrence_property(x):
-    assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
 
 
 @settings(deadline=None, max_examples=25)

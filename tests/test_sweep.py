@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psimoments.errors import InvalidOrderError, InvalidWindowError
-from psimoments.sieve import EventSource
+from psimoments import sieve
+from psimoments.sieve import PSI_SPAN, EventSource
 from psimoments.sweep import (
+    DEFAULT_CHUNK_EVENTS,
     Fixed,
     Kind,
     Scaled,
@@ -103,14 +105,18 @@ def test_toy_all_kinds_against_brute(events_toy, kind, order):
 
 
 def test_fractional_endpoint(events_toy):
-    # X * K not an integer: the final piece is trimmed at X itself
+    # X * K not an integer: the final piece is trimmed at X itself, also
+    # when more chunks than keys leave the last chunks empty
     for X in (10.5, 20.25):
         for geometry in (Fixed(Fraction(1, 3)), Scaled(Fraction(1, 7))):
             w = WindowSpec(X, geometry)
-            res, diag = sweep_moments(w, [(2, Kind.SIGNED)], events=events_toy)
             want = brute_moment(w, 2, Kind.SIGNED, events_toy)
-            assert res[0].value == pytest.approx(want, rel=1e-11, abs=1e-14)
-            assert diag.length_sum == pytest.approx(X - 1.0, abs=1e-9)
+            for chunk_events in (DEFAULT_CHUNK_EVENTS, 1):
+                res, diag = sweep_moments(
+                    w, [(2, Kind.SIGNED)], events=events_toy, chunk_events=chunk_events
+                )
+                assert res[0].value == pytest.approx(want, rel=1e-11, abs=1e-14)
+                assert diag.length_sum == pytest.approx(X - 1.0, abs=1e-9)
 
 
 def test_first_moment_exact_tiny():
@@ -121,6 +127,25 @@ def test_first_moment_exact_tiny():
     got = first_moment_exact(w, events=src)
     assert got == pytest.approx(want, rel=1e-15)
     assert got == pytest.approx(-0.15342640972002736, rel=1e-15)
+    # X = 1 leaves no x to integrate over
+    for geometry in (Fixed(Fraction(1, 2)), Scaled(Fraction(1, 2))):
+        assert first_moment_exact(WindowSpec(1.0, geometry), events=src) == 0.0
+
+
+def test_first_moment_exact_streams_spans(monkeypatch, recording_source):
+    # on a streamed source every request is at most PSI_SPAN wide and the
+    # requests tile [2, limit]
+    w = WindowSpec(2.5e6, Fixed(Fraction(100)))
+    limit = w.limit()
+    preloaded = first_moment_exact(w, EventSource(limit))
+    monkeypatch.setattr(sieve, "PRELOAD_LIMIT", 1000)
+    streamed = recording_source(limit)
+    assert not streamed.preload
+    assert first_moment_exact(w, streamed) == preloaded
+    assert len(streamed.calls) == 3
+    assert all(hi - lo <= PSI_SPAN for lo, hi in streamed.calls)
+    assert streamed.calls[0][0] == 2 and streamed.calls[-1][1] == limit + 1
+    assert all(a[1] == b[0] for a, b in zip(streamed.calls, streamed.calls[1:]))
 
 
 def test_sweep_matches_closed_form_oracle_fixed(events_1e6):
