@@ -8,6 +8,12 @@ a limit, slicing one sieved table for small limits and re-sieving each
 span past PRELOAD_LIMIT.  Adjacent spans tile the full table bit for bit,
 whatever the cut points.
 
+A span is sieved in segments of _SEGMENT odd numbers (a 1 MB mask, after
+Bays and Hudson, BIT 17, 1977), so the strided writes of every base prime
+stay in cache; each base prime carries the position of its next odd
+multiple from one segment to the next.  The higher prime powers are then
+inserted among the primes, which leaves the events in ascending order.
+
 The weight of p^a reuses the float computed for p itself, so a prime and
 all its powers carry bitwise identical weights.
 """
@@ -28,6 +34,8 @@ PRELOAD_LIMIT = 1 << 28
 MAX_LIMIT = 1 << 62
 # psi streams its weights in range requests of this width
 PSI_SPAN = 1 << 20
+# odd slots sieved at a time: a 1 MB mask stays in cache
+_SEGMENT = 1 << 20
 
 
 def _simple_primes(limit: int) -> np.ndarray:
@@ -61,19 +69,27 @@ def _higher_powers(base: np.ndarray, base_logs: np.ndarray, lo: int, hi: int):
 
 def _sieve_segment(lo: int, hi: int, base_odd: np.ndarray) -> np.ndarray:
     """Primes in [lo, hi), 2 <= lo < hi, given the odd primes up to
-    sqrt(hi - 1)."""
+    sqrt(hi - 1), in segments of _SEGMENT odd slots."""
     first_odd = lo | 1
-    mask = np.ones((hi - first_odd + 1) // 2, dtype=bool)
-    for p in base_odd.tolist():
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        if start < hi:
-            mask[(start - first_odd) // 2 :: p] = False
-    primes = first_odd + 2 * np.flatnonzero(mask).astype(np.int64)
+    n_slots = (hi - first_odd + 1) // 2
+    ps = base_odd
+    # slot of each base prime's first odd multiple at or past max(p*p, lo)
+    start = np.maximum(ps * ps, -(-lo // ps) * ps)
+    offsets = (start + ps * (1 - start % 2) - first_odd) // 2
+    buffer = np.empty(min(n_slots, _SEGMENT), dtype=bool)
+    parts = []
+    for s0 in range(0, n_slots, _SEGMENT):
+        s1 = min(s0 + _SEGMENT, n_slots)
+        mask = buffer[: s1 - s0]
+        mask[:] = True
+        for off, p in zip((offsets - s0).tolist(), ps.tolist()):
+            mask[off::p] = False
+        # advance each offset past s1; one already past it stays
+        offsets += np.maximum(s1 - offsets + ps - 1, 0) // ps * ps
+        parts.append(first_odd + 2 * (s0 + np.flatnonzero(mask)))
     if lo == 2:
-        primes = np.concatenate([np.array([2], dtype=np.int64), primes])
-    return primes
+        parts.insert(0, np.array([2], dtype=np.int64))
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 def sieve_range(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -85,10 +101,10 @@ def sieve_range(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
     base_logs = np.log(base.astype(np.float64))
     primes = _sieve_segment(lo, hi, base[1:])
     pw_n, pw_w = _higher_powers(base, base_logs, lo, hi)
-    ns = np.concatenate([primes, pw_n])
-    ws = np.concatenate([np.log(primes.astype(np.float64)), pw_w])
-    order = np.argsort(ns, kind="stable")
-    return ns[order], ws[order]
+    # no prime power is prime, so each goes before the first larger prime
+    at = np.searchsorted(primes, pw_n)
+    ws = np.insert(np.log(primes.astype(np.float64)), at, pw_w)
+    return np.insert(primes, at, pw_n), ws
 
 
 @dataclass

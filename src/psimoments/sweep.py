@@ -37,12 +37,23 @@ an order of magnitude more per element.
 
 Piece lengths are exact integer key differences divided by K once.
 
-The x range [1, X] is cut into chunks that are processed independently
-(optionally in a thread pool) and combined in a fixed order, so results do
-not depend on the thread count.  Within a chunk the running sum for S is
-carried in extended precision.  Per-piece contributions are summed
-pairwise (``np.sum``) within blocks of 16384 pieces, and the block sums of
-all chunks are combined with ``math.fsum``.
+The key range [K, ceil(X K)] is cut at two levels.  Outer chunks hold
+about ``chunk_events`` events each; each is one event range request (which
+a streamed source answers by sieving that span) and one task for the
+thread pool.  Inside an outer chunk the sweep integrates sub-chunks, cut
+at the exit key of every _SUB_EVENTS-th loaded event, so the setup and
+kernel temporaries of a sub-chunk (about 2 _SUB_EVENTS pieces) stay in
+cache.  A window that itself holds more events than that is integrated in
+whole outer chunks, since every sub-chunk would carry all of them.
+An exit key inside the chunk is already a breakpoint, so the cuts add no
+piece.  The events overlapping a sub-chunk are one contiguous slice of the
+chunk's events, as entry and exit keys both rise with n.  Both levels of
+cuts depend only on the window, ``chunk_events`` and the events, never on
+the thread count, and the results are combined in a fixed order, so they
+do not depend on the thread count either.  Within a sub-chunk the running
+sum for S is carried in extended precision and the per-piece contributions
+are summed pairwise (``np.sum``); the sums of all sub-chunks are combined
+with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -68,6 +79,8 @@ from .sieve import PSI_SPAN, EventSource
 MAX_DELTA_DENOMINATOR = 10**9
 _KEY_LIMIT = 1 << 62
 DEFAULT_CHUNK_EVENTS = 1 << 20
+# events per integration sub-chunk, so that its setup temporaries stay in cache
+_SUB_EVENTS = 1 << 14
 
 
 class Kind(str, Enum):
@@ -278,9 +291,9 @@ def _chunk_moments(
 ):
     """Integrate all requested (order, kind) pairs over x in [ka/K, kb/K).
 
-    entry/exit_/weights hold exactly the events overlapping the chunk.
+    entry/exit_/weights hold exactly the events overlapping [ka, kb).
     x_end, when given, replaces the right endpoint of the final piece, so
-    the last chunk ends at X itself even when X*K is not an integer.
+    the sweep ends at X itself even when X*K is not an integer.
     """
     K = geom.K
     clamped_entry = np.maximum(entry, ka)
@@ -303,7 +316,7 @@ def _chunk_moments(
     lengths = np.diff(points) / K
     if x_end is not None:
         lengths[-1] = float(Fraction(x_end) - Fraction(int(points[-2]), K))
-    length_sum = _block_sum(lengths)
+    length_sum = float(np.sum(lengths))
 
     if geom.kind == "fixed":
         ul = (svals - np.longdouble(geom.width64)).astype(np.float64)
@@ -315,17 +328,8 @@ def _chunk_moments(
         ul = (svals - dx[:-1]).astype(np.float64)
         ur = (svals - dx[1:]).astype(np.float64)
     inv_delta = 1.0 / geom.width64
-    # integrate block by block, so the temporaries stay in cache
-    blocks = [
-        (
-            ul[i : i + _BLOCK],
-            None if ur is None else ur[i : i + _BLOCK],
-            lengths[i : i + _BLOCK],
-        )
-        for i in range(0, piece_count, _BLOCK)
-    ]
     values = [
-        math.fsum(float(np.sum(_piece_integrals(*b, o, k, inv_delta))) for b in blocks)
+        float(np.sum(_piece_integrals(ul, ur, lengths, o, k, inv_delta)))
         for o, k in pairs
     ]
     return values, piece_count, length_sum
@@ -370,31 +374,39 @@ def sweep_moments(
     span = max(1, (b_key - a_key + n_chunks - 1) // n_chunks)
     bounds = [min(a_key + i * span, b_key) for i in range(n_chunks)] + [b_key]
 
-    def load_chunk(i: int):
+    def run_chunk(i: int):
         ka, kb = bounds[i], bounds[i + 1]
+        if ka >= kb:
+            return []
         # events overlapping [ka, kb): exit > ka and entry < kb
         n_lo = ka // geom.K + 1  #  n*K > ka
         n_hi = (kb + geom.entry_sub + geom.entry_mul - 1) // geom.entry_mul
-        n_hi = min(n_hi, limit + 1)
-        ns, ws = events.range(n_lo, n_hi)
+        ns, ws = events.range(n_lo, min(n_hi, limit + 1))
         entry = ns * geom.entry_mul - geom.entry_sub
         exit_ = ns * geom.K
-        keep = (exit_ > ka) & (entry < kb)
-        return entry[keep], exit_[keep], ws[keep], ka, kb
-
-    def run_chunk(i: int):
-        if bounds[i] >= bounds[i + 1]:
-            return [0.0] * len(pairs), 0, 0.0
-        entry, exit_, ws, ka, kb = load_chunk(i)
-        return _chunk_moments(
-            geom, entry, exit_, ws, ka, kb, pairs, X if kb == b_key else None
-        )
+        # cut at the exit key of every _SUB_EVENTS-th event, unless the
+        # window holds more events than that: each sub-chunk would carry
+        # them all, so the chunk is integrated whole
+        spanning = exit_.size - int(np.searchsorted(exit_, kb, side="right"))
+        step = _SUB_EVENTS if spanning <= _SUB_EVENTS else exit_.size + 1
+        cuts = exit_[step - 1 :: step]
+        edges = [ka, *cuts[cuts < kb].tolist(), kb]  # every exit key is > ka
+        lo = np.searchsorted(exit_, edges[:-1], side="right")
+        hi = np.searchsorted(entry, edges[1:], side="left")
+        return [
+            _chunk_moments(
+                geom, entry[l:h], exit_[l:h], ws[l:h], ca, cb, pairs,
+                X if cb == b_key else None,
+            )
+            for l, h, ca, cb in zip(lo.tolist(), hi.tolist(), edges[:-1], edges[1:])
+        ]
 
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunk_results = list(pool.map(run_chunk, range(n_chunks)))
+            chunk_lists = list(pool.map(run_chunk, range(n_chunks)))
     else:
-        chunk_results = [run_chunk(i) for i in range(n_chunks)]
+        chunk_lists = [run_chunk(i) for i in range(n_chunks)]
+    chunk_results = [r for rs in chunk_lists for r in rs]
 
     piece_count = max(1, sum(r[1] for r in chunk_results))
     length_sum = math.fsum(r[2] for r in chunk_results)

@@ -74,6 +74,23 @@ def test_no_dead_private_definitions():
     assert not dead, f"private definitions referenced nowhere in src/: {dead}"
 
 
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    # tuning constants stay constants: no module reads os.environ or getenv
+    reads = sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(a.name in ENVIRONMENT_READS for a in node.names))
+    )
+    assert not reads, f"{path.name}: environment read on lines {reads}"
+
+
 def _runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psimoments import sieve
 from psimoments.errors import CoverageError
 from psimoments.sieve import EventSource, _simple_primes, psi, sieve_range
 
@@ -74,6 +75,18 @@ def test_adjacent_ranges_tile_arrays():
         ws = np.concatenate([s[1] for s in spans])
         assert ns.tobytes() == full_ns.tobytes()
         assert ws.tobytes() == full_ws.tobytes()
+
+
+@pytest.mark.parametrize("segment", [7, 64])
+def test_segmented_sieve_tiles_arrays(monkeypatch, segment):
+    # every span above fits one default segment; tiny segments make the
+    # sieve carry each base prime's offset from one segment to the next
+    full_ns, full_ws = EventSource(50_000).arrays()
+    monkeypatch.setattr(sieve, "_SEGMENT", segment)
+    ns, ws = EventSource(50_000).arrays()
+    assert ns.tobytes() == full_ns.tobytes()
+    assert ws.tobytes() == full_ws.tobytes()
+    test_adjacent_ranges_tile_arrays()
 
 
 def test_sieve_range_windows():

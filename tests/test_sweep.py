@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psimoments.errors import InvalidOrderError, InvalidWindowError
-from psimoments import sieve
+from psimoments import sieve, sweep
 from psimoments.sieve import PSI_SPAN, EventSource
 from psimoments.sweep import (
     DEFAULT_CHUNK_EVENTS,
@@ -300,6 +300,36 @@ def test_chunk_size_stability(events_1e6):
             w, [(2.1, Kind.ABSOLUTE)], events=events_1e6, chunk_events=chunk
         )
         assert res[0].value == pytest.approx(base[0].value, rel=1e-12)
+
+
+@pytest.mark.parametrize("sub_events", [1, 3, 97])
+def test_sub_chunk_stability(events_small, monkeypatch, sub_events):
+    # cuts at exit keys add no piece: counts stay put whatever the sub-chunk
+    # size.  K = 4 and K = 1024 keep every length dyadic, so each partial
+    # length sum is exact and length_sum cannot move either
+    pairs = [(2.1, Kind.ABSOLUTE), (3, Kind.SIGNED), (2, Kind.POSITIVE_PART),
+             (1, Kind.NEGATIVE_PART)]
+    runs = [
+        # fractional h and X: the final sub-chunk is trimmed at X
+        (WindowSpec(20000.375, Fixed(Fraction(45, 4))), DEFAULT_CHUNK_EVENTS),
+        # several outer chunks, cut into sub-chunks; at one event per
+        # sub-chunk, chunks whose window holds more events stay whole
+        (WindowSpec(25000.5, Scaled(Fraction(1, 1023))), 512),
+    ]
+    for w, chunk_events in runs:
+        base, base_diag = sweep_moments(w, pairs, events=events_small, chunk_events=chunk_events)
+        with monkeypatch.context() as m:
+            m.setattr(sweep, "_SUB_EVENTS", sub_events)
+            res, diag = sweep_moments(w, pairs, events=events_small, chunk_events=chunk_events)
+            threaded, _ = sweep_moments(
+                w, pairs, events=events_small, chunk_events=chunk_events, threads=2
+            )
+        assert diag.chunks == base_diag.chunks
+        assert diag.piece_count == base_diag.piece_count
+        assert diag.length_sum == base_diag.length_sum
+        for r, b in zip(res, base):
+            assert r.value == pytest.approx(b.value, rel=1e-13)
+        assert [t.value for t in threaded] == [r.value for r in res]  # bit for bit
 
 
 def test_validation_errors():
