@@ -43,11 +43,12 @@ a streamed source answers by sieving that span) and one task for the
 thread pool.  Inside an outer chunk the sweep integrates sub-chunks, cut
 at the exit key of every _SUB_EVENTS-th loaded event, so the setup and
 kernel temporaries of a sub-chunk (about 2 _SUB_EVENTS pieces) stay in
-cache.  A window that itself holds more events than that is integrated in
-whole outer chunks, since every sub-chunk would carry all of them.
-An exit key inside the chunk is already a breakpoint, so the cuts add no
-piece.  The events overlapping a sub-chunk are one contiguous slice of the
-chunk's events, as entry and exit keys both rise with n.  Both levels of
+cache.  An exit key inside the chunk is already a breakpoint, so the cuts
+add no piece.  The events overlapping a sub-chunk are one contiguous slice
+of the chunk's events, as entry and exit keys both rise with n.  Those
+already inside the window at its left end only set the starting value of
+S, and those leaving at its right end or later never step it, so a window
+wider than a sub-chunk costs one sum, not a larger sort.  Both levels of
 cuts depend only on the window, ``chunk_events`` and the events, never on
 the thread count, and the results are combined in a fixed order, so they
 do not depend on the thread count either.  Within a sub-chunk the running
@@ -183,16 +184,6 @@ def _prepare_geometry(window: WindowSpec) -> _Geometry:
     return _Geometry("scaled", p + q, q, 0, p / q)
 
 
-_BLOCK = 1 << 14
-
-
-def _block_sum(arr: np.ndarray) -> float:
-    """Compensated sum: pairwise within blocks, math.fsum across blocks."""
-    return math.fsum(
-        float(np.sum(arr[i : i + _BLOCK])) for i in range(0, arr.size, _BLOCK)
-    )
-
-
 def _power(u: np.ndarray, n: int) -> np.ndarray:
     """u**n for an integer n >= 1 by binary powering.
 
@@ -296,19 +287,23 @@ def _chunk_moments(
     the sweep ends at X itself even when X*K is not an integer.
     """
     K = geom.K
-    clamped_entry = np.maximum(entry, ka)
-    clamped_exit = np.minimum(exit_, kb)
-    keys = np.concatenate([clamped_entry, clamped_exit])
-    deltas = np.concatenate([weights, -weights])
+    # events entered by ka only set the starting value of S, and events
+    # leaving at kb or later never step it, so only the keys strictly
+    # inside are sorted; a window wider than the chunk costs one sum
+    inside = int(np.searchsorted(entry, ka, side="right"))
+    leaving = int(np.searchsorted(exit_, kb, side="left"))
+    s0 = np.sum(weights[:inside], dtype=np.longdouble)
+    keys = np.concatenate([entry[inside:], exit_[:leaving]])
+    deltas = np.concatenate([weights[inside:], -weights[:leaving]])
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    running = np.cumsum(deltas[order].astype(np.longdouble))
+    running = np.cumsum(np.concatenate([[s0], deltas[order].astype(np.longdouble)]))
 
     # pieces [points[i], points[i+1]); once the empty ones are dropped the
     # rest tile [ka, kb), so each piece ends where the next one starts
     points = np.concatenate([[ka], keys, [kb]])
     keep = points[1:] > points[:-1]
-    svals = np.concatenate([np.zeros(1, dtype=np.longdouble), running])[keep]
+    svals = running[keep]
     points = np.append(points[:-1][keep], kb)
     piece_count = int(svals.size)
 
@@ -384,12 +379,7 @@ def sweep_moments(
         ns, ws = events.range(n_lo, min(n_hi, limit + 1))
         entry = ns * geom.entry_mul - geom.entry_sub
         exit_ = ns * geom.K
-        # cut at the exit key of every _SUB_EVENTS-th event, unless the
-        # window holds more events than that: each sub-chunk would carry
-        # them all, so the chunk is integrated whole
-        spanning = exit_.size - int(np.searchsorted(exit_, kb, side="right"))
-        step = _SUB_EVENTS if spanning <= _SUB_EVENTS else exit_.size + 1
-        cuts = exit_[step - 1 :: step]
+        cuts = exit_[_SUB_EVENTS - 1 :: _SUB_EVENTS]
         edges = [ka, *cuts[cuts < kb].tolist(), kb]  # every exit key is > ka
         lo = np.searchsorted(exit_, edges[:-1], side="right")
         hi = np.searchsorted(entry, edges[1:], side="left")
@@ -443,7 +433,7 @@ def first_moment_exact(window: WindowSpec, events: EventSource | None = None) ->
         entry = (ns * geom.entry_mul - geom.entry_sub).astype(np.float64) / geom.K
         exit_ = (ns * geom.K).astype(np.float64) / geom.K
         overlap = np.minimum(exit_, X) - np.maximum(entry, 1.0)
-        return _block_sum(ws * np.maximum(overlap, 0.0))
+        return float(np.sum(ws * np.maximum(overlap, 0.0)))
 
     positive = math.fsum(span_sum(lo) for lo in range(2, limit + 1, PSI_SPAN))
     if geom.kind == "fixed":

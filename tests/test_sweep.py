@@ -312,8 +312,8 @@ def test_sub_chunk_stability(events_small, monkeypatch, sub_events):
     runs = [
         # fractional h and X: the final sub-chunk is trimmed at X
         (WindowSpec(20000.375, Fixed(Fraction(45, 4))), DEFAULT_CHUNK_EVENTS),
-        # several outer chunks, cut into sub-chunks; at one event per
-        # sub-chunk, chunks whose window holds more events stay whole
+        # several outer chunks, cut into sub-chunks; at a few events per
+        # sub-chunk the window holds more, so most start with S > 0
         (WindowSpec(25000.5, Scaled(Fraction(1, 1023))), 512),
     ]
     for w, chunk_events in runs:
