@@ -34,11 +34,19 @@ from .specfun import (
 from .sweep import Kind, Scaled, WindowSpec
 
 
-def _add_window_args(p: argparse.ArgumentParser):
-    p.add_argument("--x", required=True, help="upper integration endpoint X")
-    g = p.add_mutually_exclusive_group(required=True)
+def _add_window_args(p: argparse.ArgumentParser, required: bool = True):
+    p.add_argument("--x", required=required, help="upper integration endpoint X")
+    g = p.add_mutually_exclusive_group(required=required)
     g.add_argument("--h", help="fixed window width (rational, e.g. 100 or 1/2)")
     g.add_argument("--delta", help="scaled window width (rational, e.g. 1e-4)")
+
+
+def _add_kind_arg(p: argparse.ArgumentParser):
+    p.add_argument("--kind", default="absolute", choices=[k.value for k in Kind])
+
+
+def _add_threads_arg(p: argparse.ArgumentParser):
+    p.add_argument("--threads", type=int, default=0, help="0: one per core")
 
 
 def _add_output_args(p: argparse.ArgumentParser):
@@ -60,8 +68,11 @@ def _flag_config(args) -> RunConfig:
 
 
 def _write_rows(args, rows) -> int:
-    text = emit(rows, args.format, args.output)
-    if not args.output:
+    text = emit(rows, args.format)
+    if args.output:
+        with open(args.output, "w") as f:
+            f.write(text)
+    else:
         sys.stdout.write(text)
     return 0
 
@@ -172,26 +183,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="sweep exact moments over a window family")
     p.add_argument("--config", help="JSON config file (overrides other options)")
-    p.add_argument("--x", help="upper integration endpoint X")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--h", help="fixed window width (rational)")
-    g.add_argument("--delta", help="scaled window width (rational)")
+    _add_window_args(p, required=False)
     p.add_argument("--orders", help="comma separated moment orders")
-    p.add_argument(
-        "--kind", default="absolute", choices=[k.value for k in Kind]
-    )
+    _add_kind_arg(p)
     p.add_argument(
         "--formulas",
         help=f"comma separated predictions to compare ({', '.join(FORMULA_NAMES)})",
     )
-    p.add_argument("--threads", type=int, default=0, help="0: one per core")
+    _add_threads_arg(p)
     _add_output_args(p)
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("predict", help="evaluate prediction formulas only")
     _add_window_args(p)
     p.add_argument("--orders", required=True)
-    p.add_argument("--kind", default="absolute", choices=[k.value for k in Kind])
+    _add_kind_arg(p)
     p.add_argument("--formulas", required=True)
     _add_output_args(p)
     p.set_defaults(func=_cmd_predict)
@@ -217,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the width-averaged comparison up to this delta",
     )
     p.add_argument("--grid-points", type=int, default=16)
-    p.add_argument("--threads", type=int, default=0, help="0: one per core")
+    _add_threads_arg(p)
     p.set_defaults(func=_cmd_equivalence)
 
     p = sub.add_parser("reproduce-tables", help="recompute the reference tables")
@@ -227,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the sweeps; prediction columns only",
     )
-    p.add_argument("--threads", type=int, default=0, help="0: one per core")
+    _add_threads_arg(p)
     p.set_defaults(func=_cmd_reproduce_tables)
 
     return parser

@@ -22,10 +22,10 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DomainError, InvariantError
-from .predictions import fixed_main_term, odd_normalizer
-from .sieve import EventSource
+from .predictions import _check_odd_order, fixed_main_term, odd_normalizer
+from .sieve import KEY_LIMIT, EventSource
 from .specfun import gaussian_abs_moment, upper_gamma
-from .sweep import Kind, Scaled, WindowSpec, sweep_moments
+from .sweep import MAX_DELTA_DENOMINATOR, Kind, Scaled, WindowSpec, sweep_moments
 
 DECOMPOSITION_RTOL = 1e-9
 
@@ -66,8 +66,7 @@ def decomposition_check(
     absolute moment.  The three moments come from one sweep, so the check
     reads exactly the events that sweep reads.
     """
-    if n < 1 or n % 2 == 0:
-        raise DomainError(f"decomposition needs odd order, got {n}")
+    _check_odd_order(n)
     results, _ = sweep_moments(
         window,
         [(n, Kind.ABSOLUTE), (n, Kind.SIGNED), (n, Kind.POSITIVE_PART)],
@@ -108,7 +107,7 @@ def width_grid(X: float, Delta: float, grid_points: int = 16) -> List[Fraction]:
         raise DomainError(f"Delta must lie in (1/X, 1), got {Delta}")
     if grid_points < 8:
         raise DomainError("grid_points must be at least 8")
-    cap = min(10**9, max(10**4, (1 << 62) // (8 * (int(X) + 1))))
+    cap = min(MAX_DELTA_DENOMINATOR, max(10**4, KEY_LIMIT // (8 * (int(X) + 1))))
     fracs = []
     for d in np.geomspace(Delta / 100.0, Delta, grid_points):
         f = Fraction(float(d)).limit_denominator(cap)
@@ -147,8 +146,7 @@ def saffari_vaughan_average(
     rhs: (1/2) C_n int_0^(Delta X) h^(n/2) (log(X/h))^(n/2) dh with
     C_n = mu(n)/(n/2+1), in closed form (see _width_integral).
     """
-    if n < 1 or n != int(n) or int(n) % 2 == 0:
-        raise DomainError(f"order must be an odd positive integer, got {n}")
+    _check_odd_order(n)
     fracs = width_grid(X, Delta, grid_points)
     rhs = _width_integral(X, Delta, n)
     head_bound = _width_integral(X, Delta / 100.0, n)

@@ -116,8 +116,7 @@ def scaled_refined_term(X: float, delta: float, order: float) -> float:
 def odd_normalizer(X: float, delta: float, n: int) -> float:
     """Reference scale against which the signed odd moments are judged small:
     the scaled main term at order n."""
-    if n < 1 or n != int(n) or int(n) % 2 == 0:
-        raise DomainError(f"normalizer defined for odd integer orders, got {n}")
+    _check_odd_order(n)
     return scaled_main_term(X, delta, float(n))
 
 
@@ -134,6 +133,12 @@ def _check_even_order(k: int):
     # odd k has vanishing Gaussian moment, so the form does not apply
     if k < 1 or k != int(k) or k % 2:
         raise DomainError(f"order must be an even positive integer, got {k}")
+
+
+def _check_odd_order(n: int):
+    # signed and one-sided moments are compared at odd integer orders
+    if n < 1 or n != int(n) or int(n) % 2 == 0:
+        raise DomainError(f"order must be an odd positive integer, got {n}")
 
 
 def even_main_b_fixed(X: float, h: float, k: int) -> float:

@@ -3,7 +3,7 @@
 A RunConfig names a window, the orders and kinds to sweep, and optionally
 prediction formulas to put alongside.  Results come back as ReportRow
 records and can be emitted as CSV (17 significant digits) or JSON (float
-repr), so a parse of the output reproduces every float bit for bit.
+repr), so reading a cell back with float() reproduces it bit for bit.
 
 reproduce_tables recomputes the bundled reference values: absolute scaled
 moments for lambda in {1.0, 2.1, 3.2, 4.3, 5.4, 6.5} and signed odd
@@ -188,14 +188,13 @@ def run(config: RunConfig) -> List[ReportRow]:
     """Sweep every (order, kind) pair, pair each with requested formulas."""
     window = config.window()
     pairs = [(o, k) for k in config.kinds for o in config.orders]
-    t0 = time.monotonic()
-    results, _ = sweep_moments(window, pairs, threads=config.threads)
-    wall = time.monotonic() - t0
+    results, diag = sweep_moments(window, pairs, threads=config.threads)
     return [
         row
         for res in results
         for row in _rows(
-            window, config.formulas, res.order, res.kind, res.value, res.piece_count, wall
+            window, config.formulas, res.order, res.kind, res.value,
+            diag.piece_count, diag.wall_seconds,
         )
     ]
 
@@ -236,39 +235,12 @@ def emit_json(rows: Sequence[ReportRow]) -> str:
     return json.dumps([dict(zip(COLUMNS, _cells(r))) for r in rows], indent=2) + "\n"
 
 
-def emit(rows: Sequence[ReportRow], fmt: str = "csv", path: Optional[str] = None) -> str:
+def emit(rows: Sequence[ReportRow], fmt: str = "csv") -> str:
     if fmt == "csv":
-        text = emit_csv(rows)
-    elif fmt == "json":
-        text = emit_json(rows)
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
-    if path:
-        with open(path, "w") as f:
-            f.write(text)
-    return text
-
-
-def _parse_cell(column: str, text: str):
-    if column in ("kind", "formula"):
-        return text or None
-    if column == "piece_count":
-        return int(text)
-    return float(text) if text else None
-
-
-def parse_rows(text: str, fmt: str = "csv") -> List[ReportRow]:
-    """Inverse of emit, used to verify bit-exact roundtrips."""
-    if fmt == "csv":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if lines[0] != CSV_HEADER:
-            raise ConfigError("unexpected CSV header")
-        records = [
-            [_parse_cell(c, t) for c, t in zip(COLUMNS, ln.split(","))] for ln in lines[1:]
-        ]
-    else:
-        records = [[obj[c] for c in COLUMNS] for obj in json.loads(text)]
-    return [ReportRow(*cells) for cells in records]
+        return emit_csv(rows)
+    if fmt == "json":
+        return emit_json(rows)
+    raise ConfigError(f"unknown output format {fmt!r}")
 
 
 # Reference values for the two published scales, used for regression

@@ -30,8 +30,8 @@ from .errors import CoverageError, RangeLimitError
 
 # beyond this limit events are re-sieved per range instead of held in memory
 PRELOAD_LIMIT = 1 << 28
-# key arithmetic in the sweep must stay inside int64
-MAX_LIMIT = 1 << 62
+# the sweep's int64 keys n*K stay below this, and so does every event n
+KEY_LIMIT = 1 << 62
 # psi streams its weights in range requests of this width
 PSI_SPAN = 1 << 20
 # odd slots sieved at a time: a 1 MB mask stays in cache
@@ -120,7 +120,7 @@ class EventSource:
     _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.limit > MAX_LIMIT:
+        if self.limit > KEY_LIMIT:
             raise RangeLimitError(f"limit {self.limit} exceeds 64-bit key range")
 
     @property
@@ -139,7 +139,7 @@ class EventSource:
             raise CoverageError(
                 f"event source covers n <= {self.limit}, requested up to {hi - 1}"
             )
-        if self.preload or self._arrays is not None:
+        if self.preload:
             ns, ws = self.arrays()
             i = np.searchsorted(ns, lo, side="left")
             j = np.searchsorted(ns, hi, side="left")
@@ -158,8 +158,6 @@ def psi(x: float, events: EventSource | None = None) -> float:
     n_max = int(math.floor(x))
     if events is None:
         events = EventSource(n_max)
-    elif events.limit < n_max:
-        raise CoverageError(f"event source covers n <= {events.limit}, psi needs {n_max}")
     return math.fsum(
         w
         for lo in range(2, n_max + 1, PSI_SPAN)

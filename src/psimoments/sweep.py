@@ -38,7 +38,7 @@ an order of magnitude more per element.
 Piece lengths are exact integer key differences divided by K once.
 
 The key range [K, ceil(X K)] is cut at two levels.  Outer chunks hold
-about ``chunk_events`` events each; each is one event range request (which
+about _CHUNK_EVENTS events each; each is one event range request (which
 a streamed source answers by sieving that span) and one task for the
 thread pool.  Inside an outer chunk the sweep integrates sub-chunks, cut
 at the exit key of every _SUB_EVENTS-th loaded event, so the setup and
@@ -49,7 +49,7 @@ of the chunk's events, as entry and exit keys both rise with n.  Those
 already inside the window at its left end only set the starting value of
 S, and those leaving at its right end or later never step it, so a window
 wider than a sub-chunk costs one sum, not a larger sort.  Both levels of
-cuts depend only on the window, ``chunk_events`` and the events, never on
+cuts depend only on the window, _CHUNK_EVENTS and the events, never on
 the thread count, and the results are combined in a fixed order, so they
 do not depend on the thread count either.  Within a sub-chunk the running
 sum for S is carried in extended precision and the per-piece contributions
@@ -75,11 +75,11 @@ from .errors import (
     InvalidWindowError,
     RangeLimitError,
 )
-from .sieve import PSI_SPAN, EventSource
+from .sieve import KEY_LIMIT, PSI_SPAN, EventSource
 
 MAX_DELTA_DENOMINATOR = 10**9
-_KEY_LIMIT = 1 << 62
-DEFAULT_CHUNK_EVENTS = 1 << 20
+# events per outer chunk: one range request and one pool task each
+_CHUNK_EVENTS = 1 << 20
 # events per integration sub-chunk, so that its setup temporaries stay in cache
 _SUB_EVENTS = 1 << 14
 
@@ -145,7 +145,6 @@ class MomentResult:
     order: float
     kind: Kind
     value: float
-    piece_count: int
 
 
 @dataclass
@@ -172,16 +171,16 @@ class _Geometry:
     K: int  # common key denominator; event n leaves at key n*K
     entry_mul: int  # and enters at key n*entry_mul - entry_sub
     entry_sub: int
-    width64: float  # h or delta, rounded to float64 once
+    width: Fraction  # h or delta, exact
 
 
 def _prepare_geometry(window: WindowSpec) -> _Geometry:
     g = window.geometry
     if isinstance(g, Fixed):
         hp, hq = g.h.numerator, g.h.denominator
-        return _Geometry("fixed", hq, hq, hp, hp / hq)
+        return _Geometry("fixed", hq, hq, hp, g.h)
     p, q = g.delta.numerator, g.delta.denominator
-    return _Geometry("scaled", p + q, q, 0, p / q)
+    return _Geometry("scaled", p + q, q, 0, g.delta)
 
 
 def _power(u: np.ndarray, n: int) -> np.ndarray:
@@ -313,16 +312,19 @@ def _chunk_moments(
         lengths[-1] = float(Fraction(x_end) - Fraction(int(points[-2]), K))
     length_sum = float(np.sum(lengths))
 
+    # the linear part from the exact width: p*key and q*K are exact in
+    # longdouble, so each value is rounded once
+    p, q = geom.width.numerator, geom.width.denominator
     if geom.kind == "fixed":
-        ul = (svals - np.longdouble(geom.width64)).astype(np.float64)
+        ul = (svals - np.longdouble(p) / q).astype(np.float64)
         ur = None
     else:
-        dx = np.longdouble(geom.width64) * (points.astype(np.longdouble) / K)
+        dx = points.astype(np.longdouble) * p / (q * K)
         if x_end is not None:
-            dx[-1] = np.longdouble(geom.width64) * np.longdouble(x_end)
+            dx[-1] = np.longdouble(x_end) * p / q
         ul = (svals - dx[:-1]).astype(np.float64)
         ur = (svals - dx[1:]).astype(np.float64)
-    inv_delta = 1.0 / geom.width64
+    inv_delta = 1.0 / float(geom.width)
     values = [
         float(np.sum(_piece_integrals(ul, ur, lengths, o, k, inv_delta)))
         for o, k in pairs
@@ -336,7 +338,6 @@ def sweep_moments(
     *,
     events: EventSource | None = None,
     threads: int = 1,
-    chunk_events: int = DEFAULT_CHUNK_EVENTS,
 ) -> Tuple[list, SweepDiagnostics]:
     """All requested (order, kind) moments in one pass over the pieces.
 
@@ -351,7 +352,7 @@ def sweep_moments(
     X = float(window.X)
     geom = _prepare_geometry(window)
     limit = window.limit()
-    if limit * geom.K >= _KEY_LIMIT or limit * geom.entry_mul >= _KEY_LIMIT:
+    if limit * geom.K >= KEY_LIMIT or limit * geom.entry_mul >= KEY_LIMIT:
         raise RangeLimitError(
             f"keys for X={X} with denominator {geom.K} overflow 64-bit range"
         )
@@ -360,12 +361,11 @@ def sweep_moments(
 
     a_key = geom.K
     # no breakpoint falls strictly between floor and ceil of X*K, so rounding
-    # up and trimming the final piece to X keeps the sweep exact; on the key
-    # grid the trim reproduces the untrimmed bits
+    # up and trimming the final piece to X keeps the sweep exact
     b_key = math.ceil(Fraction(window.X) * geom.K)
 
     est_events = max(64, int(limit / max(math.log(max(limit, 3)), 1.0)))
-    n_chunks = max(1, math.ceil(est_events / chunk_events))
+    n_chunks = max(1, math.ceil(est_events / _CHUNK_EVENTS))
     span = max(1, (b_key - a_key + n_chunks - 1) // n_chunks)
     bounds = [min(a_key + i * span, b_key) for i in range(n_chunks)] + [b_key]
 
@@ -403,7 +403,7 @@ def sweep_moments(
     results = []
     for j, (order, kind) in enumerate(pairs):
         value = math.fsum(r[0][j] for r in chunk_results)
-        results.append(MomentResult(order, kind, value, piece_count))
+        results.append(MomentResult(order, kind, value))
     diag = SweepDiagnostics(
         piece_count=piece_count,
         length_sum=length_sum,
@@ -418,29 +418,38 @@ def first_moment_exact(window: WindowSpec, events: EventSource | None = None) ->
 
     Each event n contributes weight(n) times the measure of x in [1, X]
     whose window contains n, and the linear part integrates in closed form.
-    Events stream in PSI_SPAN-wide range requests, like psi's.
-    Shares nothing with the sweep except the event list, so it serves as an
-    independent oracle for it.
+    Overlaps are exact integer key differences, plus the fraction of a key
+    that X*K may leave past floor(X*K); each weighted overlap is rounded
+    once, and the sum is carried exactly (an fsum and its remainder per
+    range request) until the exact linear part is subtracted.  Events
+    stream in PSI_SPAN-wide range requests, like psi's.  Shares nothing
+    with the sweep except the event list, so it serves as an independent
+    oracle for it.
     """
-    X = float(window.X)
     geom = _prepare_geometry(window)
     limit = window.limit()
     if events is None:
         events = EventSource(limit)
+    xf = Fraction(window.X)
+    b_key = math.floor(xf * geom.K)
+    tail = xf * geom.K - b_key
 
-    def span_sum(lo: int) -> float:
+    positive = Fraction(0)  # in key units
+    for lo in range(2, limit + 1, PSI_SPAN):
         ns, ws = events.range(lo, min(lo + PSI_SPAN, limit + 1))
-        entry = (ns * geom.entry_mul - geom.entry_sub).astype(np.float64) / geom.K
-        exit_ = (ns * geom.K).astype(np.float64) / geom.K
-        overlap = np.minimum(exit_, X) - np.maximum(entry, 1.0)
-        return float(np.sum(ws * np.maximum(overlap, 0.0)))
-
-    positive = math.fsum(span_sum(lo) for lo in range(2, limit + 1, PSI_SPAN))
+        entry = ns * geom.entry_mul - geom.entry_sub
+        exit_ = ns * geom.K
+        overlap = np.minimum(exit_, b_key) - np.maximum(entry, geom.K)
+        products = (ws * np.maximum(overlap, 0)).tolist()
+        total = math.fsum(products)
+        positive += Fraction(total) + Fraction(math.fsum(products + [-total]))
+        straddle = ws[(entry <= b_key) & (exit_ > b_key)].tolist()
+        positive += tail * sum(Fraction(w) for w in straddle)
     if geom.kind == "fixed":
-        linear = geom.width64 * (X - 1.0)
+        linear = geom.width * (xf - 1)
     else:
-        linear = geom.width64 * (X * X - 1.0) / 2.0
-    return positive - linear
+        linear = geom.width * (xf * xf - 1) / 2
+    return float(positive / geom.K - linear)
 
 
 def grid_oracle(
@@ -467,6 +476,7 @@ def grid_oracle(
     if not 0 < step <= (X - 1.0) / 10.0:
         raise InvalidWindowError(f"step must lie in (0, (X-1)/10], got {step}")
     geom = _prepare_geometry(window)
+    d = float(geom.width)
     if events is None:
         events = EventSource(window.limit())
     ns, ws = events.range(2, window.limit() + 1)
@@ -481,9 +491,9 @@ def grid_oracle(
         count = min(block, n_cells - start_idx)
         x = 1.0 + (start_idx + np.arange(count) + 0.5) * width
         if geom.kind == "fixed":
-            hi, lin = x + geom.width64, geom.width64
+            hi, lin = x + d, d
         else:
-            hi, lin = x * (1.0 + geom.width64), geom.width64 * x
+            hi, lin = x * (1.0 + d), d * x
         S = prefix[np.searchsorted(ns, hi, side="right")] - prefix[
             np.searchsorted(ns, x, side="right")
         ]

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import psimoments.sweep
 from psimoments import (
     EventSource,
     Fixed,
@@ -151,7 +152,7 @@ def test_criterion_6_identity_suite():
     )
 
 
-def test_criterion_7_structural(events_1e6):
+def test_criterion_7_structural(events_1e6, monkeypatch):
     w = WindowSpec(1e6, Scaled(Fraction(1, 1000)))
     pairs = [(o, Kind.ABSOLUTE) for o in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)]
     res, diag = sweep_moments(w, pairs, events=events_1e6)
@@ -165,11 +166,13 @@ def test_criterion_7_structural(events_1e6):
     mono_ok = all(b >= a * (1 - 1e-12) for a, b in zip(means, means[1:]))
 
     # small chunks, so the 2- and 5-thread pools really split the sweep
-    chunked = dict(events=events_1e6, chunk_events=1 << 13)
-    base, det_diag = sweep_moments(w, [(2.1, Kind.ABSOLUTE)], threads=1, **chunked)
+    monkeypatch.setattr(psimoments.sweep, "_CHUNK_EVENTS", 1 << 13)
+    base, det_diag = sweep_moments(w, [(2.1, Kind.ABSOLUTE)], events=events_1e6, threads=1)
     det = 0.0
     for threads in (2, 5):
-        other, _ = sweep_moments(w, [(2.1, Kind.ABSOLUTE)], threads=threads, **chunked)
+        other, _ = sweep_moments(
+            w, [(2.1, Kind.ABSOLUTE)], events=events_1e6, threads=threads
+        )
         det = max(det, abs(other[0].value - base[0].value) / abs(base[0].value))
 
     det_ok = det == 0.0 and det_diag.chunks > 1

@@ -11,6 +11,7 @@ from psimoments import report, sweep
 from psimoments.cli import _flag_config, build_parser, main
 from psimoments.errors import ConfigError
 from psimoments.report import (
+    COLUMNS,
     CSV_HEADER,
     ReportRow,
     RunConfig,
@@ -19,7 +20,6 @@ from psimoments.report import (
     emit_json,
     format_tables,
     parse_rational,
-    parse_rows,
     predict_rows,
     reproduce_tables,
     run,
@@ -94,15 +94,20 @@ def test_roundtrip_bit_exact():
                   math.pi / math.e, 0.1547, 123456, 1.234567890123456),
         ReportRow(3.0, Kind.SIGNED, -1.0 / 3.0, None, None, None, None, 7, 0.5),
     ]
-    for fmt in ("csv", "json"):
-        back = parse_rows(emit(rows, fmt), fmt)
-        for a, b in zip(back, rows):
-            assert a.actual == b.actual  # exact, not approx
-            assert a.predicted == b.predicted
-            assert a.ratio == b.ratio
-            assert a.order == b.order
-            assert a.piece_count == b.piece_count
-            assert a.wall_seconds == b.wall_seconds
+    lines = emit(rows, "csv").splitlines()
+    assert lines[0] == CSV_HEADER
+    from_csv = [dict(zip(COLUMNS, line.split(","))) for line in lines[1:]]
+    from_json = json.loads(emit(rows, "json"))
+    floats = {"lambda": "order", "actual": "actual", "predicted": "predicted",
+              "ratio": "ratio", "rel_err": "rel_err", "wall_seconds": "wall_seconds"}
+    for row, c, j in zip(rows, from_csv, from_json):
+        for column, field in floats.items():
+            want = getattr(row, field)
+            assert (float(c[column]) if c[column] else None) == want  # exact, not approx
+            assert j[column] == want
+        assert int(c["piece_count"]) == j["piece_count"] == row.piece_count
+        assert c["kind"] == j["kind"] == row.kind.value
+        assert (c["formula"] or None) == j["formula"] == row.formula
 
 
 def test_emit_json_is_valid_json():
@@ -113,13 +118,27 @@ def test_emit_json_is_valid_json():
     assert parsed[0]["formula"] is None
 
 
-def test_emit_writes_file(tmp_path):
+def test_emit_writes_file(tmp_path, capsys):
+    # --output writes the text emit returns, which stdout gets without it
     rows = [ReportRow(1.0, Kind.ABSOLUTE, 2.0, None, None, None, None, 1, 0.0)]
-    path = tmp_path / "out.csv"
-    emit(rows, "csv", str(path))
-    assert path.read_text().splitlines()[0] == CSV_HEADER
+    assert emit(rows, "csv") == emit_csv(rows)
+    assert emit(rows, "json") == emit_json(rows)
     with pytest.raises(ConfigError):
         emit(rows, "yaml")
+    argv = ["predict", "--x", "1e8", "--delta", "1e-4", "--orders", "1,2",
+            "--formulas", "scaled-main", "--format", "json"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "out.json"
+    assert main([*argv, "--output", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+
+    def untimed(text):
+        # only the per-formula timing column differs from run to run
+        return [{k: v for k, v in row.items() if k != "wall_seconds"}
+                for row in json.loads(text)]
+
+    assert untimed(path.read_text()) == untimed(printed)
 
 
 def test_run_with_formula():
@@ -297,9 +316,10 @@ def test_threads_zero_means_one_per_core(monkeypatch):
 
     monkeypatch.setattr(sweep, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(sweep, "default_threads", lambda: 3)
+    monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 256)
     window = WindowSpec(2e4, Scaled(Fraction(1, 100)))
     values = [
-        sweep_moments(window, [(1, Kind.ABSOLUTE)], threads=t, chunk_events=256)[0][0].value
+        sweep_moments(window, [(1, Kind.ABSOLUTE)], threads=t)[0][0].value
         for t in (0, -1, 3, 1)
     ]
     assert pools == [3, 3, 3]  # threads=1 runs serially, with no pool
@@ -314,18 +334,34 @@ def test_cli_equivalence_average_wider_than_window(capsys):
     assert "averaged over delta<=0.01" in capsys.readouterr().out
 
 
-def test_readme_commands_parse():
-    # every documented command line must name real subcommands and flags
+def test_readme_commands_parse(capsys):
+    # every documented command line must name real subcommands and flags,
+    # and every output it shows must be what it prints: each shown line,
+    # stripped, equals the printed line, or is its prefix when it ends in ...
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     text = re.sub(r"\\\n\s*", " ", text)
-    commands = re.findall(r"^\s*\$ psimoments (.*)$", text, flags=re.M)
-    assert commands
+    blocks = re.findall(r"^\s*\$ psimoments (.*)\n((?:[ \t]*\S.*\n)*)", text, flags=re.M)
+    assert blocks
     parser = build_parser()
-    for cmd in commands:
+    shown_outputs = 0
+    for cmd, shown in blocks:
         try:
             parser.parse_args(shlex.split(cmd))
         except SystemExit:
             pytest.fail(f"README command does not parse: psimoments {cmd}")
+        if not shown.strip():
+            continue
+        shown_outputs += 1
+        assert main(shlex.split(cmd)) == 0, cmd
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) >= len(shown.splitlines()), cmd
+        for want, got in zip(shown.splitlines(), printed):
+            want, got = want.strip(), got.strip()
+            if want.endswith("..."):
+                assert got.startswith(want[:-3]), (cmd, want, got)
+            else:
+                assert got == want, (cmd, want, got)
+    assert shown_outputs == 4
 
 
 def test_cli_verify_identities(capsys):

@@ -10,7 +10,6 @@ from psimoments.errors import InvalidOrderError, InvalidWindowError
 from psimoments import sieve, sweep
 from psimoments.sieve import PSI_SPAN, EventSource
 from psimoments.sweep import (
-    DEFAULT_CHUNK_EVENTS,
     Fixed,
     Kind,
     Scaled,
@@ -79,11 +78,11 @@ def events_toy():
 
 def test_fixed_toy_signed_first_moment(events_toy):
     w = WindowSpec(10.0, Fixed(Fraction(2)))
-    (res,), _ = sweep_moments(w, [(1, Kind.SIGNED)], events=events_toy)
+    (res,), diag = sweep_moments(w, [(1, Kind.SIGNED)], events=events_toy)
     want = brute_moment(w, 1, Kind.SIGNED, events_toy)
     assert res.value == pytest.approx(want, rel=1e-12)
     assert res.value == pytest.approx(-0.6312235467506362, rel=1e-12)
-    assert res.piece_count == 9
+    assert diag.piece_count == 9
 
 
 def test_scaled_toy_signed_first_moment(events_toy):
@@ -104,17 +103,17 @@ def test_toy_all_kinds_against_brute(events_toy, kind, order):
         assert res[0].value == pytest.approx(want, rel=1e-11, abs=1e-13)
 
 
-def test_fractional_endpoint(events_toy):
+def test_fractional_endpoint(events_toy, monkeypatch):
     # X * K not an integer: the final piece is trimmed at X itself, also
     # when more chunks than keys leave the last chunks empty
+    default = sweep._CHUNK_EVENTS
     for X in (10.5, 20.25):
         for geometry in (Fixed(Fraction(1, 3)), Scaled(Fraction(1, 7))):
             w = WindowSpec(X, geometry)
             want = brute_moment(w, 2, Kind.SIGNED, events_toy)
-            for chunk_events in (DEFAULT_CHUNK_EVENTS, 1):
-                res, diag = sweep_moments(
-                    w, [(2, Kind.SIGNED)], events=events_toy, chunk_events=chunk_events
-                )
+            for chunk_events in (default, 1):
+                monkeypatch.setattr(sweep, "_CHUNK_EVENTS", chunk_events)
+                res, diag = sweep_moments(w, [(2, Kind.SIGNED)], events=events_toy)
                 assert res[0].value == pytest.approx(want, rel=1e-11, abs=1e-14)
                 assert diag.length_sum == pytest.approx(X - 1.0, abs=1e-9)
 
@@ -162,13 +161,26 @@ def test_sweep_matches_closed_form_oracle_scaled(events_1e6):
     assert res[0].value == pytest.approx(want, rel=1e-9)
 
 
+def test_desk_first_moment_matches_oracle(desk_sweep):
+    # desk signed n=1 is -1.48e7 beside a linear part of 5e11, so the sweep's
+    # linear part must come from the exact width
+    got = desk_sweep["values"][(1.0, Kind.SIGNED)]
+    want = first_moment_exact(desk_sweep["window"], events=desk_sweep["events"])
+    assert got == pytest.approx(want, rel=1e-13)
+
+
 def test_sweep_matches_grid_oracle(events_small):
-    w = WindowSpec(1e4, Fixed(Fraction(50)))
-    orders = [1.0, 2.1, 3.0]
-    res, _ = sweep_moments(w, [(o, Kind.ABSOLUTE) for o in orders], events=events_small)
-    grid = grid_oracle(w, orders, Kind.ABSOLUTE, step=1e-3, events=events_small)
-    for r, g in zip(res, grid):
-        assert r.value == pytest.approx(g, rel=1e-3)
+    # signed and one-sided moments can be small, so every kind is gated
+    # against the absolute moment of the same order
+    for geometry in (Fixed(Fraction(50)), Scaled(Fraction(1, 200))):
+        w = WindowSpec(1e4, geometry)
+        for kind in ALL_KINDS:
+            orders = [1.0, 2.1, 3.0] if kind == Kind.ABSOLUTE else [1.0, 3.0]
+            pairs = [(o, k) for o in orders for k in (kind, Kind.ABSOLUTE)]
+            res, _ = sweep_moments(w, pairs, events=events_small)
+            grid = grid_oracle(w, orders, kind, step=1e-2, events=events_small)
+            for got, absolute, g in zip(res[::2], res[1::2], grid):
+                assert got.value == pytest.approx(g, abs=1e-4 * absolute.value)
 
 
 def test_degenerate_window():
@@ -279,26 +291,24 @@ def test_power_mean_monotone(events_small):
         assert hi >= lo * (1 - 1e-12)
 
 
-def test_thread_count_determinism(events_1e6):
+def test_thread_count_determinism(events_1e6, monkeypatch):
     # small chunks, so the pools really split the sweep
+    monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 13)
     w = WindowSpec(1e6, Scaled(Fraction(1, 1000)))
     pairs = [(1.0, Kind.ABSOLUTE), (2.1, Kind.ABSOLUTE), (3.0, Kind.SIGNED)]
-    base, diag = sweep_moments(w, pairs, events=events_1e6, threads=1, chunk_events=1 << 13)
+    base, diag = sweep_moments(w, pairs, events=events_1e6, threads=1)
     assert diag.chunks == 9
     for threads in (2, 4, 7):
-        res, _ = sweep_moments(
-            w, pairs, events=events_1e6, threads=threads, chunk_events=1 << 13
-        )
+        res, _ = sweep_moments(w, pairs, events=events_1e6, threads=threads)
         assert [r.value for r in res] == [b.value for b in base]  # bit for bit
 
 
-def test_chunk_size_stability(events_1e6):
+def test_chunk_size_stability(events_1e6, monkeypatch):
     w = WindowSpec(1e6, Fixed(Fraction(500)))
     base, _ = sweep_moments(w, [(2.1, Kind.ABSOLUTE)], events=events_1e6)
     for chunk in (1 << 15, 1 << 17, 1 << 22):
-        res, _ = sweep_moments(
-            w, [(2.1, Kind.ABSOLUTE)], events=events_1e6, chunk_events=chunk
-        )
+        monkeypatch.setattr(sweep, "_CHUNK_EVENTS", chunk)
+        res, _ = sweep_moments(w, [(2.1, Kind.ABSOLUTE)], events=events_1e6)
         assert res[0].value == pytest.approx(base[0].value, rel=1e-12)
 
 
@@ -311,19 +321,18 @@ def test_sub_chunk_stability(events_small, monkeypatch, sub_events):
              (1, Kind.NEGATIVE_PART)]
     runs = [
         # fractional h and X: the final sub-chunk is trimmed at X
-        (WindowSpec(20000.375, Fixed(Fraction(45, 4))), DEFAULT_CHUNK_EVENTS),
+        (WindowSpec(20000.375, Fixed(Fraction(45, 4))), sweep._CHUNK_EVENTS),
         # several outer chunks, cut into sub-chunks; at a few events per
         # sub-chunk the window holds more, so most start with S > 0
         (WindowSpec(25000.5, Scaled(Fraction(1, 1023))), 512),
     ]
     for w, chunk_events in runs:
-        base, base_diag = sweep_moments(w, pairs, events=events_small, chunk_events=chunk_events)
+        monkeypatch.setattr(sweep, "_CHUNK_EVENTS", chunk_events)
+        base, base_diag = sweep_moments(w, pairs, events=events_small)
         with monkeypatch.context() as m:
             m.setattr(sweep, "_SUB_EVENTS", sub_events)
-            res, diag = sweep_moments(w, pairs, events=events_small, chunk_events=chunk_events)
-            threaded, _ = sweep_moments(
-                w, pairs, events=events_small, chunk_events=chunk_events, threads=2
-            )
+            res, diag = sweep_moments(w, pairs, events=events_small)
+            threaded, _ = sweep_moments(w, pairs, events=events_small, threads=2)
         assert diag.chunks == base_diag.chunks
         assert diag.piece_count == base_diag.piece_count
         assert diag.length_sum == base_diag.length_sum
