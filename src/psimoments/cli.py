@@ -1,8 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 configuration problems, 3 resource problems
-(unreadable file, integer range, out of memory), 4 violated numerical
-invariants.
+Exit codes: 0 success, 2 configuration problems (an unreadable --config
+too), 3 resource problems (unwritable --output, integer range, out of
+memory), 4 violated numerical invariants.
 """
 
 from __future__ import annotations

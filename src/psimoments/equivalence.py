@@ -82,11 +82,8 @@ def decomposition_check(
             f"exceeds {DECOMPOSITION_RTOL} of {absolute:.6e}"
         )
 
-    X = float(window.X)
-    if isinstance(window.geometry, Scaled):
-        normalizer = odd_normalizer(X, float(window.geometry.delta), n)
-    else:
-        normalizer = fixed_main_term(X, float(window.geometry.h), float(n))
+    main = odd_normalizer if isinstance(window.geometry, Scaled) else fixed_main_term
+    normalizer = main(float(window.X), float(window.geometry.width), n)
     return EquivalenceReport(
         order=n,
         window=window,
@@ -102,18 +99,20 @@ def width_grid(X: float, Delta: float, grid_points: int = 16) -> List[Fraction]:
     """The widths saffari_vaughan_average sweeps: log-spaced over
     [Delta/100, Delta], each rationalized as finely as the exact-key range
     allows.  The widest of them sets the event limit the average needs.
+    Rationalized widths that do not rise strictly from 0 raise DomainError.
     """
     if not 1.0 / X < Delta < 1:
         raise DomainError(f"Delta must lie in (1/X, 1), got {Delta}")
     if grid_points < 8:
         raise DomainError("grid_points must be at least 8")
     cap = min(MAX_DELTA_DENOMINATOR, max(10**4, KEY_LIMIT // (8 * (int(X) + 1))))
-    fracs = []
-    for d in np.geomspace(Delta / 100.0, Delta, grid_points):
-        f = Fraction(float(d)).limit_denominator(cap)
-        if f <= 0:
-            f = Fraction(1, cap)
-        fracs.append(f)
+    widths = np.geomspace(Delta / 100.0, Delta, grid_points)
+    fracs = [Fraction(float(d)).limit_denominator(cap) for d in widths]
+    if not all(a < b for a, b in zip([0, *fracs], fracs)):
+        raise DomainError(
+            f"width grid over [{Delta / 100:g}, {Delta:g}] collapses at X={X:g}: "
+            f"keys allow width denominators up to {cap} only"
+        )
     return fracs
 
 

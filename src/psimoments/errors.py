@@ -1,9 +1,9 @@
 """Exception types shared across the package.
 
 Every type here derives from one of three bases, and the CLI maps each
-base onto a process exit code: configuration problems (ConfigError) exit
-with 2, resource problems (ResourceError: files, memory, integer range)
-with 3, and violated internal invariants (InvariantError) with 4.
+base onto an exit code: configuration problems (ConfigError, unreadable
+config files) exit with 2, resource problems (ResourceError, unwritable
+output files, memory) with 3, violated invariants (InvariantError) with 4.
 """
 
 
@@ -26,8 +26,8 @@ class DomainError(ConfigError):
 
 
 class ResourceError(RuntimeError):
-    """Missing or unusable resource: an unreadable file, too little sieve
-    coverage, the integer range of the platform."""
+    """Missing or unusable resource: too little sieve coverage, the integer
+    range of the platform."""
 
 
 class CoverageError(ResourceError):

@@ -17,7 +17,7 @@ import json
 import time
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .errors import ConfigError
 from .predictions import (
@@ -142,31 +142,30 @@ CSV_HEADER = ",".join(COLUMNS)
 
 def _formula_value(name: str, window: WindowSpec, order: float) -> float:
     geometry, formula = FORMULAS[name]
-    g = window.geometry
-    if not isinstance(g, geometry):
+    if not isinstance(window.geometry, geometry):
         raise ConfigError(f"formula {name} needs a {geometry.__name__.lower()} window")
-    width = g.h if isinstance(g, Fixed) else g.delta
-    return formula(float(window.X), float(width), order)
+    return formula(float(window.X), float(window.geometry.width), float(order))
+
+
+def _predictions(window: WindowSpec, formulas: Sequence[str], order: float):
+    """Yield (formula, value, seconds taken) per formula; one bare triple if none."""
+    for name in formulas or (None,):
+        t0 = time.monotonic()
+        predicted = None if name is None else _formula_value(name, window, order)
+        yield name, predicted, time.monotonic() - t0
 
 
 def _rows(
-    window: WindowSpec,
-    formulas: Sequence[str],
+    predictions: Iterable[tuple],
     order: float,
     kind: Kind,
     actual: Optional[float] = None,
     piece_count: int = 0,
     wall: Optional[float] = None,
 ) -> List[ReportRow]:
-    """One row per formula, or one bare row when there are none.
-
-    With ``wall`` None each row times its own formula evaluation.
-    """
+    """One row per prediction; with ``wall`` None each times its formula."""
     rows = []
-    for name in formulas or (None,):
-        t0 = time.monotonic()
-        predicted = None if name is None else _formula_value(name, window, order)
-        seconds = time.monotonic() - t0 if wall is None else wall
+    for name, predicted, seconds in predictions:
         compare = actual is not None and bool(predicted)
         rows.append(
             ReportRow(
@@ -178,7 +177,7 @@ def _rows(
                 ratio=actual / predicted if compare else None,
                 rel_err=abs(actual - predicted) / abs(predicted) if compare else None,
                 piece_count=piece_count,
-                wall_seconds=seconds,
+                wall_seconds=seconds if wall is None else wall,
             )
         )
     return rows
@@ -187,13 +186,15 @@ def _rows(
 def run(config: RunConfig) -> List[ReportRow]:
     """Sweep every (order, kind) pair, pair each with requested formulas."""
     window = config.window()
+    # first, so a formula that does not fit the window fails before any sieve
+    predictions = {o: list(_predictions(window, config.formulas, o)) for o in config.orders}
     pairs = [(o, k) for k in config.kinds for o in config.orders]
     results, diag = sweep_moments(window, pairs, threads=config.threads)
     return [
         row
         for res in results
         for row in _rows(
-            window, config.formulas, res.order, res.kind, res.value,
+            predictions[res.order], res.order, res.kind, res.value,
             diag.piece_count, diag.wall_seconds,
         )
     ]
@@ -207,8 +208,8 @@ def predict_rows(config: RunConfig) -> List[ReportRow]:
     return [
         row
         for kind in config.kinds
-        for order in config.orders
-        for row in _rows(window, config.formulas, float(order), kind)
+        for order in map(float, config.orders)
+        for row in _rows(_predictions(window, config.formulas, order), order, kind)
     ]
 
 

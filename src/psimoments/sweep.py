@@ -7,9 +7,9 @@ width h the event n is inside iff x < n <= x + h, so it enters at n - h and
 leaves at n.  For a scaled window the event is inside iff x < n <= x(1+delta),
 entering at n/(1+delta) and leaving at n.
 
-With h = hp/hq and delta = p/q rational, every breakpoint is an integer
-multiple of 1/K (K = hq resp. p+q).  All breakpoints are therefore kept as
-int64 keys n*hq - hp / n*hq resp. n*q / n*(p+q) and ordered by integer
+With h and delta rational, every breakpoint is a multiple of 1/K: Fixed and
+Scaled give the key denominator K and the key entry_key(n) at which event n
+enters, and it leaves at key n*K.  The keys are int64 and ordered by integer
 comparison; floats only enter when a piece is integrated.
 
 On a piece [a, b) the residual u(x) = S - h is constant (fixed) or
@@ -100,6 +100,20 @@ class Fixed:
         if self.h <= 0:
             raise InvalidWindowError(f"window width must be positive, got {self.h}")
 
+    @property
+    def width(self) -> Fraction:
+        return self.h
+
+    @property
+    def K(self) -> int:
+        return self.h.denominator
+
+    def entry_key(self, n):
+        return n * self.K - self.h.numerator
+
+    def right_end(self, x: Fraction) -> Fraction:
+        return x + self.h
+
 
 @dataclass(frozen=True)
 class Scaled:
@@ -115,6 +129,20 @@ class Scaled:
                 f"{MAX_DELTA_DENOMINATOR}"
             )
 
+    @property
+    def width(self) -> Fraction:
+        return self.delta
+
+    @property
+    def K(self) -> int:
+        return self.delta.numerator + self.delta.denominator
+
+    def entry_key(self, n):
+        return n * self.delta.denominator
+
+    def right_end(self, x: Fraction) -> Fraction:
+        return x * (1 + self.delta)
+
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -124,20 +152,19 @@ class WindowSpec:
     def __post_init__(self):
         if not 1 <= self.X < math.inf:
             raise InvalidWindowError(f"X must be finite and at least 1, got {self.X}")
-        if isinstance(self.geometry, Fixed) and self.X > 1:
-            if self.geometry.h >= Fraction(self.X):
-                raise InvalidWindowError(
-                    f"fixed width h={self.geometry.h} must be below X={self.X}"
-                )
+        if isinstance(self.geometry, Fixed) and 1 < self.X <= self.geometry.h:
+            raise InvalidWindowError(
+                f"fixed width h={self.geometry.h} must be below X={self.X}"
+            )
 
     def limit(self) -> int:
-        """Largest n any window position can contain."""
-        xf = Fraction(self.X)
-        if isinstance(self.geometry, Fixed):
-            top = xf + self.geometry.h
-        else:
-            top = xf * (1 + self.geometry.delta)
-        return int(math.floor(top))
+        """Largest n any window position can contain; n*K must be below KEY_LIMIT."""
+        limit = math.floor(self.geometry.right_end(Fraction(self.X)))
+        if limit * self.geometry.K >= KEY_LIMIT:
+            raise RangeLimitError(
+                f"keys for X={self.X} with denominator {self.geometry.K} overflow 64-bit range"
+            )
+        return limit
 
 
 @dataclass(frozen=True)
@@ -163,24 +190,6 @@ def _validate_pairs(pairs: Sequence[Tuple[float, Kind]]):
             raise InvalidOrderError(
                 f"kind {kind.value} needs an integer order, got {order}"
             )
-
-
-@dataclass(frozen=True)
-class _Geometry:
-    kind: str  # "fixed" | "scaled"
-    K: int  # common key denominator; event n leaves at key n*K
-    entry_mul: int  # and enters at key n*entry_mul - entry_sub
-    entry_sub: int
-    width: Fraction  # h or delta, exact
-
-
-def _prepare_geometry(window: WindowSpec) -> _Geometry:
-    g = window.geometry
-    if isinstance(g, Fixed):
-        hp, hq = g.h.numerator, g.h.denominator
-        return _Geometry("fixed", hq, hq, hp, g.h)
-    p, q = g.delta.numerator, g.delta.denominator
-    return _Geometry("scaled", p + q, q, 0, g.delta)
 
 
 def _power(u: np.ndarray, n: int) -> np.ndarray:
@@ -270,7 +279,7 @@ def _piece_integrals(
 
 
 def _chunk_moments(
-    geom: _Geometry,
+    geom: Fixed | Scaled,
     entry: np.ndarray,
     exit_: np.ndarray,
     weights: np.ndarray,
@@ -312,12 +321,11 @@ def _chunk_moments(
         lengths[-1] = float(Fraction(x_end) - Fraction(int(points[-2]), K))
     length_sum = float(np.sum(lengths))
 
-    # the linear part from the exact width: p*key and q*K are exact in
-    # longdouble, so each value is rounded once
+    # the linear part from the exact width p/q: one float64 rounding per value
+    # while p*key < 2^64 in an 80-bit longdouble, more where that is float64
     p, q = geom.width.numerator, geom.width.denominator
-    if geom.kind == "fixed":
-        ul = (svals - np.longdouble(p) / q).astype(np.float64)
-        ur = None
+    if isinstance(geom, Fixed):
+        ul, ur = (svals - np.longdouble(p) / q).astype(np.float64), None
     else:
         dx = points.astype(np.longdouble) * p / (q * K)
         if x_end is not None:
@@ -350,12 +358,8 @@ def sweep_moments(
         threads = default_threads()
     start = time.monotonic()
     X = float(window.X)
-    geom = _prepare_geometry(window)
+    geom = window.geometry
     limit = window.limit()
-    if limit * geom.K >= KEY_LIMIT or limit * geom.entry_mul >= KEY_LIMIT:
-        raise RangeLimitError(
-            f"keys for X={X} with denominator {geom.K} overflow 64-bit range"
-        )
     if events is None:
         events = EventSource(limit)
 
@@ -373,11 +377,11 @@ def sweep_moments(
         ka, kb = bounds[i], bounds[i + 1]
         if ka >= kb:
             return []
-        # events overlapping [ka, kb): exit > ka and entry < kb
-        n_lo = ka // geom.K + 1  #  n*K > ka
-        n_hi = (kb + geom.entry_sub + geom.entry_mul - 1) // geom.entry_mul
+        # overlapping [ka, kb): n*K > ka, and n below the right end at kb/K
+        n_lo = ka // geom.K + 1
+        n_hi = math.ceil(geom.right_end(Fraction(kb, geom.K)))
         ns, ws = events.range(n_lo, min(n_hi, limit + 1))
-        entry = ns * geom.entry_mul - geom.entry_sub
+        entry = geom.entry_key(ns)
         exit_ = ns * geom.K
         cuts = exit_[_SUB_EVENTS - 1 :: _SUB_EVENTS]
         edges = [ka, *cuts[cuts < kb].tolist(), kb]  # every exit key is > ka
@@ -426,18 +430,17 @@ def first_moment_exact(window: WindowSpec, events: EventSource | None = None) ->
     with the sweep except the event list, so it serves as an independent
     oracle for it.
     """
-    geom = _prepare_geometry(window)
+    geom = window.geometry
     limit = window.limit()
     if events is None:
         events = EventSource(limit)
     xf = Fraction(window.X)
-    b_key = math.floor(xf * geom.K)
-    tail = xf * geom.K - b_key
+    b_key, tail = divmod(xf * geom.K, 1)
 
     positive = Fraction(0)  # in key units
     for lo in range(2, limit + 1, PSI_SPAN):
         ns, ws = events.range(lo, min(lo + PSI_SPAN, limit + 1))
-        entry = ns * geom.entry_mul - geom.entry_sub
+        entry = geom.entry_key(ns)
         exit_ = ns * geom.K
         overlap = np.minimum(exit_, b_key) - np.maximum(entry, geom.K)
         products = (ws * np.maximum(overlap, 0)).tolist()
@@ -445,10 +448,8 @@ def first_moment_exact(window: WindowSpec, events: EventSource | None = None) ->
         positive += Fraction(total) + Fraction(math.fsum(products + [-total]))
         straddle = ws[(entry <= b_key) & (exit_ > b_key)].tolist()
         positive += tail * sum(Fraction(w) for w in straddle)
-    if geom.kind == "fixed":
-        linear = geom.width * (xf - 1)
-    else:
-        linear = geom.width * (xf * xf - 1) / 2
+    # the window width right_end(x) - x is affine in x: one exact trapezoid
+    linear = (xf - 1) * (geom.right_end(xf) - xf + geom.right_end(1) - 1) / 2
     return float(positive / geom.K - linear)
 
 
@@ -475,8 +476,7 @@ def grid_oracle(
         return [0.0] * len(orders)
     if not 0 < step <= (X - 1.0) / 10.0:
         raise InvalidWindowError(f"step must lie in (0, (X-1)/10], got {step}")
-    geom = _prepare_geometry(window)
-    d = float(geom.width)
+    d = float(window.geometry.width)
     if events is None:
         events = EventSource(window.limit())
     ns, ws = events.range(2, window.limit() + 1)
@@ -490,7 +490,7 @@ def grid_oracle(
     for start_idx in range(0, n_cells, block):
         count = min(block, n_cells - start_idx)
         x = 1.0 + (start_idx + np.arange(count) + 0.5) * width
-        if geom.kind == "fixed":
+        if isinstance(window.geometry, Fixed):
             hi, lin = x + d, d
         else:
             hi, lin = x * (1.0 + d), d * x

@@ -182,6 +182,23 @@ def test_formula_window_mismatch():
         predict_rows(cfg)
 
 
+def test_run_checks_formulas_before_the_sweep(monkeypatch):
+    # a formula that does not fit the window or its domain exits 2 before
+    # any event is sieved
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before the formulas were checked")
+
+    monkeypatch.setattr(report, "sweep_moments", no_sweep)
+    cases = [
+        ["--x", "3e7", "--h", "100", "--orders", "2", "--formulas", "scaled-main"],
+        ["--x", "1e6", "--delta", "1e-3", "--orders", "1", "--formulas", "fixed-main"],
+        ["--x", "1e6", "--h", "100", "--orders", "3", "--formulas", "even-b-fixed"],
+        ["--x", "1e6", "--h", "100", "--orders", "61", "--formulas", "fixed-main"],
+    ]
+    for argv in cases:
+        assert main(["moments", *argv]) == 2, argv
+
+
 def test_reference_formula_columns():
     # formulas-only table pass, checked against the stored reference columns
     tables = reproduce_tables("full", include_actual=False)
@@ -290,8 +307,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         # an identity gate that is not a positive finite number
         (["verify-identities", "--tolerance", "nan"], 2),
         (["verify-identities", "--tolerance", "-1"], 2),
-        # 3: resource problems (keys past the 64-bit range)
+        # argparse usage errors
+        (["moments", "--kind", "bogus"], 2),
+        # 3: resource problems (keys past the 64-bit range, an unwritable output)
         (["moments", "--x", "1e20", "--h", "1", "--orders", "1"], 3),
+        (["moments", "--x", "100", "--h", "1", "--orders", "1",
+          "--output", str(tmp_path / "missing" / "out.csv")], 3),
+        # 4: an identity gate tighter than the identities' rounding
+        (["verify-identities", "--tolerance", "1e-300"], 4),
     ]
     for argv, code in cases:
         assert main(argv) == code, argv

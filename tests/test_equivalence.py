@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from psimoments.equivalence import decomposition_check, saffari_vaughan_average
+from psimoments.equivalence import decomposition_check, saffari_vaughan_average, width_grid
 from psimoments.errors import DomainError
 from psimoments.predictions import odd_normalizer
 from psimoments.sieve import EventSource
@@ -92,6 +92,22 @@ def test_average_validation(events_1e6):
         saffari_vaughan_average(1e5, 1e-5, 1, events=events_1e6)  # Delta <= 1/X
     with pytest.raises(DomainError):
         saffari_vaughan_average(1e5, 1.0, 1, events=events_1e6)
+
+
+def test_width_grid_collapse():
+    # the grids in use rise strictly from 0
+    for X, Delta, points in [
+        (1e6, 1e-2, 48), (1e6, 1e-3, 16), (1e6, 1e-3, 32), (1e5, 1e-3, 8),
+        (1e5, 1e-4, 8), (2e4, 1e-2, 8), (1e10, 1e-5, 16),
+    ]:
+        grid = width_grid(X, Delta, points)
+        assert len(grid) == points and 0 < grid[0]
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+    # at X = 1e10 widths finer than 1/57646075 have no exact key; the grid
+    # would be all equal (Delta = 1e-8) or not increasing (Delta = 1e-6)
+    for Delta in (1e-8, 1e-6):
+        with pytest.raises(DomainError, match="collapses"):
+            width_grid(1e10, Delta)
 
 
 def test_average_vanishes_with_delta(events_1e6):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psimoments.errors import InvalidOrderError, InvalidWindowError
+from psimoments.errors import InvalidOrderError, InvalidWindowError, RangeLimitError
 from psimoments import sieve, sweep
 from psimoments.sieve import PSI_SPAN, EventSource
 from psimoments.sweep import (
@@ -360,6 +360,22 @@ def test_validation_errors():
     src = EventSource(64)
     with pytest.raises(InvalidWindowError):
         grid_oracle(w, [1.0], Kind.ABSOLUTE, step=5.0, events=src)
+
+
+def test_key_range_errors():
+    # X*K past the 64-bit key range: the sweep and the first-moment oracle
+    # raise the same error from the one check in WindowSpec.limit
+    src = EventSource(64)
+    for w in (
+        WindowSpec(10.0, Fixed(Fraction(1, 2**60))),
+        WindowSpec(1e15, Scaled(Fraction(1, 10**9 - 1))),
+    ):
+        with pytest.raises(RangeLimitError):
+            sweep_moments(w, [(1.0, Kind.SIGNED)], events=src)
+        with pytest.raises(RangeLimitError):
+            first_moment_exact(w, events=src)
+        with pytest.raises(RangeLimitError):
+            w.limit()
 
 
 @settings(deadline=None, max_examples=40)
