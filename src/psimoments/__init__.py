@@ -16,7 +16,6 @@ from .specfun import (
     gaussian_abs_moment,
     moment_constant_residual,
     sin_fourth_integral,
-    sin_power_coefficients,
     sin_squared_integral,
 )
 from .predictions import double_factorial, odd_normalizer, scaled_refined_term
@@ -57,7 +56,6 @@ __all__ = [
     "saffari_vaughan_average",
     "scaled_refined_term",
     "sin_fourth_integral",
-    "sin_power_coefficients",
     "sin_squared_integral",
     "sweep_moments",
 ]

@@ -42,7 +42,7 @@ def _add_window_args(p: argparse.ArgumentParser, required: bool = True):
 
 
 def _add_kind_arg(p: argparse.ArgumentParser):
-    p.add_argument("--kind", default="absolute", choices=[k.value for k in Kind])
+    p.add_argument("--kind", choices=[k.value for k in Kind], help="default absolute")
 
 
 def _add_threads_arg(p: argparse.ArgumentParser):
@@ -56,14 +56,31 @@ def _add_output_args(p: argparse.ArgumentParser):
 
 def _flag_config(args) -> RunConfig:
     """The window, order, kind, formula and thread flags, turned into a
-    config-file object and parsed like one."""
-    flags = vars(args)
-    data = {k: flags[k] for k in ("x", "h", "delta", "threads") if flags.get(k) is not None}
+    config-file object and parsed like one; or the --config file that
+    replaces them all."""
+    data = {
+        k: v
+        for k, v in vars(args).items()
+        if k in ("x", "h", "delta", "orders", "kind", "formulas", "threads")
+        and v is not None
+    }
+    if getattr(args, "config", None):
+        if data:
+            flags = ", ".join(f"--{k}" for k in data)
+            raise ConfigError(f"--config sets the run; {flags} cannot be given with it")
+        try:
+            with open(args.config) as f:
+                data = json.load(f)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from None
+        return RunConfig.from_dict(data)
     for key in ("orders", "formulas"):
-        if flags.get(key):
-            data[key] = [tok for tok in flags[key].split(",") if tok.strip()]
-    if "kind" in flags:
-        data["kinds"] = [flags["kind"]]
+        if key in data:
+            data[key] = [tok for tok in data[key].split(",") if tok.strip()]
+    if "kind" in data:
+        data["kinds"] = [data.pop("kind")]
     return RunConfig.from_dict(data)
 
 
@@ -78,17 +95,7 @@ def _write_rows(args, rows) -> int:
 
 
 def _cmd_moments(args) -> int:
-    if args.config:
-        try:
-            with open(args.config) as f:
-                config = RunConfig.from_dict(json.load(f))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from None
-    else:
-        config = _flag_config(args)
-    return _write_rows(args, run(config))
+    return _write_rows(args, run(_flag_config(args)))
 
 
 def _cmd_predict(args) -> int:
@@ -130,9 +137,6 @@ def _cmd_verify_identities(args) -> int:
 
 def _cmd_equivalence(args) -> int:
     config = _flag_config(args)
-    if any(n != int(n) for n in config.orders):
-        raise ConfigError(f"equivalence needs integer orders, got {args.orders}")
-    orders = [int(n) for n in config.orders]
     window = config.window()
     # one event source, sized for the widest window either step sweeps
     limit = window.limit()
@@ -141,14 +145,14 @@ def _cmd_equivalence(args) -> int:
         widest = max(width_grid(config.X, Delta, args.grid_points))
         limit = max(limit, WindowSpec(config.X, Scaled(widest)).limit())
     events = EventSource(limit)
-    for n in orders:
+    for n in config.orders:
         rep = decomposition_check(window, n, events=events, threads=config.threads)
         print(
-            f"n={n}: absolute={rep.absolute:.6e} signed={rep.signed:.6e} "
+            f"n={n:g}: absolute={rep.absolute:.6e} signed={rep.signed:.6e} "
             f"positive={rep.positive_part:.6e} signed/normalizer={rep.ratio:.3e}"
         )
     if args.average_delta is not None:
-        for n in orders:
+        for n in config.orders:
             avg = saffari_vaughan_average(
                 config.X,
                 Delta,
@@ -158,7 +162,7 @@ def _cmd_equivalence(args) -> int:
                 threads=config.threads,
             )
             print(
-                f"n={n} averaged over delta<={Delta:g}: lhs={avg.lhs:.6e} "
+                f"n={n:g} averaged over delta<={Delta:g}: lhs={avg.lhs:.6e} "
                 f"rhs={avg.rhs:.6e} ratio={avg.ratio:.4f}"
             )
     return 0
@@ -182,7 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("moments", help="sweep exact moments over a window family")
-    p.add_argument("--config", help="JSON config file (overrides other options)")
+    p.add_argument(
+        "--config",
+        help="JSON config file holding the run; excludes the window, order, "
+        "kind, formula and thread flags",
+    )
     _add_window_args(p, required=False)
     p.add_argument("--orders", help="comma separated moment orders")
     _add_kind_arg(p)
@@ -192,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_threads_arg(p)
     _add_output_args(p)
-    p.set_defaults(func=_cmd_moments)
+    # an unset --threads stays None, so --config can tell it was not given
+    p.set_defaults(func=_cmd_moments, threads=None)
 
     p = sub.add_parser("predict", help="evaluate prediction formulas only")
     _add_window_args(p)

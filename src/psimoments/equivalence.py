@@ -105,7 +105,12 @@ def width_grid(X: float, Delta: float, grid_points: int = 16) -> List[Fraction]:
         raise DomainError(f"Delta must lie in (1/X, 1), got {Delta}")
     if grid_points < 8:
         raise DomainError("grid_points must be at least 8")
-    cap = min(MAX_DELTA_DENOMINATOR, max(10**4, KEY_LIMIT // (8 * (int(X) + 1))))
+    # WindowSpec.limit needs limit * (p + q) < KEY_LIMIT for a width p/q < 1,
+    # where p + q < 2q, and top bounds the limit of any width below Delta + 1/X
+    top = math.floor(Fraction(X) * (1 + Fraction(Delta))) + 1
+    cap = min(MAX_DELTA_DENOMINATOR, KEY_LIMIT // (2 * top))
+    if cap < 1:
+        raise DomainError(f"X={X:g} leaves no width denominator within the key range")
     widths = np.geomspace(Delta / 100.0, Delta, grid_points)
     fracs = [Fraction(float(d)).limit_denominator(cap) for d in widths]
     if not all(a < b for a, b in zip([0, *fracs], fracs)):

@@ -101,6 +101,9 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "x" not in data:
             raise ConfigError("X is required: an 'x' config entry or --x")
+        for key in ("orders", "kinds", "formulas"):
+            if not isinstance(data.get(key, []), list):
+                raise ConfigError(f"config {key!r} must be a list, got {data[key]!r}")
         try:
             return cls(
                 X=float(data["x"]),
@@ -108,7 +111,7 @@ class RunConfig:
                 delta=parse_rational(data["delta"]) if "delta" in data else None,
                 orders=[float(o) for o in data.get("orders", [])],
                 kinds=data.get("kinds", ["absolute"]),
-                formulas=list(data.get("formulas", [])),
+                formulas=data.get("formulas", []),
                 threads=int(data.get("threads", 0)),
             )
         except (TypeError, ValueError) as exc:
@@ -323,7 +326,9 @@ def reproduce_tables(
 
     scale 'desk' covers X = 1e8; 'full' adds X = 1e10 (long run).  With
     include_actual=False only the formula columns are evaluated, which
-    needs no sieve and finishes in well under a second.
+    needs no sieve and finishes in well under a second.  ``events`` serves
+    the sweep of every scale, so it must cover the largest one; without it
+    each sweep sieves its own.
     """
     if scale not in ("desk", "full"):
         raise ConfigError(f"scale must be 'desk' or 'full', got {scale!r}")
@@ -337,8 +342,6 @@ def reproduce_tables(
         references = {Kind.ABSOLUTE: REFERENCE_ABSOLUTE[sc], Kind.SIGNED: REFERENCE_ODD[sc]}
         computed = {}
         if include_actual:
-            if events is None or events.limit < window.limit():
-                events = EventSource(window.limit())
             pairs = [(float(o), k) for k, ref in references.items() for o in sorted(ref)]
             results, _ = sweep_moments(window, pairs, events=events, threads=threads)
             computed = {(res.order, res.kind): res.value for res in results}

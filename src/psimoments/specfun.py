@@ -3,9 +3,8 @@
 Everything here is classical analysis used to back the moment formulas:
 the Legendre duplication identity of the gamma function, the upper
 incomplete gamma function at half-integers, absolute moments
-of a standard Gaussian, Maclaurin coefficients of sin^2 and sin^4, and the
-oscillatory integrals int_0^inf sin^2(u)/u^(1+lam) du and
-int_0^inf sin^4(u)/u^(2+theta) du.
+of a standard Gaussian, and the oscillatory integrals
+int_0^inf sin^2(u)/u^(1+lam) du and int_0^inf sin^4(u)/u^(2+theta) du.
 
 Both oscillatory integrals have closed forms (Gradshteyn & Ryzhik 3.823),
 with s = 1 + theta and t = theta - 1:
@@ -18,8 +17,6 @@ expm1, so D keeps its relative accuracy next to theta = 1.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -81,34 +78,6 @@ def moment_constant_residual(lam: float) -> float:
         rhs / 2.0 ** (lam / 2.0)
     )
     return max(r1, r2)
-
-
-def sin_power_coefficients(power: int, n_terms: int) -> np.ndarray:
-    """Dense Maclaurin coefficients of sin(u)**power, power in {2, 4}.
-
-    Returns c with c[k] the coefficient of u^k, keeping n_terms nonzero
-    terms: degrees u^2 .. u^(2 n_terms) for power 2, u^4 .. u^(2 n_terms + 2)
-    for power 4.
-
-    sin^2 u = (1/2) sum_{j>=1} (-1)^(j+1) (2u)^(2j) / (2j)!
-    sin^4 u = (1/8) sum_{j>=2} b_j u^(2j),
-              b_j = (-1)^j 4^(j+1) (4^(j-1) - 1) / (2j)!
-    (so b_2 = +8 and the u^4 coefficient is +1).
-    """
-    if power not in (2, 4):
-        raise DomainError("power must be 2 or 4")
-    if n_terms < power // 2:
-        raise DomainError(f"need at least {power // 2} terms for power {power}")
-    j0 = power // 2
-    top = 2 * (j0 + n_terms - 1)
-    coeffs = np.zeros(top + 1, dtype=np.float64)
-    for j in range(j0, j0 + n_terms):
-        fact = math.factorial(2 * j)
-        if power == 2:
-            coeffs[2 * j] = (-1) ** (j + 1) * 2 ** (2 * j - 1) / fact
-        else:
-            coeffs[2 * j] = (-1) ** j * 4 ** (j + 1) * (4 ** (j - 1) - 1) / (8 * fact)
-    return coeffs
 
 
 def sin_squared_integral(lam: float, omega: float = 1.0) -> float:

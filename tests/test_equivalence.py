@@ -98,16 +98,31 @@ def test_width_grid_collapse():
     # the grids in use rise strictly from 0
     for X, Delta, points in [
         (1e6, 1e-2, 48), (1e6, 1e-3, 16), (1e6, 1e-3, 32), (1e5, 1e-3, 8),
-        (1e5, 1e-4, 8), (2e4, 1e-2, 8), (1e10, 1e-5, 16),
+        (1e5, 1e-4, 8), (2e4, 1e-2, 8), (1e10, 1e-5, 16), (1e10, 1e-6, 16),
     ]:
         grid = width_grid(X, Delta, points)
         assert len(grid) == points and 0 < grid[0]
         assert all(a < b for a, b in zip(grid, grid[1:]))
-    # at X = 1e10 widths finer than 1/57646075 have no exact key; the grid
-    # would be all equal (Delta = 1e-8) or not increasing (Delta = 1e-6)
-    for Delta in (1e-8, 1e-6):
-        with pytest.raises(DomainError, match="collapses"):
-            width_grid(1e10, Delta)
+    # at X = 1e10 widths finer than about 1/2.3e8 have no exact key; the grid
+    # would be all equal
+    with pytest.raises(DomainError, match="collapses"):
+        width_grid(1e10, 1e-8)
+    # an X whose window keys leave no denominator at all
+    with pytest.raises(DomainError, match="no width denominator"):
+        width_grid(3e18, 0.5)
+
+
+def test_width_grid_cap_is_the_key_range():
+    # the denominator cap comes from the rule WindowSpec.limit enforces, so
+    # every width of the full-scale grids has exact keys
+    for Delta, q in [(1e-5, 10**5), (1e-6, 10**6)]:
+        grid = width_grid(1e10, Delta, 16)
+        assert (grid[0], grid[-1]) == (Fraction(1, 100 * q), Fraction(1, q))
+        for f in grid:
+            WindowSpec(1e10, Scaled(f)).limit()  # raises RangeLimitError past the keys
+    # below X = 5.76e8 MAX_DELTA_DENOMINATOR binds, and grids keep their widths
+    assert width_grid(1e6, 1e-2, 48)[1] == Fraction(65363, 592623386)
+    assert width_grid(1e8, 1e-4, 16)[1] == Fraction(1065, 783459001)
 
 
 def test_average_vanishes_with_delta(events_1e6):

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +11,6 @@ from psimoments.specfun import (
     gaussian_abs_moment,
     moment_constant_residual,
     sin_fourth_integral,
-    sin_power_coefficients,
     sin_squared_integral,
     upper_gamma,
 )
@@ -60,57 +58,6 @@ def test_duplication_residual_grid(z):
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.1, 3.2, 4.3, 5.4, 6.5])
 def test_moment_constant_chain(lam):
     assert moment_constant_residual(lam) < 1e-10
-
-
-def test_sin_squared_coefficients():
-    # sin^2 u = u^2 - u^4/3 + 2u^6/45 - u^8/315 + ...
-    c = sin_power_coefficients(2, 4)
-    assert len(c) - 1 == 8
-    assert c[2] == pytest.approx(1.0, rel=1e-15)
-    assert c[4] == pytest.approx(-1.0 / 3.0, rel=1e-15)
-    assert c[6] == pytest.approx(2.0 / 45.0, rel=1e-15)
-    assert c[8] == pytest.approx(-1.0 / 315.0, rel=1e-15)
-    assert c[0] == c[1] == c[3] == 0.0
-
-
-def test_sin_fourth_coefficients():
-    # sin^4 u = u^4 - (2/3)u^6 + (1/5)u^8 - ...
-    c = sin_power_coefficients(4, 3)
-    assert len(c) - 1 == 8
-    assert c[4] == pytest.approx(1.0, rel=1e-15)
-    assert c[6] == pytest.approx(-2.0 / 3.0, rel=1e-15)
-    assert c[8] == pytest.approx(1.0 / 5.0, rel=1e-15)
-
-
-@pytest.mark.parametrize(
-    "power,n_terms,gate",
-    [(2, 10, 1e-12), (4, 10, 1e-10)],
-)
-def test_truncation_sup_error(power, n_terms, gate):
-    # n_terms counts retained terms, so the last kept degree is
-    # 2*n_terms for sin^2 and 2*n_terms + 2 for sin^4
-    u = np.linspace(0.0, 1.0, 20001)
-    c = sin_power_coefficients(power, n_terms)
-    vals = np.polynomial.polynomial.polyval(u, c)
-    sup = float(np.max(np.abs(vals - np.sin(u) ** power)))
-    assert sup <= gate
-
-
-def test_truncation_error_shrinks_with_terms():
-    u = np.linspace(0.0, 1.0, 2001)
-    sups = []
-    for n in (2, 4, 6, 8):
-        c = sin_power_coefficients(4, n)
-        sups.append(float(np.max(np.abs(np.polynomial.polynomial.polyval(u, c) - np.sin(u) ** 4))))
-    assert sups == sorted(sups, reverse=True)
-    assert sups[-1] < 1e-6 * sups[0]
-
-
-def test_coefficients_validation():
-    with pytest.raises(DomainError):
-        sin_power_coefficients(3, 5)
-    with pytest.raises(DomainError):
-        sin_power_coefficients(2, 0)
 
 
 @pytest.mark.parametrize("lam,want", sorted(G_REFERENCE.items()))
