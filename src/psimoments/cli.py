@@ -14,6 +14,7 @@ import sys
 
 from .equivalence import decomposition_check, saffari_vaughan_average, width_grid
 from .errors import ConfigError, InvariantError, ResourceError
+from .predictions import _check_odd_order
 from .report import (
     FORMULA_NAMES,
     RunConfig,
@@ -138,6 +139,9 @@ def _cmd_verify_identities(args) -> int:
 def _cmd_equivalence(args) -> int:
     config = _flag_config(args)
     window = config.window()
+    # every order is checked before any sweep starts
+    for n in config.orders:
+        _check_odd_order(n)
     # one event source, sized for the widest window either step sweeps
     limit = window.limit()
     if args.average_delta is not None:

@@ -101,6 +101,8 @@ def width_grid(X: float, Delta: float, grid_points: int = 16) -> List[Fraction]:
     allows.  The widest of them sets the event limit the average needs.
     Rationalized widths that do not rise strictly from 0 raise DomainError.
     """
+    if not 1 <= X < math.inf:
+        raise DomainError(f"X must be finite and at least 1, got {X}")
     if not 1.0 / X < Delta < 1:
         raise DomainError(f"Delta must lie in (1/X, 1), got {Delta}")
     if grid_points < 8:

@@ -3,10 +3,13 @@
 Every n = p^a <= limit is an event (n, log p).  Events reach the rest of
 the package through range requests: ``sieve_range(lo, hi)`` sieves just
 [lo, hi) against the base primes up to sqrt(hi), so memory is bounded by
-the span a caller asks for.  ``EventSource`` answers range requests up to
-a limit, slicing one sieved table for small limits and re-sieving each
-span past PRELOAD_LIMIT.  Adjacent spans tile the full table bit for bit,
-whatever the cut points.
+the span a caller asks for.  Adjacent spans tile the full table bit for
+bit, whatever the cut points, so a pass given no event source (a sweep,
+the first-moment oracle, psi) sieves each of its spans itself and never
+holds the table.  ``EventSource`` answers range requests up to a limit,
+slicing one sieved table for small limits and re-sieving each span past
+PRELOAD_LIMIT; the table pays off only when one source is shared by
+several passes.
 
 A span is sieved in segments of _SEGMENT odd numbers (a 1 MB mask, after
 Bays and Hudson, BIT 17, 1977), so the strided writes of every base prime
@@ -15,7 +18,9 @@ multiple from one segment to the next.  The higher prime powers are then
 inserted among the primes, which leaves the events in ascending order.
 
 The weight of p^a reuses the float computed for p itself, so a prime and
-all its powers carry bitwise identical weights.
+all its powers carry bitwise identical weights.  At most two event-sized
+arrays are alive at once: the events, then their logs taken in place,
+with the power slots overwritten by their base primes' weights.
 """
 
 from __future__ import annotations
@@ -103,17 +108,25 @@ def sieve_range(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
     pw_n, pw_w = _higher_powers(base, base_logs, lo, hi)
     # no prime power is prime, so each goes before the first larger prime
     at = np.searchsorted(primes, pw_n)
-    ws = np.insert(np.log(primes.astype(np.float64)), at, pw_w)
-    return np.insert(primes, at, pw_n), ws
+    ns = np.insert(primes, at, pw_n)
+    del primes
+    # log of every event in place, then each power takes its prime's float
+    ws = ns.astype(np.float64)
+    np.log(ws, out=ws)
+    ws[at + np.arange(at.size)] = pw_w
+    return ns, ws
 
 
 @dataclass
 class EventSource:
-    """Random access view of the events up to ``limit``.
+    """Random access view of the events up to ``limit``, for callers that
+    share one set of events across several passes.
 
     Small limits are materialised once; past PRELOAD_LIMIT each range
     request re-sieves just the span it needs, so huge limits never hold
-    the full event list in memory.
+    the full event list in memory.  A single pass needs no source: given
+    none, it sieves each span itself, which costs no more than slicing the
+    table and never holds it.
     """
 
     limit: int
@@ -151,15 +164,17 @@ def psi(x: float, events: EventSource | None = None) -> float:
     """Chebyshev psi: the correctly rounded sum of weights over n <= x.
 
     Weights stream from consecutive PSI_SPAN-wide range requests into one
-    math.fsum, so the result does not depend on how the events are held.
+    math.fsum, so the result does not depend on how the events are held;
+    without ``events`` each span is sieved directly.
     """
     if x < 2:
         return 0.0
     n_max = int(math.floor(x))
-    if events is None:
-        events = EventSource(n_max)
+    if n_max > KEY_LIMIT:
+        raise RangeLimitError(f"psi({x}) needs events past the 64-bit key range")
+    fetch = sieve_range if events is None else events.range
     return math.fsum(
         w
         for lo in range(2, n_max + 1, PSI_SPAN)
-        for w in events.range(lo, min(lo + PSI_SPAN, n_max + 1))[1].tolist()
+        for w in fetch(lo, min(lo + PSI_SPAN, n_max + 1))[1].tolist()
     )

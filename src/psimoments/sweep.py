@@ -38,14 +38,19 @@ an order of magnitude more per element.
 Piece lengths are exact integer key differences divided by K once.
 
 The key range [K, ceil(X K)] is cut at two levels.  Outer chunks hold
-about _CHUNK_EVENTS events each; each is one event range request (which
-a streamed source answers by sieving that span) and one task for the
-thread pool.  Inside an outer chunk the sweep integrates sub-chunks, cut
-at the exit key of every _SUB_EVENTS-th loaded event, so the setup and
-kernel temporaries of a sub-chunk (about 2 _SUB_EVENTS pieces) stay in
-cache.  An exit key inside the chunk is already a breakpoint, so the cuts
-add no piece.  The events overlapping a sub-chunk are one contiguous slice
-of the chunk's events, as entry and exit keys both rise with n.  Those
+about _CHUNK_EVENTS events each; each is one event range request and one
+task for the thread pool.  A sweep given no event source sieves each
+chunk's span itself, where it is integrated, so it never holds the full
+event table; a table pays off only when a caller shares one source
+across several sweeps.  Inside an outer chunk the sweep integrates
+sub-chunks, cut at the exit key of every _SUB_EVENTS-th loaded event, so
+the keys and the setup and kernel temporaries of a sub-chunk (about
+2 _SUB_EVENTS pieces) stay in cache.  An exit key inside the chunk is
+already a breakpoint, so the cuts add no piece.  The events overlapping a
+sub-chunk are one contiguous slice of the chunk's events, as entry and
+exit keys both rise with n, and it is found on the events themselves:
+n*K <= e exactly when n <= e // K, and entry_key(n) < e exactly when
+n < first_entering(e), so no chunk-wide key array is formed.  Those
 already inside the window at its left end only set the starting value of
 S, and those leaving at its right end or later never step it, so a window
 wider than a sub-chunk costs one sum, not a larger sort.  Both levels of
@@ -75,7 +80,7 @@ from .errors import (
     InvalidWindowError,
     RangeLimitError,
 )
-from .sieve import KEY_LIMIT, PSI_SPAN, EventSource
+from .sieve import KEY_LIMIT, PSI_SPAN, EventSource, sieve_range
 
 MAX_DELTA_DENOMINATOR = 10**9
 # events per outer chunk: one range request and one pool task each
@@ -111,6 +116,10 @@ class Fixed:
     def entry_key(self, n):
         return n * self.K - self.h.numerator
 
+    def first_entering(self, e: int) -> int:
+        """Least n with entry_key(n) >= e: ceil((e + h.numerator) / K)."""
+        return -(-(e + self.h.numerator) // self.K)
+
     def right_end(self, x: Fraction) -> Fraction:
         return x + self.h
 
@@ -139,6 +148,10 @@ class Scaled:
 
     def entry_key(self, n):
         return n * self.delta.denominator
+
+    def first_entering(self, e: int) -> int:
+        """Least n with entry_key(n) >= e: ceil(e / q)."""
+        return -(-e // self.delta.denominator)
 
     def right_end(self, x: Fraction) -> Fraction:
         return x * (1 + self.delta)
@@ -280,8 +293,7 @@ def _piece_integrals(
 
 def _chunk_moments(
     geom: Fixed | Scaled,
-    entry: np.ndarray,
-    exit_: np.ndarray,
+    ns: np.ndarray,
     weights: np.ndarray,
     ka: int,
     kb: int,
@@ -290,11 +302,13 @@ def _chunk_moments(
 ):
     """Integrate all requested (order, kind) pairs over x in [ka/K, kb/K).
 
-    entry/exit_/weights hold exactly the events overlapping [ka, kb).
+    ns/weights hold exactly the events overlapping [ka, kb).
     x_end, when given, replaces the right endpoint of the final piece, so
     the sweep ends at X itself even when X*K is not an integer.
     """
     K = geom.K
+    entry = geom.entry_key(ns)
+    exit_ = ns * K
     # events entered by ka only set the starting value of S, and events
     # leaving at kb or later never step it, so only the keys strictly
     # inside are sorted; a window wider than the chunk costs one sum
@@ -360,8 +374,7 @@ def sweep_moments(
     X = float(window.X)
     geom = window.geometry
     limit = window.limit()
-    if events is None:
-        events = EventSource(limit)
+    fetch = sieve_range if events is None else events.range
 
     a_key = geom.K
     # no breakpoint falls strictly between floor and ceil of X*K, so rounding
@@ -380,16 +393,16 @@ def sweep_moments(
         # overlapping [ka, kb): n*K > ka, and n below the right end at kb/K
         n_lo = ka // geom.K + 1
         n_hi = math.ceil(geom.right_end(Fraction(kb, geom.K)))
-        ns, ws = events.range(n_lo, min(n_hi, limit + 1))
-        entry = geom.entry_key(ns)
-        exit_ = ns * geom.K
-        cuts = exit_[_SUB_EVENTS - 1 :: _SUB_EVENTS]
+        ns, ws = fetch(n_lo, min(n_hi, limit + 1))
+        cuts = ns[_SUB_EVENTS - 1 :: _SUB_EVENTS] * geom.K
         edges = [ka, *cuts[cuts < kb].tolist(), kb]  # every exit key is > ka
-        lo = np.searchsorted(exit_, edges[:-1], side="right")
-        hi = np.searchsorted(entry, edges[1:], side="left")
+        # a sub-chunk [ca, cb) holds the events with exit key n*K > ca and
+        # entry key < cb, both read off the ascending ns exactly
+        lo = np.searchsorted(ns, [e // geom.K for e in edges[:-1]], side="right")
+        hi = np.searchsorted(ns, [geom.first_entering(e) for e in edges[1:]], side="left")
         return [
             _chunk_moments(
-                geom, entry[l:h], exit_[l:h], ws[l:h], ca, cb, pairs,
+                geom, ns[l:h], ws[l:h], ca, cb, pairs,
                 X if cb == b_key else None,
             )
             for l, h, ca, cb in zip(lo.tolist(), hi.tolist(), edges[:-1], edges[1:])
@@ -432,14 +445,13 @@ def first_moment_exact(window: WindowSpec, events: EventSource | None = None) ->
     """
     geom = window.geometry
     limit = window.limit()
-    if events is None:
-        events = EventSource(limit)
+    fetch = sieve_range if events is None else events.range
     xf = Fraction(window.X)
     b_key, tail = divmod(xf * geom.K, 1)
 
     positive = Fraction(0)  # in key units
     for lo in range(2, limit + 1, PSI_SPAN):
-        ns, ws = events.range(lo, min(lo + PSI_SPAN, limit + 1))
+        ns, ws = fetch(lo, min(lo + PSI_SPAN, limit + 1))
         entry = geom.entry_key(ns)
         exit_ = ns * geom.K
         overlap = np.minimum(exit_, b_key) - np.maximum(entry, geom.K)

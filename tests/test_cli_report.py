@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import psimoments
-from psimoments import report, sweep
+from psimoments import cli, report, sweep
 from psimoments.cli import _flag_config, build_parser, main
 from psimoments.errors import ConfigError, CoverageError
 from psimoments.report import (
@@ -394,14 +394,26 @@ def test_cli_equivalence_average_wider_than_window(capsys):
 
 
 def test_cli_equivalence_rejects_non_odd_order_before_sieving(monkeypatch, capsys):
-    # decomposition_check's odd-order check is the only one, and it runs
-    # before the sweep asks for any event
+    # the odd-order check runs before any sweep asks for an event
     def no_range(self, lo, hi):
         raise AssertionError("events requested before the order was checked")
 
     monkeypatch.setattr(EventSource, "range", no_range)
     assert main(["equivalence", "--x", "1e5", "--delta", "1/1000", "--orders", "1.5"]) == 2
     assert "order must be an odd positive integer, got 1.5" in capsys.readouterr().err
+
+
+def test_cli_equivalence_checks_every_order_before_sweeping(monkeypatch, capsys):
+    # an order that is not odd stops the command before the first sweep,
+    # wherever it stands in --orders
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before every order was checked")
+
+    monkeypatch.setattr(cli, "decomposition_check", no_sweep)
+    assert main(["equivalence", "--x", "2000", "--delta", "1/50", "--orders", "1,1.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "order must be an odd positive integer, got 1.5" in captured.err
 
 
 def test_readme_commands_parse(capsys):

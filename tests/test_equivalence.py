@@ -112,6 +112,12 @@ def test_width_grid_collapse():
         width_grid(3e18, 0.5)
 
 
+@pytest.mark.parametrize("X", [math.inf, -math.inf, math.nan, 0.5])
+def test_width_grid_rejects_bad_x(X):
+    with pytest.raises(DomainError):
+        width_grid(X, 1e-3)
+
+
 def test_width_grid_cap_is_the_key_range():
     # the denominator cap comes from the rule WindowSpec.limit enforces, so
     # every width of the full-scale grids has exact keys

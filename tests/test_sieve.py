@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psimoments import sieve
-from psimoments.errors import CoverageError
+from psimoments.errors import CoverageError, RangeLimitError
 from psimoments.sieve import EventSource, _simple_primes, psi, sieve_range
 
 
@@ -38,15 +38,24 @@ def test_small_events_against_trial_division():
 
 
 def test_power_weight_identical_to_base_prime():
-    ns, ws = EventSource(1024).arrays()
-    ns = ns.tolist()
-    wmap = dict(zip(ns, ws.tolist()))
-    for p in (2, 3, 5, 7, 31):
-        v = p * p
-        while v <= 1024:
-            # bitwise equality, not approx: the log is computed once per prime
-            assert wmap[v] == wmap[p]
-            v *= p
+    # bitwise equality, not approx: the log is computed once per prime, so a
+    # power carries its prime's float even in a span that starts past it,
+    # and every prime carries np.log of itself
+    base = dict(zip(*(a.tolist() for a in EventSource(1500).arrays())))
+    for lo, hi in ((2, 1025), (10**6, 2 * 10**6)):
+        ns, ws = sieve_range(lo, hi)
+        wmap = dict(zip(ns.tolist(), ws.tolist()))
+        powers = set()
+        for p in _simple_primes(math.isqrt(hi - 1)).tolist():
+            v = p * p
+            while v < hi:
+                if v >= lo:
+                    assert wmap[v] == base[p]
+                    powers.add(v)
+                v *= p
+        assert len(powers) > 10
+        primes = ~np.isin(ns, list(powers))
+        assert ws[primes].tobytes() == np.log(ns[primes].astype(np.float64)).tobytes()
 
 
 def test_simple_primes_all_small_limits():
@@ -130,6 +139,10 @@ def test_psi_coverage_guard():
     src = EventSource(100)
     with pytest.raises(CoverageError):
         psi(1000.0, events=src)
+    # events past the key range fail at once, with or without a source
+    for events in (None, src):
+        with pytest.raises(RangeLimitError):
+            psi(1e19, events=events)
 
 
 def test_event_source_range_matches_preload():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from psimoments.errors import InvalidOrderError, InvalidWindowError, RangeLimitError
 from psimoments import sieve, sweep
-from psimoments.sieve import PSI_SPAN, EventSource
+from psimoments.sieve import PSI_SPAN, EventSource, psi, sieve_range
 from psimoments.sweep import (
     Fixed,
     Kind,
@@ -145,6 +146,97 @@ def test_first_moment_exact_streams_spans(monkeypatch, recording_source):
     assert all(hi - lo <= PSI_SPAN for lo, hi in streamed.calls)
     assert streamed.calls[0][0] == 2 and streamed.calls[-1][1] == limit + 1
     assert all(a[1] == b[0] for a, b in zip(streamed.calls, streamed.calls[1:]))
+
+
+NO_TABLE_WINDOWS = (
+    WindowSpec(2e5 + 0.375, Fixed(Fraction(45, 4))),
+    WindowSpec(2e5, Scaled(Fraction(1535, 2086612))),
+)
+NO_TABLE_PAIRS = [(2.1, Kind.ABSOLUTE), (3, Kind.SIGNED), (1, Kind.POSITIVE_PART)]
+
+
+def test_no_source_builds_no_table(monkeypatch):
+    # a pass given no event source sieves its own spans, bit for bit the
+    # values a preloaded source gives
+    monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 12)
+    want = []
+    for w in NO_TABLE_WINDOWS:
+        src = EventSource(w.limit())
+        res, diag = sweep_moments(w, NO_TABLE_PAIRS, events=src)
+        want.append(([r.value for r in res], diag.piece_count, first_moment_exact(w, src)))
+    want_psi = psi(2e5 + 0.5, events=EventSource(200_000))
+
+    def no_table(self):
+        raise AssertionError("an event table was built")
+
+    monkeypatch.setattr(EventSource, "arrays", no_table)
+    for w, (values, pieces, first) in zip(NO_TABLE_WINDOWS, want):
+        res, diag = sweep_moments(w, NO_TABLE_PAIRS)
+        assert diag.chunks > 1
+        assert [r.value for r in res] == values and diag.piece_count == pieces
+        assert first_moment_exact(w) == first
+    assert psi(2e5 + 0.5) == want_psi
+
+
+def _recorded_spans(monkeypatch):
+    """Record every span the sweep sieves, whichever module asks."""
+    calls = []
+
+    def recording(lo, hi):
+        calls.append((lo, hi))
+        return sieve_range(lo, hi)
+
+    monkeypatch.setattr(sweep, "sieve_range", recording, raising=False)
+    monkeypatch.setattr(sieve, "sieve_range", recording)
+    return calls
+
+
+@pytest.mark.parametrize("w", NO_TABLE_WINDOWS)
+def test_no_source_sieves_chunk_spans(monkeypatch, w):
+    # each chunk sieves just the events it overlaps: spans at most one
+    # chunk's share of [2, limit] plus the window reach, which tile it
+    monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 10)
+    monkeypatch.setattr(sweep, "_SUB_EVENTS", 1 << 6)
+    calls = _recorded_spans(monkeypatch)
+    limit = w.limit()
+    _, diag = sweep_moments(w, NO_TABLE_PAIRS)
+    reach = math.ceil(w.geometry.right_end(Fraction(w.X)) - Fraction(w.X))
+    assert len(calls) == diag.chunks > 10
+    assert all(hi - lo <= limit // diag.chunks + reach + 2 for lo, hi in calls)
+    assert calls[0][0] <= 2 and calls[-1][1] == limit + 1
+    assert all(b[0] <= a[1] for a, b in zip(calls, calls[1:]))
+
+
+def test_no_source_peak_memory_below_table(monkeypatch):
+    # numpy reports its buffers to tracemalloc; the full table alone would
+    # take 16 bytes (an int64 and a float64) per event
+    monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 12)
+    monkeypatch.setattr(sweep, "_SUB_EVENTS", 1 << 8)
+    w = WindowSpec(2e6, Fixed(Fraction(45, 4)))
+    table_bytes = 16 * EventSource(w.limit()).arrays()[0].size
+    tracemalloc.start()
+    try:
+        sweep_moments(w, NO_TABLE_PAIRS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    geometry=st.one_of(
+        st.integers(min_value=1, max_value=10**6).map(lambda h: Fixed(Fraction(h))),
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10**6).map(Fixed),
+        st.fractions(
+            min_value=Fraction(1, 10**9), max_value=Fraction(999, 1000), max_denominator=10**9
+        ).map(Scaled),
+    ),
+    e=st.integers(min_value=-(10**15), max_value=10**15),
+)
+def test_first_entering_inverts_entry_key(geometry, e):
+    m = geometry.first_entering(e)
+    assert geometry.entry_key(m - 1) < e <= geometry.entry_key(m)
 
 
 def test_sweep_matches_closed_form_oracle_fixed(events_1e6):
