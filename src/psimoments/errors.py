@@ -35,7 +35,9 @@ class CoverageError(ResourceError):
 
 
 class RangeLimitError(ResourceError):
-    """Requested limit exceeds what 64-bit key arithmetic can represent."""
+    """A computation leaves the range of the platform's numbers: a limit
+    past what 64-bit key arithmetic can represent, or a moment past the
+    float64 range."""
 
 
 class InvariantError(AssertionError):

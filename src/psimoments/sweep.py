@@ -13,27 +13,31 @@ enters, and it leaves at key n*K.  The keys are int64 and ordered by integer
 comparison; floats only enter when a piece is integrated.
 
 On a piece [a, b) the residual u(x) = S - h is constant (fixed) or
-u(x) = S - delta x falls linearly (scaled).  Scaled pieces are integrated
-in closed form through antiderivatives G with G' = g:
-    signed    g(u) = u^m        G(u) = u^(m+1)/(m+1)
-    absolute  g(u) = |u|^m      G(u) = sgn(u)|u|^(m+1)/(m+1)
-    pos part  g(u) = max(u,0)^m G(u) = max(u,0)^(m+1)/(m+1)
-    neg part  g(u) = min(u,0)^m G(u) = min(u,0)^(m+1)/(m+1)
-each continuous at u = 0, so a piece whose residual changes sign is handled
-exactly without an explicit split: the two half-piece integrals telescope.
-
-For an integer order n the difference G(ul) - G(ur) is not formed: ul - ur
-is delta times the piece length, tiny next to |u|, so the subtraction would
-cancel.  Instead the piece integral is the exact divided difference
-    length * h_n(ul, ur) / (n+1),  h_n(a, b) = sum_j a^j b^(n-j),
-evaluated by products, e.g. (a+b)(a^2+b^2) for n = 3; for n = 1 it is the
-midpoint rule.  Positive and negative parts clip u at 0 first, and over a
-sign change the clipped part covers (a - b)/delta of the piece instead of
-its length.  Absolute orders other than even integers keep the closed
-form, with G(u) = copysign(|u|^(m+1), u)/(m+1).  Fixed pieces raise the
-constant residual to integer orders by products too.  No ``**`` ever takes
-a negative base: numpy's power leaves its vectorised path there and costs
-an order of magnitude more per element.
+u(x) = S - delta x falls linearly (scaled).  A fixed piece raises its
+constant residual to integer orders by products and to others by ``**``
+on |u|.  A scaled piece of length L is described by its midpoint residual
+c, read off the exact doubled midpoint key a + b, and its exact half-fall
+d = delta L / 2: u runs from c + d down to c - d, and the piece integral
+is L times the mean of g over that interval.  With t = d/|c|:
+    integer n, every kind, where u keeps its sign:
+        L c^(n%2) sum_j C(n,2j) c^(n-n%2-2j) d^(2j) / (2j+1),
+        e.g. L c (c^2 + d^2) for n = 3; a positive or negative part is
+        that or 0.  Every term has the sign of c^n, so nothing cancels,
+        and for u^n (signed, even absolute) the sum holds on every piece.
+    real absolute order l, t <= _SERIES_T = 2^-10:
+        L |c|^l (1 + sum_k C(l,2k) t^(2k) / (2k+1)), |c|^l = exp(l log|c|),
+        with one log per piece shared by all orders and as many terms as
+        keep the truncation below 1e-16;
+    real absolute order l, 2^-10 < t < 1: the closed form
+        L |c|^l ((1+t)^m - (1-t)^m) / (2 m t), m = l + 1, with the
+        difference factored out as (1+t)^m (-expm1(-m (log1p(t) - log1p(-t))));
+    a piece that changes sign (t >= 1): the closed form at c + d and
+        c - d, L (|c+d|^m + |c-d|^m) / (2 m d), or one of its terms for a
+        part.  There its terms add, so it is exact too.
+No piece is integrated as a difference G(u_a) - G(u_b) of antiderivatives,
+which would cancel: u_a - u_b = 2d is tiny next to |u| on most pieces.
+No ``**`` takes a negative base: numpy's power leaves its vectorised path
+there and costs an order of magnitude more per element.
 
 Piece lengths are exact integer key differences divided by K once.
 
@@ -58,12 +62,15 @@ cuts depend only on the window, _CHUNK_EVENTS and the events, never on
 the thread count, and the results are combined in a fixed order, so they
 do not depend on the thread count either.  Within a sub-chunk the running
 sum for S is carried in extended precision and the per-piece contributions
-are summed pairwise (``np.sum``); the sums of all sub-chunks are combined
-with ``math.fsum``.
+are summed pairwise (``np.sum``), all but the series corrections, which
+are below 1e-6 of them; the sums of all sub-chunks are combined with
+``math.fsum``.  A moment that is not finite in float64 raises
+RangeLimitError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -87,6 +94,9 @@ MAX_DELTA_DENOMINATOR = 10**9
 _CHUNK_EVENTS = 1 << 20
 # events per integration sub-chunk, so that its setup temporaries stay in cache
 _SUB_EVENTS = 1 << 14
+# t = d/|c| up to which the scaled kernel sums the binomial series in t^2 for
+# real absolute orders: at 2^-10 a few terms bound the truncation by 1e-16
+_SERIES_T = 2.0**-10
 
 
 class Kind(str, Enum):
@@ -221,27 +231,6 @@ def _power(u: np.ndarray, n: int) -> np.ndarray:
         u = u * u
 
 
-def _divided_power(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """h_n(a, b) = (a^(n+1) - b^(n+1)) / (a - b) = sum_j a^j b^(n-j).
-
-    Odd n factor as (a + b) h_{(n-1)/2}(a^2, b^2), even n as
-    a^n + b h_{n-1}(a, b); n = 3 gives (a + b)(a^2 + b^2).
-    """
-    if n % 2 == 0:
-        return _power(a, n) + b * _divided_power(a, b, n - 1)
-    s = a + b
-    if n == 1:
-        return s
-    return s * _divided_power(a * a, b * b, n // 2)
-
-
-def _by_products(order: float, kind: Kind) -> bool:
-    """Whether g(u) is a plain integer power of the clipped residual: all
-    kinds but absolute (their orders are integers), and even absolute
-    orders, where |u|^n = u^n."""
-    return kind != Kind.ABSOLUTE or (order == int(order) and int(order) % 2 == 0)
-
-
 def _clip(u: np.ndarray, kind: Kind) -> np.ndarray:
     """The part of the residual a kind raises to its order."""
     if kind == Kind.POSITIVE_PART:
@@ -253,42 +242,236 @@ def _clip(u: np.ndarray, kind: Kind) -> np.ndarray:
 
 def _integrand(u: np.ndarray, order: float, kind: Kind) -> np.ndarray:
     """g(u) pointwise: integer orders by products, others by ** on |u|."""
-    if _by_products(order, kind):
-        return _power(_clip(u, kind), int(order))
+    n = int(order)
+    if kind != Kind.ABSOLUTE or (n == order and n % 2 == 0):
+        return _power(_clip(u, kind), n)
     u = np.abs(u)
-    if order == int(order):
-        return _power(u, int(order))
+    if n == order:
+        return _power(u, n)
     return u**order
 
 
-def _piece_integrals(
-    ul: np.ndarray,
-    ur: np.ndarray | None,
-    lengths: np.ndarray,
-    order: float,
-    kind: Kind,
-    inv_delta: float,
-) -> np.ndarray:
-    """Integral of g(u) over each piece, u falling linearly from ul to ur.
+def _series_terms(order: float) -> list:
+    """b_k = C(order, 2k) / (2k+1) * T^(2k) for k >= 1, T = _SERIES_T.
 
-    ``ur`` is None for fixed-window pieces, where u = ul is constant.
+    The mean of |c + s d|^order over s in [-1, 1] is
+    |c|^order (1 + sum_k b_k r^(2k)) with r = t / T, t = d/|c| < 1.  For
+    order * T <= 1 each term is at most 1/20 of the one before when r <= 1,
+    so stopping at the first term below 1e-17 keeps the dropped tail
+    below 1e-16.
     """
-    if ur is None:
-        return _integrand(ul, order, kind) * lengths
-    if not _by_products(order, kind):
+    terms, binom, j = [], 1.0, 0  # binom = C(order, j) T^j
+    while True:
+        binom *= (order - j) * (order - j - 1) / ((j + 1) * (j + 2)) * _SERIES_T**2
+        j += 2
+        term = binom / (j + 1)
+        if abs(term) < 1e-17:
+            return terms
+        terms.append(term)
+
+
+class _Midpoints:
+    """Scaled pieces by midpoint residual c, half-fall d = delta L/2 > 0 and
+    length L: on each the residual falls linearly from c + d to c - d, so
+    the integral of g over it is L times the mean of g over [c - d, c + d].
+
+    Quantities that several (order, kind) pairs share are computed once, on
+    first use.  With t = d/|c|, the real absolute orders take one of three
+    forms: the binomial series (t <= _SERIES_T), the closed form with the
+    small difference factored out (_SERIES_T < t < 1), and the closed form
+    at c + d and c - d on pieces that change sign, where its terms add
+    (t = 1, as t is computed as d / max(|c|, d)).
+    """
+
+    def __init__(self, c: np.ndarray, d: np.ndarray, lengths: np.ndarray):
+        self.c, self.d, self.L = c, d, lengths
+        self._scratch = np.empty_like(c)
+        self._d2_powers = {}
+        self._series_weights = {}
+
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        return np.abs(self.c)
+
+    @functools.cached_property
+    def top(self) -> np.ndarray:
+        """|c|, or d on a piece that changes sign; never 0."""
+        return np.maximum(self.a, self.d)
+
+    @functools.cached_property
+    def t(self) -> np.ndarray:
+        return self.d / self.top
+
+    @functools.cached_property
+    def log_top(self) -> np.ndarray:
+        return np.log(self.top)
+
+    @functools.cached_property
+    def beyond_series(self) -> np.ndarray:
+        return np.flatnonzero(self.t > _SERIES_T)
+
+    @functools.cached_property
+    def crossing(self) -> np.ndarray:
+        i = self.beyond_series
+        return i[self.t[i] == 1.0]
+
+    @functools.cached_property
+    def middle(self) -> np.ndarray:
+        i = self.beyond_series
+        return i[self.t[i] < 1.0]
+
+    def _without(self, idx: np.ndarray) -> np.ndarray:
+        """The lengths, zero on the pieces idx."""
+        if not idx.size:
+            return self.L
+        lengths = self.L.copy()
+        lengths[idx] = 0.0
+        return lengths
+
+    @functools.cached_property
+    def L_keep(self) -> np.ndarray:
+        """Lengths of the pieces that keep their sign, 0 on the others."""
+        return self._without(self.crossing)
+
+    @functools.cached_property
+    def L_series(self) -> np.ndarray:
+        """Lengths of the pieces in the series regime, 0 on the others."""
+        return self._without(self.beyond_series)
+
+    @functools.cached_property
+    def Lc(self) -> np.ndarray:
+        return self.L * self.c
+
+    @functools.cached_property
+    def c2(self) -> np.ndarray:
+        return self.c * self.c
+
+    def _d2_power(self, j: int) -> np.ndarray:
+        if j not in self._d2_powers:
+            self._d2_powers[j] = (
+                self.d * self.d if j == 1 else self._d2_power(j - 1) * self._d2_power(1)
+            )
+        return self._d2_powers[j]
+
+    @functools.cached_property
+    def r2(self) -> np.ndarray:
+        r2 = self.t * (1.0 / _SERIES_T)
+        return np.multiply(r2, r2, out=r2)
+
+    def _series_weight(self, k: int) -> np.ndarray:
+        """L_series * r^(2k), r = t / _SERIES_T <= 1 where L_series is not 0."""
+        if k not in self._series_weights:
+            prev = self.L_series if k == 1 else self._series_weight(k - 1)
+            self._series_weights[k] = prev * self.r2
+        return self._series_weights[k]
+
+    def _even_part(self, n: int):
+        """Q_n = sum_j C(n, 2j)/(2j+1) c^(n-n%2-2j) d^(2j), or None for Q_n = 1.
+
+        The mean of u^n over the piece is c^(n%2) Q_n, every term of which
+        has the sign of c^n, so nothing cancels.
+        """
+        q = None
+        for j in range(1, n // 2 + 1):
+            b = math.comb(n, 2 * j) / (2 * j + 1)
+            term = self._d2_power(j) if b == 1 else b * self._d2_power(j)
+            if q is None:
+                q = self.c2 + term
+            else:
+                q *= self.c2
+                q += term
+        return q
+
+    def _crossing_sum(self, m: float, kind: Kind) -> float:
+        """The pieces that change sign, by the closed form at c + d and c - d:
+        for |u|^(m-1) the two terms add, and a part takes one of them."""
+        i = self.crossing
+        if not i.size:
+            return 0.0
+        c, d = self.c[i], self.d[i]
+        # both >= 0 up to rounding where t rounded to 1 on a piece that keeps its sign
+        hi, lo = np.maximum(c + d, 0.0), np.maximum(d - c, 0.0)
+        if kind == Kind.ABSOLUTE:
+            g = hi**m + lo**m
+        elif kind == Kind.POSITIVE_PART:
+            g = hi**m
+        else:  # min(u, 0)^(m-1) integrates to -(c - d)^m / m
+            g = lo**m if int(m) % 2 else -(lo**m)
+        return float(np.sum(self.L[i] * g / (2.0 * m * d)))
+
+    def integral(self, order: float, kind: Kind) -> float:
+        """Sum over the pieces of the integral of g(u)."""
+        n = int(order)
+        if n != order:
+            return self._real_absolute(order)
+        if kind == Kind.SIGNED or (kind == Kind.ABSOLUTE and n % 2 == 0):
+            # u^n is one polynomial on every piece, sign change or not
+            weighted, rest = (self.Lc if n % 2 else self.L), 0.0
+        else:
+            if kind == Kind.ABSOLUTE:
+                weighted = np.multiply(self.L_keep, self.a, out=self._scratch)
+            else:
+                side = self.c > 0.0 if kind == Kind.POSITIVE_PART else self.c < 0.0
+                weighted = np.where(side, self.L_keep, 0.0)
+                if n % 2:
+                    np.multiply(weighted, self.c, out=weighted)
+            rest = self._crossing_sum(n + 1.0, kind)
+        q = self._even_part(n)
+        if q is not None:
+            weighted = np.multiply(weighted, q, out=self._scratch)
+        return float(np.sum(weighted)) + rest
+
+    def _real_absolute(self, order: float) -> float:
         m = order + 1.0
-        ga = np.copysign(np.abs(ul) ** m, ul)
-        gb = np.copysign(np.abs(ur) ** m, ur)
-        return (ga - gb) * (inv_delta / m)
-    n = int(order)
-    a, b = _clip(ul, kind), _clip(ur, kind)
-    # where a clipped part starts or ends inside the piece, it covers
-    # (a - b) / delta of it instead of the whole length
-    if kind == Kind.POSITIVE_PART:
-        lengths = np.where(ur >= 0.0, lengths, a * inv_delta)
-    elif kind == Kind.NEGATIVE_PART:
-        lengths = np.where(ul <= 0.0, lengths, -b * inv_delta)
-    return lengths * (1.0 / (n + 1)) * _divided_power(a, b, n)
+        if order * _SERIES_T <= 1:
+            # series regime: L |c|^order (1 + sum_k b_k r^(2k)); the corrections
+            # are below 1e-6 of the leading sum, which alone is summed pairwise
+            p = np.multiply(self.log_top, order, out=self._scratch)
+            np.exp(p, out=p)
+            corrections = [
+                b * float(np.einsum("i,i->", p, self._series_weight(k)))
+                for k, b in enumerate(_series_terms(order), 1)
+            ]
+            total = float(np.sum(np.multiply(p, self.L_series, out=p))) + sum(corrections)
+            i = self.middle
+        else:  # the series would need about order/2 terms: the closed form throughout
+            total, i = 0.0, np.flatnonzero(self.t < 1.0)
+        if i.size:
+            # ((1+t)^m - (1-t)^m) / (2 m t) with the difference factored out:
+            # (1+t)^m (1 - ((1-t)/(1+t))^m), the bracket by expm1
+            t = self.t[i]
+            log_rise = np.log1p(t)
+            x = m * (log_rise - np.log1p(-t))
+            g = np.exp(order * self.log_top[i] + m * log_rise) * -np.expm1(-x) / (2.0 * m * t)
+            total += float(np.sum(self.L[i] * g))
+        return total + self._crossing_sum(m, Kind.ABSOLUTE)
+
+
+def _pieces(geom: Fixed | Scaled, ns: np.ndarray, weights: np.ndarray, ka: int, kb: int):
+    """The pieces tiling [ka, kb): their breakpoint keys and the value of S
+    on each, points[i] to points[i+1] carrying svals[i].
+
+    ns/weights hold exactly the events overlapping [ka, kb).
+    """
+    entry = geom.entry_key(ns)
+    exit_ = ns * geom.K
+    # events entered by ka only set the starting value of S, and events
+    # leaving at kb or later never step it, so only the keys strictly
+    # inside are sorted; a window wider than the chunk costs one sum
+    inside = int(np.searchsorted(entry, ka, side="right"))
+    leaving = int(np.searchsorted(exit_, kb, side="left"))
+    s0 = np.sum(weights[:inside], dtype=np.longdouble)
+    keys = np.concatenate([entry[inside:], exit_[:leaving]])
+    deltas = np.concatenate([weights[inside:], -weights[:leaving]])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    running = np.cumsum(np.concatenate([[s0], deltas[order].astype(np.longdouble)]))
+
+    # pieces [points[i], points[i+1]); once the empty ones are dropped the
+    # rest tile [ka, kb), so each piece ends where the next one starts
+    points = np.concatenate([[ka], keys, [kb]])
+    keep = points[1:] > points[:-1]
+    return np.append(points[:-1][keep], kb), running[keep]
 
 
 def _chunk_moments(
@@ -307,50 +490,39 @@ def _chunk_moments(
     the sweep ends at X itself even when X*K is not an integer.
     """
     K = geom.K
-    entry = geom.entry_key(ns)
-    exit_ = ns * K
-    # events entered by ka only set the starting value of S, and events
-    # leaving at kb or later never step it, so only the keys strictly
-    # inside are sorted; a window wider than the chunk costs one sum
-    inside = int(np.searchsorted(entry, ka, side="right"))
-    leaving = int(np.searchsorted(exit_, kb, side="left"))
-    s0 = np.sum(weights[:inside], dtype=np.longdouble)
-    keys = np.concatenate([entry[inside:], exit_[:leaving]])
-    deltas = np.concatenate([weights[inside:], -weights[:leaving]])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    running = np.cumsum(np.concatenate([[s0], deltas[order].astype(np.longdouble)]))
-
-    # pieces [points[i], points[i+1]); once the empty ones are dropped the
-    # rest tile [ka, kb), so each piece ends where the next one starts
-    points = np.concatenate([[ka], keys, [kb]])
-    keep = points[1:] > points[:-1]
-    svals = running[keep]
-    points = np.append(points[:-1][keep], kb)
+    points, svals = _pieces(geom, ns, weights, ka, kb)
     piece_count = int(svals.size)
 
     # exact integer differences, rounded once
-    lengths = np.diff(points) / K
+    steps = np.diff(points)
+    lengths = steps / K
     if x_end is not None:
-        lengths[-1] = float(Fraction(x_end) - Fraction(int(points[-2]), K))
+        last = Fraction(x_end) - Fraction(int(points[-2]), K)
+        lengths[-1] = float(last)
     length_sum = float(np.sum(lengths))
 
-    # the linear part from the exact width p/q: one float64 rounding per value
-    # while p*key < 2^64 in an 80-bit longdouble, more where that is float64
+    # the linear part from the exact width p/q in extended precision: a fixed
+    # residual takes one float64 rounding while p < 2^64, a scaled one two
+    # longdouble roundings of delta*x first (2^-63 relative with an 80-bit
+    # longdouble, more where that is float64)
     p, q = geom.width.numerator, geom.width.denominator
-    if isinstance(geom, Fixed):
-        ul, ur = (svals - np.longdouble(p) / q).astype(np.float64), None
-    else:
-        dx = points.astype(np.longdouble) * p / (q * K)
-        if x_end is not None:
-            dx[-1] = np.longdouble(x_end) * p / q
-        ul = (svals - dx[:-1]).astype(np.float64)
-        ur = (svals - dx[1:]).astype(np.float64)
-    inv_delta = 1.0 / float(geom.width)
-    values = [
-        float(np.sum(_piece_integrals(ul, ur, lengths, o, k, inv_delta)))
-        for o, k in pairs
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # sweep_moments rejects inf and nan
+        if isinstance(geom, Fixed):
+            u = (svals - np.longdouble(p) / q).astype(np.float64)
+            values = [float(np.sum(_integrand(u, o, k) * lengths)) for o, k in pairs]
+        else:
+            # the residual at each midpoint, from the exact doubled midpoint
+            # key (below 2^63, as keys are below 2^62), and the exact half-fall
+            per_key = np.longdouble(p) / (2 * q * K)
+            c = (points[:-1] + points[1:]) * per_key
+            if x_end is not None:
+                c[-1] = (points[-2] + np.longdouble(x_end) * K) * per_key
+            np.subtract(svals, c, out=c)
+            d = steps * float(Fraction(p, 2 * q * K))
+            if x_end is not None:
+                d[-1] = float(last * Fraction(p, 2 * q))
+            pieces = _Midpoints(c.astype(np.float64), d, lengths)
+            values = [pieces.integral(o, k) for o, k in pairs]
     return values, piece_count, length_sum
 
 
@@ -419,7 +591,14 @@ def sweep_moments(
     length_sum = math.fsum(r[2] for r in chunk_results)
     results = []
     for j, (order, kind) in enumerate(pairs):
-        value = math.fsum(r[0][j] for r in chunk_results)
+        try:
+            value = math.fsum(r[0][j] for r in chunk_results)
+        except (OverflowError, ValueError):  # a sum past float64, or inf - inf
+            value = math.nan
+        if not math.isfinite(value):
+            raise RangeLimitError(
+                f"the {kind.value} moment of order {order:g} is not finite in float64"
+            )
         results.append(MomentResult(order, kind, value))
     diag = SweepDiagnostics(
         piece_count=piece_count,

@@ -267,6 +267,19 @@ def test_cli_moments_json_output(tmp_path, capsys):
     assert [r["lambda"] for r in rows] == [1, 2]
 
 
+@pytest.mark.parametrize("kind", ["absolute", "signed"])
+def test_cli_overflowing_moment_exits_3_without_rows(tmp_path, capsys, kind):
+    # |u| reaches about 50 at X = 1e5, so its 200th power is past float64
+    path = tmp_path / "rows.csv"
+    argv = ["moments", "--x", "1e5", "--delta", "1/100", "--orders", "2,200", "--kind", kind]
+    assert main(argv + ["--output", str(path)]) == 3
+    assert not path.exists()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "order 200" in captured.err
+
+
 def test_cli_config_file(tmp_path, capsys):
     cfg = {"x": 1000, "delta": "1e-2", "orders": [1.0], "formulas": ["scaled-main"], "threads": 1}
     path = tmp_path / "cfg.json"

@@ -302,12 +302,13 @@ def test_kind_algebra(events_small):
                 events=events_small,
             )
             a, s, p, q = (r.value for r in res)
+            rel = 1e-13 if isinstance(geometry, Scaled) else 1e-11
             if n % 2:
-                assert s == pytest.approx(p + q, rel=1e-11)
-                assert a == pytest.approx(p - q, rel=1e-11)
+                assert s == pytest.approx(p + q, rel=rel)
+                assert a == pytest.approx(p - q, rel=rel)
             else:
                 assert a == s  # identical code path for even orders
-                assert a == pytest.approx(p + q, rel=1e-11)
+                assert a == pytest.approx(p + q, rel=rel)
             assert abs(s) <= a * (1 + 1e-12)
             assert p >= 0.0 >= (q if n % 2 else -q)
 
@@ -353,23 +354,99 @@ def mpmath_scaled_moment(window, pairs, events, dps=40):
 
 
 def test_scaled_sweep_against_mpmath():
-    # X = 2e4, delta = 1/100: 4,679 pieces, mid-size residuals; the signed
-    # odd moments are the ones an undivided G(u_a) - G(u_b) gets wrong
-    window = WindowSpec(2e4, Scaled(Fraction(1, 100)))
-    events = EventSource(window.limit())
-    pairs = [
-        (3.0, Kind.SIGNED),
-        (5.0, Kind.SIGNED),
-        (2.1, Kind.ABSOLUTE),
-        (6.5, Kind.ABSOLUTE),
+    pairs = [(n, Kind.SIGNED) for n in (1.0, 3.0, 5.0)] + [
+        (o, Kind.ABSOLUTE) for o in (1.0, 2.1, 3.0, 6.5)
     ]
-    gates = [1e-14, 1e-14, 1e-12, 1e-12]
-    res, diag = sweep_moments(window, pairs, events=events)
-    assert diag.piece_count == 4679
-    want = mpmath_scaled_moment(window, pairs, events)
-    for r, w, gate in zip(res, want, gates):
-        dev = float(abs((r.value - w) / w))
-        assert dev <= gate, (r.order, r.kind, dev)
+    cases = [
+        # few pieces, many with 2^-10 < d/|c| < 1, where a series would be off
+        (2e3, Fraction(1, 50), 673),
+        # mid-size residuals
+        (2e4, Fraction(1, 100), 4679),
+        # small half-falls: G(u_a) - G(u_b) cancels here, 5.1e-14 off at order 6.5
+        (5e4, Fraction(1, 1000), 10439),
+    ]
+    for x, delta, pieces in cases:
+        window = WindowSpec(x, Scaled(delta))
+        events = EventSource(window.limit())
+        res, diag = sweep_moments(window, pairs, events=events)
+        assert diag.piece_count == pieces
+        want = mpmath_scaled_moment(window, pairs, events)
+        for r, w in zip(res, want):
+            dev = float(abs((r.value - w) / w))
+            assert dev <= 1e-14, (x, r.order, r.kind, dev)
+
+
+def _mpmath_piece(c, d, length, order, kind):
+    """L times the mean of g(u) over [c - d, c + d] at 40 digits, from the
+    antiderivative G of g, continuous at 0."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.mp.workdps(40):
+        m = mpmath.mpf(order) + 1
+
+        def G(u):
+            if kind == Kind.SIGNED:
+                return u**m / m
+            if kind == Kind.ABSOLUTE:
+                return mpmath.sign(u) * abs(u) ** m / m
+            if kind == Kind.POSITIVE_PART:
+                return max(u, 0) ** m / m
+            return min(u, 0) ** m / m
+
+        c, d = mpmath.mpf(c), mpmath.mpf(d)
+        return float(mpmath.mpf(length) * (G(c + d) - G(c - d)) / (2 * d))
+
+
+def _kernel_pieces():
+    """(c, d) across the three regimes of t = d/|c| and their edges."""
+    T = sweep._SERIES_T
+    pieces = []
+    for c in (300.0, -4.5, 0.75):
+        pieces += [(c, abs(c) * t) for t in (1e-9, 3e-6, 0.5 * T, T, 0.01, 0.3, 0.9)]
+        edge = abs(c) * T
+        pieces += [(c, np.nextafter(edge, 0.0)), (c, np.nextafter(edge, 1.0))]
+        pieces += [(c, abs(c) * (1 - 2.0**-30)), (c, np.nextafter(abs(c), 0.0))]
+    # pieces that change sign, reach 0 at one end, or are centred on it
+    pieces += [(0.3, 1.0), (-0.7, 1.0), (1.0, 1.0), (-2.0, 2.0), (0.0, 1.0), (0.0, 1e-3)]
+    return pieces
+
+
+def test_midpoint_kernel_against_mpmath():
+    c, d = np.array(_kernel_pieces()).T
+    batch = sweep._Midpoints(c, d, np.ones_like(c))
+    series = np.flatnonzero(batch.t <= sweep._SERIES_T)
+    assert series.size and batch.middle.size and batch.crossing.size
+    for c, d in _kernel_pieces():
+        pieces = sweep._Midpoints(np.array([c]), np.array([d]), np.array([0.625]))
+        for order in (0.5, 1, 2, 2.1, 3, 6.5, 12):
+            kinds = ALL_KINDS if order == int(order) else (Kind.ABSOLUTE,)
+            for kind in kinds:
+                got = pieces.integral(float(order), kind)
+                want = _mpmath_piece(c, d, 0.625, order, kind)
+                assert abs(got - want) <= 1e-14 * abs(want), (c, d, order, kind, got, want)
+
+
+def test_midpoint_kernel_large_order_against_mpmath():
+    # past order 1/_SERIES_T the series would need about order/2 terms, so
+    # the closed form covers every piece; its error grows like
+    # order * |log|c|| ulps
+    order = 1500.5
+    assert order * sweep._SERIES_T > 1
+    for c, d in _kernel_pieces():
+        if abs(c) + d > 1.5:  # the moment itself would pass float64
+            continue
+        got = sweep._Midpoints(np.array([c]), np.array([d]), np.array([0.625])).integral(
+            order, Kind.ABSOLUTE
+        )
+        want = _mpmath_piece(c, d, 0.625, order, Kind.ABSOLUTE)
+        assert abs(got - want) <= 1e-12 * abs(want), (c, d, got, want)
+
+
+@pytest.mark.parametrize("geometry", [Scaled(Fraction(1, 100)), Fixed(Fraction(100))])
+@pytest.mark.parametrize("kind", [Kind.ABSOLUTE, Kind.SIGNED])
+def test_moment_past_float64_raises(geometry, kind):
+    # |u| reaches about 50 at X = 1e5, so its 200th power is past float64
+    with pytest.raises(RangeLimitError, match=f"{kind.value} moment of order 200 "):
+        sweep_moments(WindowSpec(1e5, geometry), [(2, kind), (200, kind)])
 
 
 def test_power_mean_monotone(events_small):
