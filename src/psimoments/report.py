@@ -85,6 +85,15 @@ class RunConfig:
                 raise ConfigError(
                     f"unknown formula {f!r}; valid: {', '.join(FORMULA_NAMES)}"
                 )
+        # a repeat would sweep or evaluate the same thing twice, one row each
+        for what, values in (
+            ("order", [float(o) for o in self.orders]),
+            ("kind", [k.value for k in self.kinds]),
+            ("formula", list(self.formulas)),
+        ):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{what} {repeated[0]!r} is given more than once")
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunConfig":

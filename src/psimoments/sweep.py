@@ -66,13 +66,36 @@ are summed pairwise (``np.sum``), all but the series corrections, which
 are below 1e-6 of them; the sums of all sub-chunks are combined with
 ``math.fsum``.  A moment that is not finite in float64 raises
 RangeLimitError.
+
+Each thread writes the per-piece arrays of its sub-chunks with ``out=``
+into one workspace of named, grow-only slots, so a sub-chunk maps no fresh
+memory.  Allocated afresh, they would be handed back to the system and
+faulted in again, zeroed, on every sub-chunk, which cost a third of the
+time of many short sweeps.  The calling thread keeps its workspace across sweeps; the pool's
+threads drop theirs when the pool closes at the end of a sweep.  Arrays
+whose lifetimes do not overlap share a slot, as every slot adds to the
+peak memory and the cache footprint:
+    keys     event keys, then the running sum S, then the piece lengths
+    deltas   event deltas, then the mask of nonempty pieces, then the
+             breakpoints
+    points   sorted keys, then the key steps (then, scaled, the doubled
+             midpoint keys), then the float64 residual
+    sorted   sorted deltas, then S on each piece
+A scaled window adds d, the longdouble midpoint residual and _Midpoints'
+slots, each under a name of its own.  A workspace view never outlives the
+sub-chunk that took it: the next one overwrites it.  What a sub-chunk still
+allocates is argsort's indices, flatnonzero results, the fixed windows'
+integrand temporaries and the scaled kernel's arrays over the few pieces
+outside the series regime.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -270,45 +293,78 @@ def _series_terms(order: float) -> list:
         terms.append(term)
 
 
+class _Workspace(threading.local):
+    """One thread's grow-only work arrays, by slot name.
+
+    ``take`` returns the first n elements of a slot as the given dtype; the
+    view stays valid until the next take of that slot.  A slot that is too
+    small is replaced by one an eighth larger than asked for, so sub-chunks
+    that differ a little in size do not replace it each time.  Each slot is
+    an anonymous memory map of its own, not a malloc block: a long-lived
+    block inside a malloc heap keeps the heap from shrinking once a chunk's
+    event arrays are freed, about 8 MB more resident at the peak of a
+    two-thread streaming sweep.
+    """
+
+    def __init__(self):
+        self._slots = {}
+
+    def take(self, name: str, n: int, dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = n * dtype.itemsize
+        slot = self._slots.get(name)
+        if slot is None or slot.size < nbytes:
+            size = max(nbytes + nbytes // 8, 1)
+            slot = self._slots[name] = np.frombuffer(mmap.mmap(-1, size), np.uint8)
+        return slot[:nbytes].view(dtype)
+
+
+_WORK = _Workspace()
+
+
 class _Midpoints:
     """Scaled pieces by midpoint residual c, half-fall d = delta L/2 > 0 and
     length L: on each the residual falls linearly from c + d to c - d, so
     the integral of g over it is L times the mean of g over [c - d, c + d].
 
     Quantities that several (order, kind) pairs share are computed once, on
-    first use.  With t = d/|c|, the real absolute orders take one of three
-    forms: the binomial series (t <= _SERIES_T), the closed form with the
-    small difference factored out (_SERIES_T < t < 1), and the closed form
-    at c + d and c - d on pieces that change sign, where its terms add
+    first use, into the thread's workspace: one instance per thread is in
+    use at a time.  With t = d/|c|, the real absolute orders take one of
+    three forms: the binomial series (t <= _SERIES_T), the closed form with
+    the small difference factored out (_SERIES_T < t < 1), and the closed
+    form at c + d and c - d on pieces that change sign, where its terms add
     (t = 1, as t is computed as d / max(|c|, d)).
     """
 
     def __init__(self, c: np.ndarray, d: np.ndarray, lengths: np.ndarray):
         self.c, self.d, self.L = c, d, lengths
-        self._scratch = np.empty_like(c)
+        self._scratch = self._work("scratch")
         self._d2_powers = {}
         self._series_weights = {}
 
+    def _work(self, name: str, dtype=np.float64) -> np.ndarray:
+        return _WORK.take(name, self.c.size, dtype)
+
     @functools.cached_property
     def a(self) -> np.ndarray:
-        return np.abs(self.c)
+        return np.abs(self.c, out=self._work("a"))
 
     @functools.cached_property
     def top(self) -> np.ndarray:
         """|c|, or d on a piece that changes sign; never 0."""
-        return np.maximum(self.a, self.d)
+        return np.maximum(self.a, self.d, out=self._work("top"))
 
     @functools.cached_property
     def t(self) -> np.ndarray:
-        return self.d / self.top
+        return np.divide(self.d, self.top, out=self._work("t"))
 
     @functools.cached_property
     def log_top(self) -> np.ndarray:
-        return np.log(self.top)
+        return np.log(self.top, out=self._work("log_top"))
 
     @functools.cached_property
     def beyond_series(self) -> np.ndarray:
-        return np.flatnonzero(self.t > _SERIES_T)
+        return np.flatnonzero(np.greater(self.t, _SERIES_T, out=self._work("beyond", bool)))
 
     @functools.cached_property
     def crossing(self) -> np.ndarray:
@@ -320,49 +376,50 @@ class _Midpoints:
         i = self.beyond_series
         return i[self.t[i] < 1.0]
 
-    def _without(self, idx: np.ndarray) -> np.ndarray:
+    def _without(self, name: str, idx: np.ndarray) -> np.ndarray:
         """The lengths, zero on the pieces idx."""
         if not idx.size:
             return self.L
-        lengths = self.L.copy()
+        lengths = self._work(name)
+        lengths[:] = self.L
         lengths[idx] = 0.0
         return lengths
 
     @functools.cached_property
     def L_keep(self) -> np.ndarray:
         """Lengths of the pieces that keep their sign, 0 on the others."""
-        return self._without(self.crossing)
+        return self._without("L_keep", self.crossing)
 
     @functools.cached_property
     def L_series(self) -> np.ndarray:
         """Lengths of the pieces in the series regime, 0 on the others."""
-        return self._without(self.beyond_series)
+        return self._without("L_series", self.beyond_series)
 
     @functools.cached_property
     def Lc(self) -> np.ndarray:
-        return self.L * self.c
+        return np.multiply(self.L, self.c, out=self._work("Lc"))
 
     @functools.cached_property
     def c2(self) -> np.ndarray:
-        return self.c * self.c
+        return np.multiply(self.c, self.c, out=self._work("c2"))
 
     def _d2_power(self, j: int) -> np.ndarray:
         if j not in self._d2_powers:
-            self._d2_powers[j] = (
-                self.d * self.d if j == 1 else self._d2_power(j - 1) * self._d2_power(1)
-            )
+            a, b = (self.d, self.d) if j == 1 else (self._d2_power(j - 1), self._d2_power(1))
+            self._d2_powers[j] = np.multiply(a, b, out=self._work(f"d2^{j}"))
         return self._d2_powers[j]
 
     @functools.cached_property
     def r2(self) -> np.ndarray:
-        r2 = self.t * (1.0 / _SERIES_T)
+        r2 = np.multiply(self.t, 1.0 / _SERIES_T, out=self._work("r2"))
         return np.multiply(r2, r2, out=r2)
 
     def _series_weight(self, k: int) -> np.ndarray:
         """L_series * r^(2k), r = t / _SERIES_T <= 1 where L_series is not 0."""
         if k not in self._series_weights:
             prev = self.L_series if k == 1 else self._series_weight(k - 1)
-            self._series_weights[k] = prev * self.r2
+            weight = np.multiply(prev, self.r2, out=self._work(f"series^{k}"))
+            self._series_weights[k] = weight
         return self._series_weights[k]
 
     def _even_part(self, n: int):
@@ -374,9 +431,11 @@ class _Midpoints:
         q = None
         for j in range(1, n // 2 + 1):
             b = math.comb(n, 2 * j) / (2 * j + 1)
-            term = self._d2_power(j) if b == 1 else b * self._d2_power(j)
+            term = self._d2_power(j)
+            if b != 1:
+                term = np.multiply(b, term, out=self._work("term"))
             if q is None:
-                q = self.c2 + term
+                q = np.add(self.c2, term, out=self._work("q"))
             else:
                 q *= self.c2
                 q += term
@@ -411,8 +470,10 @@ class _Midpoints:
             if kind == Kind.ABSOLUTE:
                 weighted = np.multiply(self.L_keep, self.a, out=self._scratch)
             else:
-                side = self.c > 0.0 if kind == Kind.POSITIVE_PART else self.c < 0.0
-                weighted = np.where(side, self.L_keep, 0.0)
+                # L_keep where c has the part's sign, 0 elsewhere
+                compare = np.greater if kind == Kind.POSITIVE_PART else np.less
+                side = compare(self.c, 0.0, out=self._work("side", bool))
+                weighted = np.multiply(self.L_keep, side, out=self._work("part"))
                 if n % 2:
                     np.multiply(weighted, self.c, out=weighted)
             rest = self._crossing_sum(n + 1.0, kind)
@@ -451,27 +512,50 @@ def _pieces(geom: Fixed | Scaled, ns: np.ndarray, weights: np.ndarray, ka: int, 
     """The pieces tiling [ka, kb): their breakpoint keys and the value of S
     on each, points[i] to points[i+1] carrying svals[i].
 
-    ns/weights hold exactly the events overlapping [ka, kb).
+    ns/weights hold exactly the events overlapping [ka, kb).  Both results
+    are workspace views, valid until the next sub-chunk.
     """
-    entry = geom.entry_key(ns)
-    exit_ = ns * geom.K
+    K = geom.K
     # events entered by ka only set the starting value of S, and events
     # leaving at kb or later never step it, so only the keys strictly
-    # inside are sorted; a window wider than the chunk costs one sum
-    inside = int(np.searchsorted(entry, ka, side="right"))
-    leaving = int(np.searchsorted(exit_, kb, side="left"))
+    # inside are sorted; a window wider than the chunk costs one sum.  Both
+    # counts are read off the ascending ns exactly: entry_key(n) <= ka
+    # exactly when n < first_entering(ka + 1), and n*K < kb when n <= (kb-1) // K
+    inside = int(np.searchsorted(ns, geom.first_entering(ka + 1), side="left"))
+    leaving = int(np.searchsorted(ns, (kb - 1) // K, side="right"))
     s0 = np.sum(weights[:inside], dtype=np.longdouble)
-    keys = np.concatenate([entry[inside:], exit_[:leaving]])
-    deltas = np.concatenate([weights[inside:], -weights[:leaving]])
+    entering = ns.size - inside
+    size = entering + leaving
+    keys = _WORK.take("keys", size, np.int64)
+    # entry_key is affine in n, so it is written in place from its values
+    # at 0 and 1; no product passes the final key
+    base = geom.entry_key(0)
+    np.multiply(ns[inside:], geom.entry_key(1) - base, out=keys[:entering])
+    keys[:entering] += base
+    np.multiply(ns[:leaving], K, out=keys[entering:])
+    deltas = _WORK.take("deltas", size)
+    deltas[:entering] = weights[inside:]
+    np.negative(weights[:leaving], out=deltas[entering:])
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    running = np.cumsum(np.concatenate([[s0], deltas[order].astype(np.longdouble)]))
+    # pieces [points[i], points[i+1]) between ka, the sorted keys and kb;
+    # take's default mode="raise" would buffer a copy of its output
+    points = _WORK.take("points", size + 2, np.int64)
+    points[0], points[-1] = ka, kb
+    np.take(keys, order, out=points[1:-1], mode="wrap")
+    running = _WORK.take("keys", size + 1, np.longdouble)
+    running[0] = s0
+    running[1:] = np.take(deltas, order, out=_WORK.take("sorted", size), mode="wrap")
+    np.cumsum(running, out=running)
 
-    # pieces [points[i], points[i+1]); once the empty ones are dropped the
-    # rest tile [ka, kb), so each piece ends where the next one starts
-    points = np.concatenate([[ka], keys, [kb]])
-    keep = points[1:] > points[:-1]
-    return np.append(points[:-1][keep], kb), running[keep]
+    # once the empty pieces are dropped the rest tile [ka, kb), so each
+    # piece ends where the next one starts
+    nonempty = np.greater(points[1:], points[:-1], out=_WORK.take("deltas", size + 1, bool))
+    keep = np.flatnonzero(nonempty)
+    kept = _WORK.take("deltas", keep.size + 1, np.int64)
+    np.take(points, keep, out=kept[:-1], mode="wrap")
+    kept[-1] = kb
+    svals = _WORK.take("sorted", keep.size, np.longdouble)
+    return kept, np.take(running, keep, out=svals, mode="wrap")
 
 
 def _chunk_moments(
@@ -493,9 +577,11 @@ def _chunk_moments(
     points, svals = _pieces(geom, ns, weights, ka, kb)
     piece_count = int(svals.size)
 
-    # exact integer differences, rounded once
-    steps = np.diff(points)
-    lengths = steps / K
+    # exact integer differences, rounded once; slots are reused as what they
+    # held dies (see the module docstring)
+    steps = _WORK.take("points", piece_count, np.int64)
+    np.subtract(points[1:], points[:-1], out=steps)
+    lengths = np.divide(steps, K, out=_WORK.take("keys", piece_count))
     if x_end is not None:
         last = Fraction(x_end) - Fraction(int(points[-2]), K)
         lengths[-1] = float(last)
@@ -508,20 +594,25 @@ def _chunk_moments(
     p, q = geom.width.numerator, geom.width.denominator
     with np.errstate(over="ignore", invalid="ignore"):  # sweep_moments rejects inf and nan
         if isinstance(geom, Fixed):
-            u = (svals - np.longdouble(p) / q).astype(np.float64)
+            u = _WORK.take("points", piece_count)
+            np.subtract(svals, np.longdouble(p) / q, out=u, casting="same_kind")
             values = [float(np.sum(_integrand(u, o, k) * lengths)) for o, k in pairs]
         else:
-            # the residual at each midpoint, from the exact doubled midpoint
-            # key (below 2^63, as keys are below 2^62), and the exact half-fall
-            per_key = np.longdouble(p) / (2 * q * K)
-            c = (points[:-1] + points[1:]) * per_key
-            if x_end is not None:
-                c[-1] = (points[-2] + np.longdouble(x_end) * K) * per_key
-            np.subtract(svals, c, out=c)
-            d = steps * float(Fraction(p, 2 * q * K))
+            # the exact half-fall, and the residual at each midpoint from the
+            # exact doubled midpoint key (below 2^63, as keys are below 2^62)
+            d = _WORK.take("d", piece_count)
+            np.multiply(steps, float(Fraction(p, 2 * q * K)), out=d)
             if x_end is not None:
                 d[-1] = float(last * Fraction(p, 2 * q))
-            pieces = _Midpoints(c.astype(np.float64), d, lengths)
+            per_key = np.longdouble(p) / (2 * q * K)
+            mid = np.add(points[:-1], points[1:], out=steps)
+            c = _WORK.take("midpoints", piece_count, np.longdouble)
+            np.multiply(mid, per_key, out=c)
+            if x_end is not None:
+                c[-1] = (points[-2] + np.longdouble(x_end) * K) * per_key
+            u = _WORK.take("points", piece_count)
+            np.subtract(svals, c, out=u, casting="same_kind")
+            pieces = _Midpoints(u, d, lengths)
             values = [pieces.integral(o, k) for o, k in pairs]
     return values, piece_count, length_sum
 

@@ -75,6 +75,17 @@ def test_run_config_rejects_bad_shapes():
         RunConfig.from_dict({"x": 100, "h": 2, "orders": [1], "bogus": True})
     with pytest.raises(ConfigError):
         RunConfig(X=100.0, h=Fraction(2), orders=[1.0], formulas=["no-such-formula"])
+    # a repeated order, kind or formula would be swept or evaluated twice
+    base = {"x": 1e5, "h": 100, "orders": [2]}
+    cases = [
+        ({"orders": [2, 3, 2]}, "order 2.0 "),
+        ({"orders": [2, 2.0]}, "order 2.0 "),
+        ({"kinds": ["signed", "absolute", "signed"]}, "kind 'signed' "),
+        ({"formulas": ["fixed-main", "fixed-main"]}, "formula 'fixed-main' "),
+    ]
+    for change, named in cases:
+        with pytest.raises(ConfigError, match=f"^{re.escape(named)}is given more than once"):
+            RunConfig.from_dict({**base, **change})
 
 
 def test_csv_header_exact():
@@ -336,6 +347,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["moments", "--config", _config_file(tmp_path, "kinds", {**cfg, "kinds": ["bogus"]})], 2),
         (["moments", "--config", _config_file(tmp_path, "threads", {**cfg, "threads": "many"})], 2),
         (["moments", "--config", _config_file(tmp_path, "array", [cfg])], 2),
+        # a repeated order, kind or formula, never a duplicate row
+        (["moments", "--x", "1e5", "--h", "100", "--orders", "2,2"], 2),
+        (["moments", "--x", "1e5", "--h", "100", "--orders", "2,2.0"], 2),
+        (["predict", "--x", "1e8", "--delta", "1e-4", "--orders", "2",
+          "--formulas", "scaled-main,scaled-main"], 2),
+        (["moments", "--config", _config_file(tmp_path, "twice",
+                                              {**cfg, "kinds": ["signed", "signed"]})], 2),
         # list-valued keys must be JSON arrays, never strings or numbers
         (["moments", "--config", _config_file(tmp_path, "str", {**cfg, "orders": "35"})], 2),
         (["moments", "--config", _config_file(tmp_path, "num", {**cfg, "orders": 3})], 2),

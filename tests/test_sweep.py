@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -221,6 +222,56 @@ def test_no_source_peak_memory_below_table(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < table_bytes
+
+
+WIDTH_SCAN_PAIRS = [(3, Kind.ABSOLUTE), (3, Kind.SIGNED), (3, Kind.POSITIVE_PART),
+                    (3, Kind.NEGATIVE_PART), (2.1, Kind.ABSOLUTE)]
+SCALED_PAIRS = [(3, Kind.POSITIVE_PART), (2.1, Kind.ABSOLUTE), (3, Kind.SIGNED)]
+WARM_RUNS = [(Fixed(Fraction(500)), WIDTH_SCAN_PAIRS), (Scaled(Fraction(1, 1000)), SCALED_PAIRS)]
+
+
+@pytest.mark.parametrize("geometry, pairs", WARM_RUNS)
+def test_warm_sweep_allocates_no_piece_arrays(events_1e6, geometry, pairs):
+    # the first sweep sizes the thread's workspace; a second identical one
+    # writes every per-piece array into it, so it replaces no slot and
+    # allocates only argsort's indices, flatnonzero results and the fixed
+    # kernel's temporaries (about 256 KB each at 2^15 pieces a sub-chunk)
+    w = WindowSpec(1e6, geometry)
+    want, _ = sweep_moments(w, pairs, events=events_1e6)
+    slots = dict(sweep._WORK._slots)
+    tracemalloc.start()
+    try:
+        got, _ = sweep_moments(w, pairs, events=events_1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+    assert sweep._WORK._slots.keys() == slots.keys()
+    assert all(sweep._WORK._slots[name] is slot for name, slot in slots.items())
+    assert got == want
+
+
+def test_thread_workspaces_do_not_alias(events_1e6, monkeypatch):
+    # a fixed and a scaled sweep on threads of their own, beside a pooled
+    # sweep: each thread writes only its own workspace, so every value is
+    # bit for bit the sequential one
+    monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 13)
+    runs = [(WindowSpec(1e6, geometry), pairs) for geometry, pairs in WARM_RUNS]
+    want = [sweep_moments(w, pairs, events=events_1e6)[0] for w, pairs in runs]
+    for _ in range(3):
+        got = [None, None]
+
+        def run(i):
+            got[i] = sweep_moments(*runs[i], events=events_1e6, threads=1)[0]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        pooled, diag = sweep_moments(*runs[1], events=events_1e6, threads=2)
+        for t in threads:
+            t.join()
+        assert diag.chunks > 1
+        assert got == want and pooled == want[1]
 
 
 @settings(deadline=None, max_examples=200)
