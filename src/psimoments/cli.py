@@ -21,6 +21,7 @@ from .report import (
     emit,
     format_tables,
     parse_rational,
+    parse_threads,
     predict_rows,
     reproduce_tables,
     run,
@@ -47,7 +48,7 @@ def _add_kind_arg(p: argparse.ArgumentParser):
 
 
 def _add_threads_arg(p: argparse.ArgumentParser):
-    p.add_argument("--threads", type=int, default=0, help="0: one per core")
+    p.add_argument("--threads", type=parse_threads, default=0, help="0: one per core")
 
 
 def _add_output_args(p: argparse.ArgumentParser):

@@ -63,6 +63,15 @@ def parse_rational(text) -> Fraction:
         raise ConfigError(f"cannot parse rational from {text!r}: {exc}") from None
 
 
+def parse_threads(value) -> int:
+    """A thread count: an integer >= 0 or its digits; 0 means one per core."""
+    if isinstance(value, str) and value.strip().isdecimal():
+        value = int(value)
+    if type(value) is not int or value < 0:  # a bool is an int too
+        raise ConfigError(f"threads must be an integer >= 0, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     X: float
@@ -121,7 +130,7 @@ class RunConfig:
                 orders=[float(o) for o in data.get("orders", [])],
                 kinds=data.get("kinds", ["absolute"]),
                 formulas=data.get("formulas", []),
-                threads=int(data.get("threads", 0)),
+                threads=parse_threads(data.get("threads", 0)),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None

@@ -42,11 +42,13 @@ there and costs an order of magnitude more per element.
 Piece lengths are exact integer key differences divided by K once.
 
 The key range [K, ceil(X K)] is cut at two levels.  Outer chunks hold
-about _CHUNK_EVENTS events each; each is one event range request and one
-task for the thread pool.  A sweep given no event source sieves each
-chunk's span itself, where it is integrated, so it never holds the full
-event table; a table pays off only when a caller shares one source
-across several sweeps.  Inside an outer chunk the sweep integrates
+about _CHUNK_EVENTS events each.  Each takes one event range request and
+one call of _sweep_chunk, a module-level function of picklable arguments,
+whose _Chunk record holds each sub-chunk's values and length sum and the
+chunk's piece count.  A sweep given no event source sieves each chunk's
+span itself, where it is integrated, so it never holds the full event
+table; a table pays off only when a caller shares one source across
+several sweeps.  Inside an outer chunk the sweep integrates
 sub-chunks, cut at the exit key of every _SUB_EVENTS-th loaded event, so
 the keys and the setup and kernel temporaries of a sub-chunk (about
 2 _SUB_EVENTS pieces) stay in cache.  An exit key inside the chunk is
@@ -333,7 +335,9 @@ class _Midpoints:
     three forms: the binomial series (t <= _SERIES_T), the closed form with
     the small difference factored out (_SERIES_T < t < 1), and the closed
     form at c + d and c - d on pieces that change sign, where its terms add
-    (t = 1, as t is computed as d / max(|c|, d)).
+    (t = 1, as t is computed as d / max(|c|, d)).  A sum over all pieces
+    zeroes the pieces another form integrates in the array it sums, so the
+    lengths are never copied per regime.
     """
 
     def __init__(self, c: np.ndarray, d: np.ndarray, lengths: np.ndarray):
@@ -376,25 +380,6 @@ class _Midpoints:
         i = self.beyond_series
         return i[self.t[i] < 1.0]
 
-    def _without(self, name: str, idx: np.ndarray) -> np.ndarray:
-        """The lengths, zero on the pieces idx."""
-        if not idx.size:
-            return self.L
-        lengths = self._work(name)
-        lengths[:] = self.L
-        lengths[idx] = 0.0
-        return lengths
-
-    @functools.cached_property
-    def L_keep(self) -> np.ndarray:
-        """Lengths of the pieces that keep their sign, 0 on the others."""
-        return self._without("L_keep", self.crossing)
-
-    @functools.cached_property
-    def L_series(self) -> np.ndarray:
-        """Lengths of the pieces in the series regime, 0 on the others."""
-        return self._without("L_series", self.beyond_series)
-
     @functools.cached_property
     def Lc(self) -> np.ndarray:
         return np.multiply(self.L, self.c, out=self._work("Lc"))
@@ -415,9 +400,9 @@ class _Midpoints:
         return np.multiply(r2, r2, out=r2)
 
     def _series_weight(self, k: int) -> np.ndarray:
-        """L_series * r^(2k), r = t / _SERIES_T <= 1 where L_series is not 0."""
+        """L * r^(2k), r = t / _SERIES_T: at most 1 in the series regime."""
         if k not in self._series_weights:
-            prev = self.L_series if k == 1 else self._series_weight(k - 1)
+            prev = self.L if k == 1 else self._series_weight(k - 1)
             weight = np.multiply(prev, self.r2, out=self._work(f"series^{k}"))
             self._series_weights[k] = weight
         return self._series_weights[k]
@@ -468,14 +453,14 @@ class _Midpoints:
             weighted, rest = (self.Lc if n % 2 else self.L), 0.0
         else:
             if kind == Kind.ABSOLUTE:
-                weighted = np.multiply(self.L_keep, self.a, out=self._scratch)
-            else:
-                # L_keep where c has the part's sign, 0 elsewhere
+                factor = self.a
+            else:  # 1 where c has the part's sign, 0 elsewhere
                 compare = np.greater if kind == Kind.POSITIVE_PART else np.less
-                side = compare(self.c, 0.0, out=self._work("side", bool))
-                weighted = np.multiply(self.L_keep, side, out=self._work("part"))
-                if n % 2:
-                    np.multiply(weighted, self.c, out=weighted)
+                factor = compare(self.c, 0.0, out=self._work("side", bool))
+            weighted = np.multiply(self.L, factor, out=self._scratch)
+            weighted[self.crossing] = 0.0  # summed by _crossing_sum
+            if n % 2 and kind != Kind.ABSOLUTE:
+                np.multiply(weighted, self.c, out=weighted)
             rest = self._crossing_sum(n + 1.0, kind)
         q = self._even_part(n)
         if q is not None:
@@ -489,11 +474,12 @@ class _Midpoints:
             # are below 1e-6 of the leading sum, which alone is summed pairwise
             p = np.multiply(self.log_top, order, out=self._scratch)
             np.exp(p, out=p)
+            p[self.beyond_series] = 0.0
             corrections = [
                 b * float(np.einsum("i,i->", p, self._series_weight(k)))
                 for k, b in enumerate(_series_terms(order), 1)
             ]
-            total = float(np.sum(np.multiply(p, self.L_series, out=p))) + sum(corrections)
+            total = float(np.sum(np.multiply(p, self.L, out=p))) + sum(corrections)
             i = self.middle
         else:  # the series would need about order/2 terms: the closed form throughout
             total, i = 0.0, np.flatnonzero(self.t < 1.0)
@@ -559,13 +545,8 @@ def _pieces(geom: Fixed | Scaled, ns: np.ndarray, weights: np.ndarray, ka: int, 
 
 
 def _chunk_moments(
-    geom: Fixed | Scaled,
-    ns: np.ndarray,
-    weights: np.ndarray,
-    ka: int,
-    kb: int,
-    pairs: Sequence[Tuple[float, Kind]],
-    x_end: float | None,
+    geom: Fixed | Scaled, ns: np.ndarray, weights: np.ndarray, ka: int, kb: int,
+    pairs: Sequence[Tuple[float, Kind]], x_end: float | None,
 ):
     """Integrate all requested (order, kind) pairs over x in [ka/K, kb/K).
 
@@ -617,6 +598,40 @@ def _chunk_moments(
     return values, piece_count, length_sum
 
 
+@dataclass
+class _Chunk:
+    """An outer chunk's value list and length sum for each sub-chunk, in key
+    order, and its piece count."""
+
+    values: tuple
+    length_sums: tuple
+    pieces: int
+
+
+def _sweep_chunk(
+    geom: Fixed | Scaled, pairs: Sequence[Tuple[float, Kind]], limit: int,
+    events: EventSource | None, b_key: int, X: float, ka: int, kb: int,
+) -> _Chunk:
+    """Integrate [ka, kb) sub-chunk by sub-chunk, over its events from
+    ``events`` or a sieve of their span; the sub-chunk ending at b_key ends at X."""
+    K = geom.K
+    # overlapping [ka, kb): n*K > ka, and n below the right end at kb/K
+    n_hi = math.ceil(geom.right_end(Fraction(kb, K)))
+    fetch = sieve_range if events is None else events.range
+    ns, ws = fetch(ka // K + 1, min(n_hi, limit + 1))
+    cuts = ns[_SUB_EVENTS - 1 :: _SUB_EVENTS] * K
+    edges = [ka, *cuts[cuts < kb].tolist(), kb]  # every exit key is > ka
+    # a sub-chunk [ca, cb) holds the events with exit key n*K > ca and
+    # entry key < cb, both read off the ascending ns exactly
+    lo = np.searchsorted(ns, [e // K for e in edges[:-1]], side="right")
+    hi = np.searchsorted(ns, [geom.first_entering(e) for e in edges[1:]], side="left")
+    values, pieces, length_sums = zip(*(
+        _chunk_moments(geom, ns[l:h], ws[l:h], ca, cb, pairs, X if cb == b_key else None)
+        for l, h, ca, cb in zip(lo.tolist(), hi.tolist(), edges[:-1], edges[1:])
+    ))
+    return _Chunk(values, length_sums, sum(pieces))
+
+
 def sweep_moments(
     window: WindowSpec,
     pairs: Sequence[Tuple[float, Kind]],
@@ -634,10 +649,8 @@ def sweep_moments(
     if threads <= 0:
         threads = default_threads()
     start = time.monotonic()
-    X = float(window.X)
     geom = window.geometry
     limit = window.limit()
-    fetch = sieve_range if events is None else events.range
 
     a_key = geom.K
     # no breakpoint falls strictly between floor and ceil of X*K, so rounding
@@ -647,43 +660,19 @@ def sweep_moments(
     est_events = max(64, int(limit / max(math.log(max(limit, 3)), 1.0)))
     n_chunks = max(1, math.ceil(est_events / _CHUNK_EVENTS))
     span = max(1, (b_key - a_key + n_chunks - 1) // n_chunks)
-    bounds = [min(a_key + i * span, b_key) for i in range(n_chunks)] + [b_key]
+    bounds = [*range(a_key, b_key, span), b_key]  # no empty chunk
 
-    def run_chunk(i: int):
-        ka, kb = bounds[i], bounds[i + 1]
-        if ka >= kb:
-            return []
-        # overlapping [ka, kb): n*K > ka, and n below the right end at kb/K
-        n_lo = ka // geom.K + 1
-        n_hi = math.ceil(geom.right_end(Fraction(kb, geom.K)))
-        ns, ws = fetch(n_lo, min(n_hi, limit + 1))
-        cuts = ns[_SUB_EVENTS - 1 :: _SUB_EVENTS] * geom.K
-        edges = [ka, *cuts[cuts < kb].tolist(), kb]  # every exit key is > ka
-        # a sub-chunk [ca, cb) holds the events with exit key n*K > ca and
-        # entry key < cb, both read off the ascending ns exactly
-        lo = np.searchsorted(ns, [e // geom.K for e in edges[:-1]], side="right")
-        hi = np.searchsorted(ns, [geom.first_entering(e) for e in edges[1:]], side="left")
-        return [
-            _chunk_moments(
-                geom, ns[l:h], ws[l:h], ca, cb, pairs,
-                X if cb == b_key else None,
-            )
-            for l, h, ca, cb in zip(lo.tolist(), hi.tolist(), edges[:-1], edges[1:])
-        ]
-
+    chunk = functools.partial(_sweep_chunk, geom, pairs, limit, events, b_key, float(window.X))
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunk_lists = list(pool.map(run_chunk, range(n_chunks)))
+            chunks = list(pool.map(chunk, bounds[:-1], bounds[1:]))
     else:
-        chunk_lists = [run_chunk(i) for i in range(n_chunks)]
-    chunk_results = [r for rs in chunk_lists for r in rs]
+        chunks = list(map(chunk, bounds[:-1], bounds[1:]))
 
-    piece_count = max(1, sum(r[1] for r in chunk_results))
-    length_sum = math.fsum(r[2] for r in chunk_results)
     results = []
     for j, (order, kind) in enumerate(pairs):
         try:
-            value = math.fsum(r[0][j] for r in chunk_results)
+            value = math.fsum(v[j] for c in chunks for v in c.values)
         except (OverflowError, ValueError):  # a sum past float64, or inf - inf
             value = math.nan
         if not math.isfinite(value):
@@ -692,8 +681,8 @@ def sweep_moments(
             )
         results.append(MomentResult(order, kind, value))
     diag = SweepDiagnostics(
-        piece_count=piece_count,
-        length_sum=length_sum,
+        piece_count=sum(c.pieces for c in chunks),
+        length_sum=math.fsum(s for c in chunks for s in c.length_sums),
         wall_seconds=time.monotonic() - start,
         chunks=n_chunks,
     )

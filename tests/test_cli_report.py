@@ -346,6 +346,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["moments", "--config", _config_file(tmp_path, "orders", {**cfg, "orders": ["x"]})], 2),
         (["moments", "--config", _config_file(tmp_path, "kinds", {**cfg, "kinds": ["bogus"]})], 2),
         (["moments", "--config", _config_file(tmp_path, "threads", {**cfg, "threads": "many"})], 2),
+        # a thread count is an integer >= 0, never truncated or read as "per core"
+        (["moments", "--config", _config_file(tmp_path, "frac", {**cfg, "threads": 2.7})], 2),
+        (["moments", "--config", _config_file(tmp_path, "bool", {**cfg, "threads": True})], 2),
+        (["moments", "--x", "1000", "--delta", "1/100", "--orders", "1", "--threads", "-1"], 2),
+        (["reproduce-tables", "--formulas-only", "--threads", "-1"], 2),
         (["moments", "--config", _config_file(tmp_path, "array", [cfg])], 2),
         # a repeated order, kind or formula, never a duplicate row
         (["moments", "--x", "1e5", "--h", "100", "--orders", "2,2"], 2),

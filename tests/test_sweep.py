@@ -1,4 +1,5 @@
 import math
+import pickle
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -179,6 +180,41 @@ def test_no_source_builds_no_table(monkeypatch):
     assert psi(2e5 + 0.5) == want_psi
 
 
+def test_chunks_cross_a_process_boundary(monkeypatch):
+    # the outer chunks could run in worker processes: the chunk function and
+    # its records survive a pickle round trip, and the records fsum to the
+    # values of a serial sweep bit for bit
+    monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 12)
+    records = []
+
+    class PicklingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            fn = pickle.loads(pickle.dumps(fn))
+            records[:] = [pickle.loads(pickle.dumps(fn(*args))) for args in zip(*iterables)]
+            return records
+
+    for w in NO_TABLE_WINDOWS:
+        want, diag = sweep_moments(w, NO_TABLE_PAIRS)
+        with monkeypatch.context() as m:
+            m.setattr(sweep, "ThreadPoolExecutor", PicklingPool)
+            assert sweep_moments(w, NO_TABLE_PAIRS, threads=2)[0] == want
+        assert len(records) == diag.chunks > 1
+        assert all(isinstance(r, sweep._Chunk) for r in records)
+        got = [math.fsum(v[j] for r in records for v in r.values) for j in range(len(want))]
+        assert got == [r.value for r in want]
+        assert sum(r.pieces for r in records) == diag.piece_count
+        assert math.fsum(s for r in records for s in r.length_sums) == diag.length_sum
+
+
 def _recorded_spans(monkeypatch):
     """Record every span the sweep sieves, whichever module asks."""
     calls = []
@@ -327,12 +363,13 @@ def test_sweep_matches_grid_oracle(events_small):
 
 
 def test_degenerate_window():
+    # X = 1 leaves nothing to integrate: no piece, no length, no moment
     src = EventSource(8)
-    res, diag = sweep_moments(
-        WindowSpec(1.0, Fixed(Fraction(1, 2))), [(1, Kind.SIGNED)], events=src
-    )
-    assert res[0].value == 0.0
-    assert diag.length_sum == 0.0
+    for geometry in (Fixed(Fraction(1, 2)), Scaled(Fraction(1, 2))):
+        res, diag = sweep_moments(WindowSpec(1.0, geometry), [(1, Kind.SIGNED)], events=src)
+        assert res[0].value == 0.0
+        assert diag.length_sum == 0.0
+        assert diag.piece_count == 0
 
 
 def test_tiling_covers_range(events_1e6):
