@@ -48,7 +48,9 @@ def _add_kind_arg(p: argparse.ArgumentParser):
 
 
 def _add_threads_arg(p: argparse.ArgumentParser):
-    p.add_argument("--threads", type=parse_threads, default=0, help="0: one per core")
+    p.add_argument(
+        "--threads", type=parse_threads, default=0, help="worker processes; 0: one per core"
+    )
 
 
 def _add_output_args(p: argparse.ArgumentParser):

@@ -64,7 +64,7 @@ def parse_rational(text) -> Fraction:
 
 
 def parse_threads(value) -> int:
-    """A thread count: an integer >= 0 or its digits; 0 means one per core."""
+    """A worker count: an integer >= 0 or its digits; 0 means one per core."""
     if isinstance(value, str) and value.strip().isdecimal():
         value = int(value)
     if type(value) is not int or value < 0:  # a bool is an int too

@@ -146,12 +146,16 @@ class EventSource:
             self._arrays = sieve_range(2, self.limit + 1)
         return self._arrays
 
-    def range(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Events with lo <= n < hi."""
+    def check(self, hi: int):
+        """Raise CoverageError unless the source covers every n < hi."""
         if hi > self.limit + 1:
             raise CoverageError(
                 f"event source covers n <= {self.limit}, requested up to {hi - 1}"
             )
+
+    def range(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Events with lo <= n < hi."""
+        self.check(hi)
         if self.preload:
             ns, ws = self.arrays()
             i = np.searchsorted(ns, lo, side="left")

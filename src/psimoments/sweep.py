@@ -42,13 +42,24 @@ there and costs an order of magnitude more per element.
 Piece lengths are exact integer key differences divided by K once.
 
 The key range [K, ceil(X K)] is cut at two levels.  Outer chunks hold
-about _CHUNK_EVENTS events each.  Each takes one event range request and
-one call of _sweep_chunk, a module-level function of picklable arguments,
-whose _Chunk record holds each sub-chunk's values and length sum and the
-chunk's piece count.  A sweep given no event source sieves each chunk's
-span itself, where it is integrated, so it never holds the full event
-table; a table pays off only when a caller shares one source across
-several sweeps.  Inside an outer chunk the sweep integrates
+about _CHUNK_EVENTS events each.  Each is one task: one call of
+_sweep_chunk, a module-level function of picklable arguments, whose
+_Chunk record holds each sub-chunk's values and length sum and the
+chunk's piece count.  A task carries its chunk's events or nothing:
+    no source               the task sieves its own span (_chunk_span), so
+                            the sweep never holds the full event table;
+    a preloaded source      the task carries the table's slice (ns, ws) for
+                            that span, not the source, which would carry the
+                            whole table to every worker;
+    a source past           it holds no table and would only re-sieve each
+    PRELOAD_LIMIT           span, so its coverage is checked once, up front,
+                            and the sweep runs as with no source.
+A table pays off only when a caller shares one source across several
+sweeps.  The tasks run in one pool of min(threads, chunks) worker
+processes, forked where the platform can fork, as the sieve's Python loops
+and the short numpy calls between sub-chunks hold the interpreter lock; a
+sweep of one chunk, or on one worker, runs in the calling process.  Inside
+an outer chunk the sweep integrates
 sub-chunks, cut at the exit key of every _SUB_EVENTS-th loaded event, so
 the keys and the setup and kernel temporaries of a sub-chunk (about
 2 _SUB_EVENTS pieces) stay in cache.  An exit key inside the chunk is
@@ -61,20 +72,24 @@ already inside the window at its left end only set the starting value of
 S, and those leaving at its right end or later never step it, so a window
 wider than a sub-chunk costs one sum, not a larger sort.  Both levels of
 cuts depend only on the window, _CHUNK_EVENTS and the events, never on
-the thread count, and the results are combined in a fixed order, so they
-do not depend on the thread count either.  Within a sub-chunk the running
+the worker count, and the results are combined in a fixed order, so they
+do not depend on the worker count either.  Within a sub-chunk the running
 sum for S is carried in extended precision and the per-piece contributions
 are summed pairwise (``np.sum``), all but the series corrections, which
 are below 1e-6 of them; the sums of all sub-chunks are combined with
 ``math.fsum``.  A moment that is not finite in float64 raises
 RangeLimitError.
 
-Each thread writes the per-piece arrays of its sub-chunks with ``out=``
-into one workspace of named, grow-only slots, so a sub-chunk maps no fresh
-memory.  Allocated afresh, they would be handed back to the system and
-faulted in again, zeroed, on every sub-chunk, which cost a third of the
-time of many short sweeps.  The calling thread keeps its workspace across sweeps; the pool's
-threads drop theirs when the pool closes at the end of a sweep.  Arrays
+Each thread of each process writes the per-piece arrays of its sub-chunks
+with ``out=`` into one workspace of named, grow-only slots, so a sub-chunk
+maps no fresh memory.  Allocated afresh, they would be handed back to the
+system and faulted in again, zeroed, on every sub-chunk, which cost a
+third of the time of many short sweeps.  The calling thread keeps its
+workspace across sweeps; a pool worker's goes when the pool closes at the
+end of a sweep.  A slot is an anonymous memory map, mmap(-1, n), which is
+shared, not copied, across fork: a forked worker that kept the calling
+thread's slots would write the same memory as its siblings, so the pool's
+initializer starts every worker on an empty workspace.  Arrays
 whose lifetimes do not overlap share a slot, as every slot adds to the
 peak memory and the cache footprint:
     keys     event keys, then the running sum S, then the piece lengths
@@ -99,7 +114,6 @@ import mmap
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -111,11 +125,12 @@ from .errors import (
     InvalidOrderError,
     InvalidWindowError,
     RangeLimitError,
+    ResourceError,
 )
 from .sieve import KEY_LIMIT, PSI_SPAN, EventSource, sieve_range
 
 MAX_DELTA_DENOMINATOR = 10**9
-# events per outer chunk: one range request and one pool task each
+# events per outer chunk: one pool task each
 _CHUNK_EVENTS = 1 << 20
 # events per integration sub-chunk, so that its setup temporaries stay in cache
 _SUB_EVENTS = 1 << 14
@@ -305,7 +320,8 @@ class _Workspace(threading.local):
     an anonymous memory map of its own, not a malloc block: a long-lived
     block inside a malloc heap keeps the heap from shrinking once a chunk's
     event arrays are freed, about 8 MB more resident at the peak of a
-    two-thread streaming sweep.
+    two-thread streaming sweep.  A process forked from the thread shares
+    its maps (see _own_workspace).
     """
 
     def __init__(self):
@@ -322,6 +338,29 @@ class _Workspace(threading.local):
 
 
 _WORK = _Workspace()
+
+
+def _own_workspace():
+    """Start a pool worker on an empty workspace.  Slots are shared
+    mappings, so a forked worker that kept the parent's would write the
+    same memory as its siblings."""
+    _WORK._slots = {}
+
+
+class _cached:
+    """functools.cached_property without the class-wide lock that Python
+    3.10 and 3.11 hold while computing: a worker forked while another
+    thread holds it would wait for it forever."""
+
+    def __init__(self, func):
+        self.func = func
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        # the instance attribute shadows this non-data descriptor from now on
+        value = instance.__dict__[self.func.__name__] = self.func(instance)
+        return value
 
 
 class _Midpoints:
@@ -349,42 +388,42 @@ class _Midpoints:
     def _work(self, name: str, dtype=np.float64) -> np.ndarray:
         return _WORK.take(name, self.c.size, dtype)
 
-    @functools.cached_property
+    @_cached
     def a(self) -> np.ndarray:
         return np.abs(self.c, out=self._work("a"))
 
-    @functools.cached_property
+    @_cached
     def top(self) -> np.ndarray:
         """|c|, or d on a piece that changes sign; never 0."""
         return np.maximum(self.a, self.d, out=self._work("top"))
 
-    @functools.cached_property
+    @_cached
     def t(self) -> np.ndarray:
         return np.divide(self.d, self.top, out=self._work("t"))
 
-    @functools.cached_property
+    @_cached
     def log_top(self) -> np.ndarray:
         return np.log(self.top, out=self._work("log_top"))
 
-    @functools.cached_property
+    @_cached
     def beyond_series(self) -> np.ndarray:
         return np.flatnonzero(np.greater(self.t, _SERIES_T, out=self._work("beyond", bool)))
 
-    @functools.cached_property
+    @_cached
     def crossing(self) -> np.ndarray:
         i = self.beyond_series
         return i[self.t[i] == 1.0]
 
-    @functools.cached_property
+    @_cached
     def middle(self) -> np.ndarray:
         i = self.beyond_series
         return i[self.t[i] < 1.0]
 
-    @functools.cached_property
+    @_cached
     def Lc(self) -> np.ndarray:
         return np.multiply(self.L, self.c, out=self._work("Lc"))
 
-    @functools.cached_property
+    @_cached
     def c2(self) -> np.ndarray:
         return np.multiply(self.c, self.c, out=self._work("c2"))
 
@@ -394,7 +433,7 @@ class _Midpoints:
             self._d2_powers[j] = np.multiply(a, b, out=self._work(f"d2^{j}"))
         return self._d2_powers[j]
 
-    @functools.cached_property
+    @_cached
     def r2(self) -> np.ndarray:
         r2 = np.multiply(self.t, 1.0 / _SERIES_T, out=self._work("r2"))
         return np.multiply(r2, r2, out=r2)
@@ -608,17 +647,22 @@ class _Chunk:
     pieces: int
 
 
+def _chunk_span(geom: Fixed | Scaled, limit: int, ka: int, kb: int) -> Tuple[int, int]:
+    """[lo, hi): the n whose events overlap [ka, kb), n*K > ka and n below
+    the right end at kb/K."""
+    K = geom.K
+    return ka // K + 1, min(math.ceil(geom.right_end(Fraction(kb, K))), limit + 1)
+
+
 def _sweep_chunk(
     geom: Fixed | Scaled, pairs: Sequence[Tuple[float, Kind]], limit: int,
-    events: EventSource | None, b_key: int, X: float, ka: int, kb: int,
+    b_key: int, X: float, ka: int, kb: int, events: Tuple[np.ndarray, np.ndarray] | None,
 ) -> _Chunk:
-    """Integrate [ka, kb) sub-chunk by sub-chunk, over its events from
-    ``events`` or a sieve of their span; the sub-chunk ending at b_key ends at X."""
+    """Integrate [ka, kb) sub-chunk by sub-chunk, over its events (ns, ws),
+    or a sieve of their span when ``events`` is None; the sub-chunk ending
+    at b_key ends at X."""
     K = geom.K
-    # overlapping [ka, kb): n*K > ka, and n below the right end at kb/K
-    n_hi = math.ceil(geom.right_end(Fraction(kb, K)))
-    fetch = sieve_range if events is None else events.range
-    ns, ws = fetch(ka // K + 1, min(n_hi, limit + 1))
+    ns, ws = sieve_range(*_chunk_span(geom, limit, ka, kb)) if events is None else events
     cuts = ns[_SUB_EVENTS - 1 :: _SUB_EVENTS] * K
     edges = [ka, *cuts[cuts < kb].tolist(), kb]  # every exit key is > ka
     # a sub-chunk [ca, cb) holds the events with exit key n*K > ca and
@@ -642,7 +686,9 @@ def sweep_moments(
     """All requested (order, kind) moments in one pass over the pieces.
 
     Returns (results, diagnostics); results align with ``pairs``.
-    ``threads`` <= 0 means one thread per core, up to 8.
+    ``threads`` is the number of worker processes; <= 0 means one per
+    core, up to 8.  A sweep of one chunk, or on one worker, runs in the
+    calling process.
     """
     pairs = [(float(o), Kind(k)) for o, k in pairs]
     _validate_pairs(pairs)
@@ -662,12 +708,33 @@ def sweep_moments(
     span = max(1, (b_key - a_key + n_chunks - 1) // n_chunks)
     bounds = [*range(a_key, b_key, span), b_key]  # no empty chunk
 
-    chunk = functools.partial(_sweep_chunk, geom, pairs, limit, events, b_key, float(window.X))
+    if events is not None:
+        # checked once for the whole sweep; a source past PRELOAD_LIMIT
+        # would only re-sieve each span, as no source does
+        events.check(_chunk_span(geom, limit, a_key, b_key)[1])
+        if not events.preload:
+            events = None
+    # a task carries its chunk's slice of the table, or None to sieve its span
+    tasks = [
+        None if events is None else events.range(*_chunk_span(geom, limit, ka, kb))
+        for ka, kb in zip(bounds[:-1], bounds[1:])
+    ]
+    chunk = functools.partial(_sweep_chunk, geom, pairs, limit, b_key, float(window.X))
     if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(chunk, bounds[:-1], bounds[1:]))
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        try:
+            with ProcessPoolExecutor(
+                min(threads, n_chunks), mp_context=multiprocessing.get_context(method),
+                initializer=_own_workspace,
+            ) as pool:
+                chunks = list(pool.map(chunk, bounds[:-1], bounds[1:], tasks))
+        except BrokenProcessPool as exc:  # a worker was killed, say for memory
+            raise ResourceError(f"a sweep worker process died: {exc}") from exc
     else:
-        chunks = list(map(chunk, bounds[:-1], bounds[1:]))
+        chunks = list(map(chunk, bounds[:-1], bounds[1:], tasks))
 
     results = []
     for j, (order, kind) in enumerate(pairs):

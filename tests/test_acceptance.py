@@ -158,7 +158,7 @@ def test_criterion_7_structural(events_1e6, monkeypatch):
     means = [(r.value / (1e6 - 1.0)) ** (1.0 / r.order) for r in res]
     mono_ok = all(b >= a * (1 - 1e-12) for a, b in zip(means, means[1:]))
 
-    # small chunks, so the 2- and 5-thread pools really split the sweep
+    # small chunks, so the pools of 2 and 5 worker processes really split the sweep
     monkeypatch.setattr(psimoments.sweep, "_CHUNK_EVENTS", 1 << 13)
     base, det_diag = sweep_moments(w, [(2.1, Kind.ABSOLUTE)], events=events_1e6, threads=1)
     det = 0.0
@@ -174,7 +174,7 @@ def test_criterion_7_structural(events_1e6, monkeypatch):
         7,
         ok,
         f"tiling {tiling:.1e}, decomposition {decomp:.1e}, |signed|<=abs {bound_ok}, "
-        f"power-mean monotone {mono_ok}, thread determinism {det:.1e} "
+        f"power-mean monotone {mono_ok}, worker-count determinism {det:.1e} "
         f"over {det_diag.chunks} chunks (gate: bit-identical)",
     )
 

@@ -1,3 +1,4 @@
+import concurrent.futures.process
 import json
 import math
 import re
@@ -401,15 +402,15 @@ def test_threads_zero_means_one_per_core(monkeypatch):
     # and a config file without "threads" runs like flags without --threads
     default = RunConfig.from_dict({"x": 1e4, "delta": "1/100", "orders": [1]})
     assert flag.threads == config.threads == default.threads == 0
-    # where sweep_moments reads 0 as one thread per core
+    # where sweep_moments reads 0 as one worker process per core
     pools = []
 
-    class Pool(sweep.ThreadPoolExecutor):
-        def __init__(self, max_workers):
+    class Pool(concurrent.futures.process.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
             pools.append(max_workers)
-            super().__init__(max_workers)
+            super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(sweep, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(sweep, "default_threads", lambda: 3)
     monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 256)
     window = WindowSpec(2e4, Scaled(Fraction(1, 100)))
@@ -419,6 +420,10 @@ def test_threads_zero_means_one_per_core(monkeypatch):
     ]
     assert pools == [3, 3, 3]  # threads=1 runs serially, with no pool
     assert len(set(values)) == 1
+    # and never more workers than chunks
+    (result,), diag = sweep_moments(window, [(1, Kind.ABSOLUTE)], threads=20)
+    assert 3 < diag.chunks < 20 and pools[3:] == [diag.chunks]
+    assert result.value == values[0]
 
 
 def test_cli_equivalence_average_wider_than_window(capsys):

@@ -1,4 +1,6 @@
+import concurrent.futures.process
 import math
+import os
 import pickle
 import threading
 import tracemalloc
@@ -9,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psimoments.errors import InvalidOrderError, InvalidWindowError, RangeLimitError
+from psimoments.errors import (
+    CoverageError,
+    InvalidOrderError,
+    InvalidWindowError,
+    RangeLimitError,
+    ResourceError,
+)
 from psimoments import sieve, sweep
 from psimoments.sieve import PSI_SPAN, EventSource, psi, sieve_range
 from psimoments.sweep import (
@@ -181,15 +189,16 @@ def test_no_source_builds_no_table(monkeypatch):
 
 
 def test_chunks_cross_a_process_boundary(monkeypatch):
-    # the outer chunks could run in worker processes: the chunk function and
-    # its records survive a pickle round trip, and the records fsum to the
+    # the outer chunks run in worker processes: the chunk function, each
+    # task (its slice of a preloaded table, or None to sieve its span) and
+    # each record survive a pickle round trip, and the records fsum to the
     # values of a serial sweep bit for bit
     monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 12)
-    records = []
+    records, tasks, pools = [], [], []
 
     class PicklingPool:
-        def __init__(self, max_workers):
-            pass
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
 
         def __enter__(self):
             return self
@@ -199,20 +208,44 @@ def test_chunks_cross_a_process_boundary(monkeypatch):
 
         def map(self, fn, *iterables):
             fn = pickle.loads(pickle.dumps(fn))
-            records[:] = [pickle.loads(pickle.dumps(fn(*args))) for args in zip(*iterables)]
+            args = [pickle.loads(pickle.dumps(a)) for a in zip(*iterables)]
+            tasks[:] = [a[-1] for a in args]
+            records[:] = [pickle.loads(pickle.dumps(fn(*a))) for a in args]
             return records
 
     for w in NO_TABLE_WINDOWS:
-        want, diag = sweep_moments(w, NO_TABLE_PAIRS)
-        with monkeypatch.context() as m:
-            m.setattr(sweep, "ThreadPoolExecutor", PicklingPool)
-            assert sweep_moments(w, NO_TABLE_PAIRS, threads=2)[0] == want
-        assert len(records) == diag.chunks > 1
-        assert all(isinstance(r, sweep._Chunk) for r in records)
-        got = [math.fsum(v[j] for r in records for v in r.values) for j in range(len(want))]
-        assert got == [r.value for r in want]
-        assert sum(r.pieces for r in records) == diag.piece_count
-        assert math.fsum(s for r in records for s in r.length_sums) == diag.length_sum
+        src = EventSource(w.limit())
+        for events in (None, src):
+            want, diag = sweep_moments(w, NO_TABLE_PAIRS, events=events)
+            with monkeypatch.context() as m:
+                m.setattr(concurrent.futures.process, "ProcessPoolExecutor", PicklingPool)
+                assert sweep_moments(w, NO_TABLE_PAIRS, events=events, threads=2)[0] == want
+            assert pools[-1] == 2
+            assert len(records) == diag.chunks > 1
+            assert all(isinstance(r, sweep._Chunk) for r in records)
+            got = [math.fsum(v[j] for r in records for v in r.values) for j in range(len(want))]
+            assert got == [r.value for r in want]
+            assert sum(r.pieces for r in records) == diag.piece_count
+            assert math.fsum(s for r in records for s in r.length_sums) == diag.length_sum
+            if events is None:
+                assert tasks == [None] * diag.chunks
+            else:  # the slices overlap by the window's reach and cover the table
+                assert all(ns.size == ws.size < src.arrays()[0].size for ns, ws in tasks)
+                covered = np.unique(np.concatenate([ns for ns, _ in tasks]))
+                assert np.array_equal(covered, src.arrays()[0])
+
+
+def _exit_worker(*args):
+    os._exit(1)
+
+
+def test_a_dead_worker_is_a_resource_error(monkeypatch):
+    # a worker killed mid-sweep, say for memory, breaks the pool; the CLI
+    # reports that as a resource error (exit 3), not a traceback
+    monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 12)
+    monkeypatch.setattr(sweep, "_sweep_chunk", _exit_worker)
+    with pytest.raises(ResourceError, match="worker process died"):
+        sweep_moments(NO_TABLE_WINDOWS[0], NO_TABLE_PAIRS, threads=2)
 
 
 def _recorded_spans(monkeypatch):
@@ -308,6 +341,57 @@ def test_thread_workspaces_do_not_alias(events_1e6, monkeypatch):
             t.join()
         assert diag.chunks > 1
         assert got == want and pooled == want[1]
+
+
+@pytest.mark.parametrize("geometry, pairs", WARM_RUNS)
+def test_warm_workspace_stays_in_the_parent(events_1e6, monkeypatch, geometry, pairs):
+    # the calling process's workspace slots are shared memory maps, so a
+    # forked worker that kept them would write the same memory as its
+    # siblings; each worker starts on a workspace of its own, and a pooled
+    # sweep after a serial one gives its values bit for bit.  Without that,
+    # one pooled sweep in about ten happens not to overlap the workers'
+    # writes, so three are run
+    monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 13)
+    w = WindowSpec(1e6, geometry)
+    want, _ = sweep_moments(w, pairs, events=events_1e6)
+    assert sweep._WORK._slots
+    for _ in range(3):
+        got, diag = sweep_moments(w, pairs, events=events_1e6, threads=2)
+        assert diag.chunks > 1
+        assert got == want
+
+
+def test_source_past_preload_limit(monkeypatch, recording_source):
+    # a source past PRELOAD_LIMIT holds no table: the sweep checks its
+    # coverage once, before any pool starts, then sieves each chunk's span
+    # as with no source and never asks the source for a range
+    monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 12)
+    pools = []
+
+    class Pool(concurrent.futures.process.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Pool)
+    for w in NO_TABLE_WINDOWS:
+        want, _ = sweep_moments(w, NO_TABLE_PAIRS, events=EventSource(w.limit()))
+        for preload_limit in (sieve.PRELOAD_LIMIT, 1000):
+            with monkeypatch.context() as m:
+                m.setattr(sieve, "PRELOAD_LIMIT", preload_limit)
+                with pytest.raises(CoverageError):
+                    sweep_moments(w, NO_TABLE_PAIRS, events=EventSource(w.limit() - 1), threads=2)
+        with monkeypatch.context() as m:
+            m.setattr(sieve, "PRELOAD_LIMIT", 1000)
+            src = recording_source(w.limit())
+            assert not src.preload
+            for threads in (1, 2):
+                got, diag = sweep_moments(w, NO_TABLE_PAIRS, events=src, threads=threads)
+                assert diag.chunks > 1
+                assert got == want
+            assert src.calls == []
+    # one pool per two-worker sweep; none for a source that is too small
+    assert len(pools) == len(NO_TABLE_WINDOWS)
 
 
 @settings(deadline=None, max_examples=200)
