@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration problems (an unreadable --config
 too), 3 resource problems (unwritable --output, integer range, out of
-memory), 4 violated numerical invariants.
+memory), 4 violated numerical invariants.  --output is written whole or not
+at all.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .equivalence import decomposition_check, saffari_vaughan_average, width_grid
@@ -88,11 +90,26 @@ def _flag_config(args) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
+def _write_file(path: str, text: str):
+    """Write ``text`` to ``path`` through a temporary file beside it, then
+    os.replace: a write that fails or is killed leaves the old file, or
+    none, never a partial one that looks valid."""
+    head, name = os.path.split(os.path.abspath(path))
+    temp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    f = open(temp, "x")
+    try:
+        with f:
+            f.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise
+
+
 def _write_rows(args, rows) -> int:
     text = emit(rows, args.format)
     if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
+        _write_file(args.output, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -1,12 +1,15 @@
 """Prime power enumeration with von Mangoldt weights.
 
 Every n = p^a <= limit is an event (n, log p).  Events reach the rest of
-the package through range requests: ``sieve_range(lo, hi)`` sieves just
-[lo, hi) against the base primes up to sqrt(hi), so memory is bounded by
-the span a caller asks for.  Adjacent spans tile the full table bit for
-bit, whatever the cut points, so a pass given no event source (a sweep,
-the first-moment oracle, psi) sieves each of its spans itself and never
-holds the table.  ``EventSource`` answers range requests up to a limit,
+the package through range requests.  ``sieve_blocks(lo, hi)`` sieves just
+[lo, hi) against the base primes up to sqrt(hi) and yields its events as a
+stream of ascending blocks (ns, ws), one per segment; ``sieve_range(lo,
+hi)`` joins them into two arrays.  Memory is bounded by the span a caller
+asks for, or by one segment for a caller that reads the stream.  Adjacent
+spans tile the full table bit for bit, whatever the cut points, so a pass
+given no event source (a sweep, the first-moment oracle, psi) sieves each
+of its spans itself and never holds the table; a sweep reads each span
+block by block.  ``EventSource`` answers range requests up to a limit,
 slicing one sieved table for small limits and re-sieving each span past
 PRELOAD_LIMIT; the table pays off only when one source is shared by
 several passes.
@@ -14,13 +17,15 @@ several passes.
 A span is sieved in segments of _SEGMENT odd numbers (a 1 MB mask, after
 Bays and Hudson, BIT 17, 1977), so the strided writes of every base prime
 stay in cache; each base prime carries the position of its next odd
-multiple from one segment to the next.  The higher prime powers are then
-inserted among the primes, which leaves the events in ascending order.
+multiple from one segment to the next.  The events no odd slot holds, 2,
+its powers and the higher powers of the odd primes, are then inserted
+among each segment's primes, which leaves the events of a block in
+ascending order.
 
 The weight of p^a reuses the float computed for p itself, so a prime and
-all its powers carry bitwise identical weights.  At most two event-sized
-arrays are alive at once: the events, then their logs taken in place,
-with the power slots overwritten by their base primes' weights.
+all its powers carry bitwise identical weights: the log of every event is
+taken in place, and the inserted slots are overwritten by their base
+primes' weights.
 """
 
 from __future__ import annotations
@@ -44,22 +49,24 @@ _SEGMENT = 1 << 20
 
 
 def _simple_primes(limit: int) -> np.ndarray:
-    """All primes <= limit: one segment [2, limit], sieved by the primes up
-    to sqrt(limit) from a recursive call."""
+    """All primes <= limit: 2 and the segments of [3, limit], sieved by the
+    odd primes up to sqrt(limit) from a recursive call."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    return _sieve_segment(2, limit + 1, _simple_primes(math.isqrt(limit))[1:])
+    base_odd = _simple_primes(math.isqrt(limit))[1:]
+    return np.concatenate([[2], *(p for p, _ in _segments(3, limit + 1, base_odd))])
 
 
-def _higher_powers(base: np.ndarray, base_logs: np.ndarray, lo: int, hi: int):
-    """Prime powers p^a with a >= 2 in [lo, hi), with the base prime's log.
+def _unsieved(base: np.ndarray, base_logs: np.ndarray, lo: int, hi: int):
+    """The events in [lo, hi) that no odd prime slot holds, ascending, with
+    their base prime's log: 2 and its powers, and p^a for odd p, a >= 2.
 
-    Every base prime p satisfies p * p < hi.
+    Every base prime p other than 2 satisfies p * p < hi.
     """
     vals = []
     logs = []
     for p, lp in zip(base.tolist(), base_logs.tolist()):
-        v = p * p
+        v = p if p == 2 else p * p
         while v < hi:
             if v >= lo:
                 vals.append(v)
@@ -72,9 +79,10 @@ def _higher_powers(base: np.ndarray, base_logs: np.ndarray, lo: int, hi: int):
     )
 
 
-def _sieve_segment(lo: int, hi: int, base_odd: np.ndarray) -> np.ndarray:
-    """Primes in [lo, hi), 2 <= lo < hi, given the odd primes up to
-    sqrt(hi - 1), in segments of _SEGMENT odd slots."""
+def _segments(lo: int, hi: int, base_odd: np.ndarray):
+    """The odd primes in [lo, hi), 2 <= lo < hi, given the odd primes up to
+    sqrt(hi - 1): one ascending array per segment of _SEGMENT odd slots,
+    each with the end of the numbers its segment covers (hi for the last)."""
     first_odd = lo | 1
     n_slots = (hi - first_odd + 1) // 2
     ps = base_odd
@@ -82,8 +90,8 @@ def _sieve_segment(lo: int, hi: int, base_odd: np.ndarray) -> np.ndarray:
     start = np.maximum(ps * ps, -(-lo // ps) * ps)
     offsets = (start + ps * (1 - start % 2) - first_odd) // 2
     buffer = np.empty(min(n_slots, _SEGMENT), dtype=bool)
-    parts = []
-    for s0 in range(0, n_slots, _SEGMENT):
+    # a span holding no odd number, [2, 3) or [4, 5), is one empty segment
+    for s0 in range(0, max(n_slots, 1), _SEGMENT):
         s1 = min(s0 + _SEGMENT, n_slots)
         mask = buffer[: s1 - s0]
         mask[:] = True
@@ -91,30 +99,60 @@ def _sieve_segment(lo: int, hi: int, base_odd: np.ndarray) -> np.ndarray:
             mask[off::p] = False
         # advance each offset past s1; one already past it stays
         offsets += np.maximum(s1 - offsets + ps - 1, 0) // ps * ps
-        parts.append(first_odd + 2 * (s0 + np.flatnonzero(mask)))
-    if lo == 2:
-        parts.insert(0, np.array([2], dtype=np.int64))
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        end = hi if s1 == n_slots else first_odd + 2 * s1
+        # this frame keeps no reference to the primes it hands on
+        yield 2 * np.flatnonzero(mask) + (first_odd + 2 * s0), end
+
+
+def _blocks(lo: int, hi: int):
+    """Per segment of [lo, hi): its events ns, ascending, the positions in
+    ns of the events no odd slot holds, and those events' weights."""
+    lo = max(lo, 2)
+    if hi <= lo:
+        return
+    base = _simple_primes(max(math.isqrt(hi - 1), 2))
+    base_logs = np.log(base.astype(np.float64))
+    other_n, other_w = _unsieved(base, base_logs, lo, hi)
+    done = 0
+    for primes, end in _segments(lo, hi, base[1:]):
+        # the other events below the segment's end; none of them is an odd
+        # prime, so each goes before the first larger prime
+        stop = int(np.searchsorted(other_n, end))
+        at = np.searchsorted(primes, other_n[done:stop])
+        ns = np.insert(primes, at, other_n[done:stop])
+        del primes  # gone before the block is consumed
+        yield ns, at + np.arange(at.size), other_w[done:stop]
+        done = stop
+
+
+def _weights(ns: np.ndarray, at: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The log of every event, taken in place, then the events at ``at``
+    take their prime's float, w."""
+    ws = ns.astype(np.float64)
+    np.log(ws, out=ws)
+    ws[at] = w
+    return ws
+
+
+def sieve_blocks(lo: int, hi: int):
+    """Event blocks (ns, ws) for lo <= n < hi, one per segment of _SEGMENT
+    odd slots: each block ascending, and each past the one before it."""
+    for ns, at, w in _blocks(lo, hi):
+        yield ns, _weights(ns, at, w)
 
 
 def sieve_range(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Event arrays (n, weight) for lo <= n < hi, ascending."""
-    lo = max(lo, 2)
-    if hi <= lo:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    base = _simple_primes(math.isqrt(hi - 1))
-    base_logs = np.log(base.astype(np.float64))
-    primes = _sieve_segment(lo, hi, base[1:])
-    pw_n, pw_w = _higher_powers(base, base_logs, lo, hi)
-    # no prime power is prime, so each goes before the first larger prime
-    at = np.searchsorted(primes, pw_n)
-    ns = np.insert(primes, at, pw_n)
-    del primes
-    # log of every event in place, then each power takes its prime's float
-    ws = ns.astype(np.float64)
-    np.log(ws, out=ws)
-    ws[at + np.arange(at.size)] = pw_w
-    return ns, ws
+    """Event arrays (n, weight) for lo <= n < hi, ascending: the blocks of
+    ``sieve_blocks(lo, hi)`` joined.  The weights are taken once, over the
+    joined events, once the blocks are let go; the log is elementwise, so
+    they are bit for bit the blocks' weights."""
+    parts = list(_blocks(lo, hi))
+    starts = np.cumsum([0] + [ns.size for ns, _, _ in parts])
+    at = np.concatenate([np.empty(0, dtype=np.int64)] + [a + i for (_, a, _), i in zip(parts, starts)])
+    w = np.concatenate([np.empty(0)] + [w for _, _, w in parts])
+    ns = np.concatenate([np.empty(0, dtype=np.int64)] + [ns for ns, _, _ in parts])
+    del parts
+    return ns, _weights(ns, at, w)
 
 
 @dataclass

@@ -46,11 +46,14 @@ about _CHUNK_EVENTS events each.  Each is one task: one call of
 _sweep_chunk, a module-level function of picklable arguments, whose
 _Chunk record holds each sub-chunk's values and length sum and the
 chunk's piece count.  A task carries its chunk's events or nothing:
-    no source               the task sieves its own span (_chunk_span), so
-                            the sweep never holds the full event table;
+    no source               the task streams its own span (_chunk_span)
+                            from the sieve, one block of events per sieve
+                            segment (sieve_blocks), so the sweep holds
+                            neither the event table nor a chunk's events;
     a preloaded source      the task carries the table's slice (ns, ws) for
                             that span, not the source, which would carry the
-                            whole table to every worker;
+                            whole table to every worker; it is read as one
+                            block;
     a source past           it holds no table and would only re-sieve each
     PRELOAD_LIMIT           span, so its coverage is checked once, up front,
                             and the sweep runs as with no source.
@@ -58,27 +61,37 @@ A table pays off only when a caller shares one source across several
 sweeps.  The tasks run in one pool of min(threads, chunks) worker
 processes, forked where the platform can fork, as the sieve's Python loops
 and the short numpy calls between sub-chunks hold the interpreter lock; a
-sweep of one chunk, or on one worker, runs in the calling process.  Inside
-an outer chunk the sweep integrates
-sub-chunks, cut at the exit key of every _SUB_EVENTS-th loaded event, so
-the keys and the setup and kernel temporaries of a sub-chunk (about
-2 _SUB_EVENTS pieces) stay in cache.  An exit key inside the chunk is
-already a breakpoint, so the cuts add no piece.  The events overlapping a
-sub-chunk are one contiguous slice of the chunk's events, as entry and
-exit keys both rise with n, and it is found on the events themselves:
-n*K <= e exactly when n <= e // K, and entry_key(n) < e exactly when
-n < first_entering(e), so no chunk-wide key array is formed.  Those
-already inside the window at its left end only set the starting value of
-S, and those leaving at its right end or later never step it, so a window
-wider than a sub-chunk costs one sum, not a larger sort.  Both levels of
-cuts depend only on the window, _CHUNK_EVENTS and the events, never on
-the worker count, and the results are combined in a fixed order, so they
-do not depend on the worker count either.  Within a sub-chunk the running
-sum for S is carried in extended precision and the per-piece contributions
-are summed pairwise (``np.sum``), all but the series corrections, which
-are below 1e-6 of them; the sums of all sub-chunks are combined with
-``math.fsum``.  A moment that is not finite in float64 raises
-RangeLimitError.
+sweep of one chunk, or on one worker, runs in the calling process.
+
+Inside an outer chunk the sweep integrates sub-chunks, cut at the exit key
+of every _SUB_EVENTS-th event of the chunk, so the keys and the setup and
+kernel temporaries of a sub-chunk (about 2 _SUB_EVENTS pieces) stay in
+cache.  An exit key inside the chunk is already a breakpoint, so the cuts
+add no piece.  The events overlapping a sub-chunk are a contiguous run of
+the chunk's events, as entry and exit keys both rise with n, and it is
+found on the events themselves: n*K <= e exactly when n <= e // K, and
+entry_key(n) < e exactly when n < first_entering(e), so no chunk-wide key
+array is formed.  Those already inside the window at its left end only set
+the starting value of S, and those leaving at its right end or later never
+step it, so a window wider than a sub-chunk costs one sum, not a larger
+sort.  The events reach the sub-chunks through a rolling buffer over the
+chunk's block stream (_EventBuffer).  Before a sub-chunk [ca, cb) it lets
+go of the events with n <= ca // K, which have left by ca; it pulls blocks
+until it holds the event that sets cb and the first n >= first_entering(cb),
+or the stream ends.  The sub-chunk's events are then the buffer's first
+ones, the very slice a single array of the chunk's events would give, so
+the values do not depend on the blocks.  Before it pulls a block the
+buffer copies what it still holds out of the block that held it, which
+lets that block go before the sieve builds the next.
+
+Both levels of cuts depend only on the window, _CHUNK_EVENTS and the
+events, never on the worker count or the sieve's segments, and the results
+are combined in a fixed order, so they do not depend on either.  Within a
+sub-chunk the running sum for S is carried in extended precision and the
+per-piece contributions are summed pairwise (``np.sum``), all but the
+series corrections, which are below 1e-6 of them; the sums of all
+sub-chunks are combined with ``math.fsum``.  A moment that is not finite
+in float64 raises RangeLimitError.
 
 Each thread of each process writes the per-piece arrays of its sub-chunks
 with ``out=`` into one workspace of named, grow-only slots, so a sub-chunk
@@ -89,26 +102,48 @@ workspace across sweeps; a pool worker's goes when the pool closes at the
 end of a sweep.  A slot is an anonymous memory map, mmap(-1, n), which is
 shared, not copied, across fork: a forked worker that kept the calling
 thread's slots would write the same memory as its siblings, so the pool's
-initializer starts every worker on an empty workspace.  Arrays
-whose lifetimes do not overlap share a slot, as every slot adds to the
-peak memory and the cache footprint:
-    keys     event keys, then the running sum S, then the piece lengths
-    deltas   event deltas, then the mask of nonempty pieces, then the
-             breakpoints
-    points   sorted keys, then the key steps (then, scaled, the doubled
-             midpoint keys), then the float64 residual
-    sorted   sorted deltas, then S on each piece
-A scaled window adds d, the longdouble midpoint residual and _Midpoints'
-slots, each under a name of its own.  A workspace view never outlives the
-sub-chunk that took it: the next one overwrites it.  What a sub-chunk still
-allocates is argsort's indices, flatnonzero results, the fixed windows'
-integrand temporaries and the scaled kernel's arrays over the few pieces
-outside the series regime.
+initializer starts every worker on an empty workspace.  A workspace view
+never outlives the sub-chunk that took it: the next one overwrites it.
+Arrays whose lifetimes do not overlap share a slot, as every slot adds to
+the peak memory and the cache footprint.  What one thread holds while it
+sweeps a chunk, sieve and sweep together, in bytes per event of the
+sieve's segment or the buffer, or per piece of the sub-chunk:
+    sieve     the base primes and their offsets, the powers      < 1 MB
+              of 2 and the higher prime powers of the span
+    mask      the segment mask, one byte per odd slot            _SEGMENT
+    block     one segment's odd primes, then its events          24 / event
+              (ns, ws) with those powers merged in
+    buffer    the held events (ns, ws): a sub-chunk's, the       16 / event
+              window's reach and the rest of the block they
+              came from; while it pulls, a copy of those
+              and the joined array
+    keys      event keys, then the running sum S, then the      16 / piece
+              piece lengths
+    deltas    event deltas, then the mask of nonempty pieces,     8 / piece
+              then the breakpoints; scaled, then r2
+    points    sorted keys, then the key steps (then, scaled,      8 / piece
+              the doubled midpoint keys), then the float64
+              residual
+    sorted    sorted deltas, then S on each piece; scaled,       16 / piece
+              then q
+    d         scaled: the exact half-falls                        8 / piece
+    midpoints scaled: the longdouble midpoint residual, then     16 / piece
+              the kernel's temporaries term, side and beyond
+    kernel    scaled: _Midpoints' own slots, as the pairs need    8 / piece
+              them: a, t, log_top (top until its log replaces      each
+              it), scratch, Lc, c2, d2^j and series^k
+The first four are the sieve's and the buffer's, allocated per block;
+the rest are workspace slots.  The desk table's sweep (X = 1e8, nine
+scaled pairs) takes 16 slots, 5.6 MB, and its blocks hold about 110k
+events each.  What a sub-chunk still allocates is argsort's indices,
+flatnonzero results, the fixed windows' integrand temporaries and the
+scaled kernel's arrays over the few pieces outside the series regime.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import mmap
 import os
@@ -127,7 +162,7 @@ from .errors import (
     RangeLimitError,
     ResourceError,
 )
-from .sieve import KEY_LIMIT, PSI_SPAN, EventSource, sieve_range
+from .sieve import KEY_LIMIT, PSI_SPAN, EventSource, sieve_blocks, sieve_range
 
 MAX_DELTA_DENOMINATOR = 10**9
 # events per outer chunk: one pool task each
@@ -377,6 +412,12 @@ class _Midpoints:
     (t = 1, as t is computed as d / max(|c|, d)).  A sum over all pieces
     zeroes the pieces another form integrates in the array it sums, so the
     lengths are never copied per regime.
+
+    The arrays that die young take no slot of their own: top lives in
+    log_top's slot until its log replaces it, and the setup slots that no
+    array of the sub-chunk reads any more by the time a kernel runs host
+    r2 (deltas), q (sorted) and the loop temporaries term, side and the
+    beyond mask (midpoints).
     """
 
     def __init__(self, c: np.ndarray, d: np.ndarray, lengths: np.ndarray):
@@ -394,8 +435,9 @@ class _Midpoints:
 
     @_cached
     def top(self) -> np.ndarray:
-        """|c|, or d on a piece that changes sign; never 0."""
-        return np.maximum(self.a, self.d, out=self._work("top"))
+        """|c|, or d on a piece that changes sign; never 0.  Read only by t
+        and log_top, whose log overwrites it."""
+        return np.maximum(self.a, self.d, out=self._work("log_top"))
 
     @_cached
     def t(self) -> np.ndarray:
@@ -403,11 +445,12 @@ class _Midpoints:
 
     @_cached
     def log_top(self) -> np.ndarray:
-        return np.log(self.top, out=self._work("log_top"))
+        self.t  # t reads top before its log takes the slot
+        return np.log(self.top, out=self.top)
 
     @_cached
     def beyond_series(self) -> np.ndarray:
-        return np.flatnonzero(np.greater(self.t, _SERIES_T, out=self._work("beyond", bool)))
+        return np.flatnonzero(np.greater(self.t, _SERIES_T, out=self._work("midpoints", bool)))
 
     @_cached
     def crossing(self) -> np.ndarray:
@@ -435,7 +478,7 @@ class _Midpoints:
 
     @_cached
     def r2(self) -> np.ndarray:
-        r2 = np.multiply(self.t, 1.0 / _SERIES_T, out=self._work("r2"))
+        r2 = np.multiply(self.t, 1.0 / _SERIES_T, out=self._work("deltas"))
         return np.multiply(r2, r2, out=r2)
 
     def _series_weight(self, k: int) -> np.ndarray:
@@ -457,9 +500,9 @@ class _Midpoints:
             b = math.comb(n, 2 * j) / (2 * j + 1)
             term = self._d2_power(j)
             if b != 1:
-                term = np.multiply(b, term, out=self._work("term"))
+                term = np.multiply(b, term, out=self._work("midpoints"))
             if q is None:
-                q = np.add(self.c2, term, out=self._work("q"))
+                q = np.add(self.c2, term, out=self._work("sorted"))
             else:
                 q *= self.c2
                 q += term
@@ -495,7 +538,7 @@ class _Midpoints:
                 factor = self.a
             else:  # 1 where c has the part's sign, 0 elsewhere
                 compare = np.greater if kind == Kind.POSITIVE_PART else np.less
-                factor = compare(self.c, 0.0, out=self._work("side", bool))
+                factor = compare(self.c, 0.0, out=self._work("midpoints", bool))
             weighted = np.multiply(self.L, factor, out=self._scratch)
             weighted[self.crossing] = 0.0  # summed by _crossing_sum
             if n % 2 and kind != Kind.ABSOLUTE:
@@ -654,26 +697,82 @@ def _chunk_span(geom: Fixed | Scaled, limit: int, ka: int, kb: int) -> Tuple[int
     return ka // K + 1, min(math.ceil(geom.right_end(Fraction(kb, K))), limit + 1)
 
 
+class _EventBuffer:
+    """A rolling buffer over a stream of event blocks (ns, ws), ascending
+    within and across blocks: it pulls blocks only as far as it is asked to
+    reach and lets go of the events it is told are done with, so it holds
+    a sub-chunk's events and the blocks it overlaps, never the stream."""
+
+    def __init__(self, blocks):
+        self._blocks = iter(blocks)
+        self.ns, self.ws = np.empty(0, dtype=np.int64), np.empty(0)
+        self._first = 0  # stream index of ns[0]
+
+    def _pull(self) -> bool:
+        # the held events leave the block they came from first, so that
+        # block is let go before the next one is sieved
+        self.ns, self.ws = self.ns.copy(), self.ws.copy()
+        block = next(self._blocks, None)
+        if block is None:
+            return False
+        if self.ns.size:
+            self.ns = np.concatenate((self.ns, block[0]))
+            self.ws = np.concatenate((self.ws, block[1]))
+        else:  # a lone block, such as a preloaded slice, is held as it is
+            self.ns, self.ws = block
+        return True
+
+    def event(self, i: int) -> int | None:
+        """The n of event i of the stream, or None past its end."""
+        while self._first + self.ns.size <= i:
+            if not self._pull():
+                return None
+        return int(self.ns[i - self._first])
+
+    def reach(self, n: int):
+        """Pull blocks until one event >= n is held, or the stream ends."""
+        while not (self.ns.size and self.ns[-1] >= n) and self._pull():
+            pass
+
+    def drop(self, n: int):
+        """Let go of the events <= n, all of them already held."""
+        done = int(np.searchsorted(self.ns, n, side="right"))
+        self.ns, self.ws = self.ns[done:], self.ws[done:]
+        self._first += done
+
+
 def _sweep_chunk(
     geom: Fixed | Scaled, pairs: Sequence[Tuple[float, Kind]], limit: int,
     b_key: int, X: float, ka: int, kb: int, events: Tuple[np.ndarray, np.ndarray] | None,
 ) -> _Chunk:
     """Integrate [ka, kb) sub-chunk by sub-chunk, over its events (ns, ws),
-    or a sieve of their span when ``events`` is None; the sub-chunk ending
-    at b_key ends at X."""
+    or the sieve's block stream of their span when ``events`` is None; the
+    sub-chunk ending at b_key ends at X."""
     K = geom.K
-    ns, ws = sieve_range(*_chunk_span(geom, limit, ka, kb)) if events is None else events
-    cuts = ns[_SUB_EVENTS - 1 :: _SUB_EVENTS] * K
-    edges = [ka, *cuts[cuts < kb].tolist(), kb]  # every exit key is > ka
-    # a sub-chunk [ca, cb) holds the events with exit key n*K > ca and
-    # entry key < cb, both read off the ascending ns exactly
-    lo = np.searchsorted(ns, [e // K for e in edges[:-1]], side="right")
-    hi = np.searchsorted(ns, [geom.first_entering(e) for e in edges[1:]], side="left")
-    values, pieces, length_sums = zip(*(
-        _chunk_moments(geom, ns[l:h], ws[l:h], ca, cb, pairs, X if cb == b_key else None)
-        for l, h, ca, cb in zip(lo.tolist(), hi.tolist(), edges[:-1], edges[1:])
-    ))
-    return _Chunk(values, length_sums, sum(pieces))
+    span = _chunk_span(geom, limit, ka, kb)
+    buffer = _EventBuffer(sieve_blocks(*span) if events is None else [events])
+    values, length_sums, pieces = [], [], 0
+    ca = ka
+    for cut in itertools.count(_SUB_EVENTS - 1, _SUB_EVENTS):
+        # a sub-chunk [ca, cb) ends at the exit key of every _SUB_EVENTS-th
+        # event of the chunk, or at kb, and holds the events with exit key
+        # n*K > ca and entry key < cb: the buffer's first events, once
+        # those with n <= ca // K are dropped (none are in the first)
+        buffer.drop(ca // K)
+        n = buffer.event(cut)
+        cb = kb if n is None or n * K >= kb else n * K
+        entering = geom.first_entering(cb)
+        buffer.reach(entering)
+        h = int(np.searchsorted(buffer.ns, entering, side="left"))
+        v, p, s = _chunk_moments(
+            geom, buffer.ns[:h], buffer.ws[:h], ca, cb, pairs, X if cb == b_key else None
+        )
+        values.append(v)
+        length_sums.append(s)
+        pieces += p
+        if cb == kb:
+            return _Chunk(tuple(values), tuple(length_sums), pieces)
+        ca = cb
 
 
 def sweep_moments(

@@ -155,6 +155,40 @@ def test_emit_writes_file(tmp_path, capsys):
     assert untimed(path.read_text()) == untimed(printed)
 
 
+def test_output_is_written_whole_or_not_at_all(tmp_path, monkeypatch, capsys):
+    # a write that fails midway, as on a full disk, leaves the old file as
+    # it was and no temporary file beside it, and exits 3
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    argv = ["predict", "--x", "1e8", "--delta", "1e-4", "--orders", "1,2",
+            "--formulas", "scaled-main", "--output", str(path)]
+
+    class FullDisk:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            self.f.write(text[: len(text) // 2])
+            self.f.flush()
+            raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
+        assert main(argv) == 3
+    assert "No space left" in capsys.readouterr().err
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert main(argv) == 0
+    assert path.read_text().startswith(CSV_HEADER)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
 def test_run_with_formula():
     cfg = RunConfig(
         X=5000.0,

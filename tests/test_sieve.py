@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from psimoments import sieve
 from psimoments.errors import CoverageError, RangeLimitError
-from psimoments.sieve import EventSource, _simple_primes, psi, sieve_range
+from psimoments.sieve import EventSource, _simple_primes, psi, sieve_blocks, sieve_range
 
 
 def brute_prime_powers(limit):
@@ -96,6 +96,36 @@ def test_segmented_sieve_tiles_arrays(monkeypatch, segment):
     assert ns.tobytes() == full_ns.tobytes()
     assert ws.tobytes() == full_ws.tobytes()
     test_adjacent_ranges_tile_arrays()
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    # from 2; from inside a segment; across many segment edges; holding
+    # 1024 and 2048, powers of 2, which no odd slot holds; none but 2 or 4
+    [(2, 700), (2, 3), (4, 5), (300, 9000), (1001, 1100), (2040, 2060), (1023, 1026)],
+)
+def test_blocks_join_to_sieve_range(monkeypatch, lo, hi):
+    # the sweep reads the block stream, psi and the sources the joined
+    # arrays: they are the same events, bit for bit, and a segment of 64 odd
+    # slots gives one block per segment, each within its segment's numbers
+    full_ns, full_ws = EventSource(10_000).arrays()
+    monkeypatch.setattr(sieve, "_SEGMENT", 64)
+    blocks = list(sieve_blocks(lo, hi))
+    ns, ws = sieve_range(lo, hi)
+    assert b"".join(b.tobytes() for b, _ in blocks) == ns.tobytes()
+    assert b"".join(w.tobytes() for _, w in blocks) == ws.tobytes()
+    i, j = np.searchsorted(full_ns, [lo, hi])
+    assert ns.tobytes() == full_ns[i:j].tobytes()
+    assert ws.tobytes() == full_ws[i:j].tobytes()
+    first_odd = lo | 1
+    assert len(blocks) == max(1, math.ceil((hi - first_odd + 1) // 2 / 64))
+    for k, (block, weights) in enumerate(blocks):
+        assert block.dtype == np.int64 and weights.dtype == np.float64
+        assert block.size == weights.size and np.all(np.diff(block) > 0)
+        edges = [lo if k == 0 else first_odd + 128 * k, min(first_odd + 128 * (k + 1), hi)]
+        if k == len(blocks) - 1:
+            edges[1] = hi
+        assert np.all((block >= edges[0]) & (block < edges[1]))
 
 
 def test_sieve_range_windows():

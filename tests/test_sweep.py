@@ -19,7 +19,7 @@ from psimoments.errors import (
     ResourceError,
 )
 from psimoments import sieve, sweep
-from psimoments.sieve import PSI_SPAN, EventSource, psi, sieve_range
+from psimoments.sieve import PSI_SPAN, EventSource, psi, sieve_blocks, sieve_range
 from psimoments.sweep import (
     Fixed,
     Kind,
@@ -248,33 +248,46 @@ def test_a_dead_worker_is_a_resource_error(monkeypatch):
         sweep_moments(NO_TABLE_WINDOWS[0], NO_TABLE_PAIRS, threads=2)
 
 
-def _recorded_spans(monkeypatch):
-    """Record every span the sweep sieves, whichever module asks."""
-    calls = []
+def _recorded_streams(monkeypatch):
+    """Record every block stream the sweep reads, whichever module asks: its
+    span and the blocks it yields."""
+    streams = []
 
     def recording(lo, hi):
-        calls.append((lo, hi))
-        return sieve_range(lo, hi)
+        blocks = []
+        streams.append(((lo, hi), blocks))
+        for block in sieve_blocks(lo, hi):
+            blocks.append(block)
+            yield block
 
-    monkeypatch.setattr(sweep, "sieve_range", recording, raising=False)
-    monkeypatch.setattr(sieve, "sieve_range", recording)
-    return calls
+    monkeypatch.setattr(sweep, "sieve_blocks", recording)
+    monkeypatch.setattr(sieve, "sieve_blocks", recording)
+    return streams
 
 
 @pytest.mark.parametrize("w", NO_TABLE_WINDOWS)
 def test_no_source_sieves_chunk_spans(monkeypatch, w):
-    # each chunk sieves just the events it overlaps: spans at most one
-    # chunk's share of [2, limit] plus the window reach, which tile it
+    # each chunk streams just the events it overlaps: spans at most one
+    # chunk's share of [2, limit] plus the window reach, which tile it, each
+    # read to its end as the sieve's blocks, one per segment
     monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 10)
     monkeypatch.setattr(sweep, "_SUB_EVENTS", 1 << 6)
-    calls = _recorded_spans(monkeypatch)
+    monkeypatch.setattr(sieve, "_SEGMENT", 1 << 9)
+    streams = _recorded_streams(monkeypatch)
     limit = w.limit()
     _, diag = sweep_moments(w, NO_TABLE_PAIRS)
+    streams = list(streams)  # a copy: the checks below may sieve through the recorder
+    calls = [span for span, _ in streams]
     reach = math.ceil(w.geometry.right_end(Fraction(w.X)) - Fraction(w.X))
     assert len(calls) == diag.chunks > 10
     assert all(hi - lo <= limit // diag.chunks + reach + 2 for lo, hi in calls)
     assert calls[0][0] <= 2 and calls[-1][1] == limit + 1
     assert all(b[0] <= a[1] for a, b in zip(calls, calls[1:]))
+    for (lo, hi), blocks in streams:
+        assert len(blocks) == math.ceil((hi - (max(lo, 2) | 1) + 1) / 2 / (1 << 9)) > 1
+        want_ns, want_ws = sieve_range(lo, hi)
+        assert b"".join(ns.tobytes() for ns, _ in blocks) == want_ns.tobytes()
+        assert b"".join(ws.tobytes() for _, ws in blocks) == want_ws.tobytes()
 
 
 def test_no_source_peak_memory_below_table(monkeypatch):
@@ -293,6 +306,27 @@ def test_no_source_peak_memory_below_table(monkeypatch):
     assert peak < table_bytes
 
 
+def test_no_source_peak_memory_below_a_chunk(monkeypatch):
+    # each chunk reads its events from the sieve block by block, so no
+    # sweep holds a chunk's events: those alone would take 16 bytes (an
+    # int64 and a float64) per event, 512 KB here.  The buffer holds a
+    # sub-chunk's 2^8 events, the window's reach and one or two blocks of
+    # 2^11 odd slots (about 280 events near 2e6); with the segment mask and
+    # the sieve's and the sub-chunk's temporaries that is about 180 KB
+    monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 15)
+    monkeypatch.setattr(sweep, "_SUB_EVENTS", 1 << 8)
+    monkeypatch.setattr(sieve, "_SEGMENT", 1 << 11)
+    for w in (WindowSpec(2e6, Fixed(Fraction(45, 4))), WindowSpec(2e6, Scaled(Fraction(1, 1000)))):
+        tracemalloc.start()
+        try:
+            _, diag = sweep_moments(w, NO_TABLE_PAIRS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.chunks > 2
+        assert peak < 16 * sweep._CHUNK_EVENTS
+
+
 WIDTH_SCAN_PAIRS = [(3, Kind.ABSOLUTE), (3, Kind.SIGNED), (3, Kind.POSITIVE_PART),
                     (3, Kind.NEGATIVE_PART), (2.1, Kind.ABSOLUTE)]
 SCALED_PAIRS = [(3, Kind.POSITIVE_PART), (2.1, Kind.ABSOLUTE), (3, Kind.SIGNED)]
@@ -304,20 +338,25 @@ def test_warm_sweep_allocates_no_piece_arrays(events_1e6, geometry, pairs):
     # the first sweep sizes the thread's workspace; a second identical one
     # writes every per-piece array into it, so it replaces no slot and
     # allocates only argsort's indices, flatnonzero results and the fixed
-    # kernel's temporaries (about 256 KB each at 2^15 pieces a sub-chunk)
+    # kernel's temporaries (about 256 KB each at 2^15 pieces a sub-chunk).
+    # Given no source it sieves too: one segment covers all of [2, limit],
+    # so it adds that one block, 16 bytes per event, and the segment mask,
+    # one byte per odd slot
     w = WindowSpec(1e6, geometry)
-    want, _ = sweep_moments(w, pairs, events=events_1e6)
-    slots = dict(sweep._WORK._slots)
-    tracemalloc.start()
-    try:
-        got, _ = sweep_moments(w, pairs, events=events_1e6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5e6
-    assert sweep._WORK._slots.keys() == slots.keys()
-    assert all(sweep._WORK._slots[name] is slot for name, slot in slots.items())
-    assert got == want
+    events = int(np.searchsorted(events_1e6.arrays()[0], w.limit(), side="right"))
+    for source, bound in ((events_1e6, 1.5e6), (None, 1.5e6 + 16 * events + w.limit() // 2)):
+        want, _ = sweep_moments(w, pairs, events=source)
+        slots = dict(sweep._WORK._slots)
+        tracemalloc.start()
+        try:
+            got, _ = sweep_moments(w, pairs, events=source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+        assert sweep._WORK._slots.keys() == slots.keys()
+        assert all(sweep._WORK._slots[name] is slot for name, slot in slots.items())
+        assert got == want
 
 
 def test_thread_workspaces_do_not_alias(events_1e6, monkeypatch):
