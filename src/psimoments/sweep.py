@@ -80,18 +80,34 @@ go of the events with n <= ca // K, which have left by ca; it pulls blocks
 until it holds the event that sets cb and the first n >= first_entering(cb),
 or the stream ends.  The sub-chunk's events are then the buffer's first
 ones, the very slice a single array of the chunk's events would give, so
-the values do not depend on the blocks.  Before it pulls a block the
-buffer copies what it still holds out of the block that held it, which
-lets that block go before the sieve builds the next.
+the values do not depend on the blocks.  The buffer holds the blocks in a
+list and hands a sub-chunk a view of one of them; only a sub-chunk that
+straddles blocks is joined.  Before it pulls a block it copies what it
+still holds, at most a sub-chunk's events and the window's reach, out of
+the blocks that held it, which lets those go before the sieve builds the
+next.
 
 Both levels of cuts depend only on the window, _CHUNK_EVENTS and the
 events, never on the worker count or the sieve's segments, and the results
 are combined in a fixed order, so they do not depend on either.  Within a
-sub-chunk the running sum for S is carried in extended precision and the
-per-piece contributions are summed pairwise (``np.sum``), all but the
-series corrections, which are below 1e-6 of them; the sums of all
-sub-chunks are combined with ``math.fsum``.  A moment that is not finite
-in float64 raises RangeLimitError.
+sub-chunk S is carried exactly in float64 alone, by an error-free split
+(Dekker 1971): each weight is the sum of a high part, a multiple of 2^-g,
+and a low part below 2^-(g+1), and two running sums, of the high and of the
+low parts, start at S less an anchor, the linear part at ka (h, or
+delta ka / K), split the same way.  The running sum of the high parts is
+exact while it stays below 2^(53-g): the sweep takes g from a bound on
+|S - anchor|, the weight of the integers in a closed window at X + 1, and a
+window that leaves no g >= 0 raises RangeLimitError.  A fixed residual is
+the high plus the low sum, one rounding of their exact value.  A scaled one
+also takes away the drift of delta x since ka at the piece's midpoint,
+p (mid - 2 ka) / (2 q K) from the exact doubled midpoint key mid, with
+p / (2 q K) split so that its high part times mid - 2 ka is exact.  So each
+residual is within one ulp of max(|u|, drift) of the exact one, and as no
+step uses a wider type than float64, the values are the same on every
+platform.  The per-piece contributions are summed pairwise (``np.sum``),
+all but the series corrections, which are below 1e-6 of them; the sums of
+all sub-chunks are combined with ``math.fsum``.  A moment that is not
+finite in float64 raises RangeLimitError.
 
 Each thread of each process writes the per-piece arrays of its sub-chunks
 with ``out=`` into one workspace of named, grow-only slots, so a sub-chunk
@@ -113,31 +129,33 @@ sieve's segment or the buffer, or per piece of the sub-chunk:
     mask      the segment mask, one byte per odd slot            _SEGMENT
     block     one segment's odd primes, then its events          24 / event
               (ns, ws) with those powers merged in
-    buffer    the held events (ns, ws): a sub-chunk's, the       16 / event
-              window's reach and the rest of the block they
-              came from; while it pulls, a copy of those
-              and the joined array
-    keys      event keys, then the running sum S, then the      16 / piece
-              piece lengths
-    deltas    event deltas, then the mask of nonempty pieces,     8 / piece
-              then the breakpoints; scaled, then r2
-    points    sorted keys, then the key steps (then, scaled,      8 / piece
-              the doubled midpoint keys), then the float64
-              residual
-    sorted    sorted deltas, then S on each piece; scaled,       16 / piece
-              then q
+    buffer    the held events (ns, ws): the blocks that a         16 / event
+              sub-chunk's events and the window's reach overlap;
+              while it pulls, a copy of the events held; a
+              sub-chunk that straddles blocks, joined
+    keys      event keys, then the running sums of the high and  16 / piece
+              the low parts, then the piece lengths
+    deltas    event deltas, then the mask of nonempty pieces and  8 / piece
+              the entries kept past empty ones, then the key
+              steps; scaled, then r2
+    points    sorted keys, then the float64 residual (scaled,     8 / piece
+              the drift's high part first)
+    sorted    scaled: the doubled midpoint keys less 2 ka, then   8 / piece
+              q
     d         scaled: the exact half-falls                        8 / piece
-    midpoints scaled: the longdouble midpoint residual, then     16 / piece
-              the kernel's temporaries term, side and beyond
+    midpoints scaled: the low sum less the drift's low part,      8 / piece
+              then the kernel's temporaries term, side and beyond
     kernel    scaled: _Midpoints' own slots, as the pairs need    8 / piece
               them: a, t, log_top (top until its log replaces      each
               it), scratch, Lc, c2, d2^j and series^k
 The first four are the sieve's and the buffer's, allocated per block;
 the rest are workspace slots.  The desk table's sweep (X = 1e8, nine
-scaled pairs) takes 16 slots, 5.6 MB, and its blocks hold about 110k
-events each.  What a sub-chunk still allocates is argsort's indices,
-flatnonzero results, the fixed windows' integrand temporaries and the
-scaled kernel's arrays over the few pieces outside the series regime.
+scaled pairs) takes 16 slots, 5.0 MB, and its blocks hold about 110k
+events each.  What a sub-chunk still allocates is argsort's indices, the
+split of the weights already inside the window at its start, flatnonzero
+results, the fixed windows' integrand temporaries, the scaled kernel's
+arrays over the few pieces outside the series regime and, where it
+straddles blocks, its joined events.
 """
 
 from __future__ import annotations
@@ -172,6 +190,9 @@ _SUB_EVENTS = 1 << 14
 # t = d/|c| up to which the scaled kernel sums the binomial series in t^2 for
 # real absolute orders: at 2^-10 a few terms bound the truncation by 1e-16
 _SERIES_T = 2.0**-10
+# the finest grid 2^-g of the weights' high parts: weights are logs of numbers
+# below 2^63, so below 2^6, and _grid_split rounds exactly while |x| < 2^(51-g)
+_GRID_MAX = 45
 
 
 class Kind(str, Enum):
@@ -324,6 +345,36 @@ def _integrand(u: np.ndarray, order: float, kind: Kind) -> np.ndarray:
     if n == order:
         return _power(u, n)
     return u**order
+
+
+def _grid(bound: float) -> int:
+    """g such that running sums of high parts on the grid 2^-g are exact
+    while their size stays below ``bound``: a multiple of 2^-g below
+    2^(53-g) is a float64, and g leaves a factor 2 to spare."""
+    g = min(52 - math.frexp(bound)[1], _GRID_MAX)
+    if g < 0:
+        raise RangeLimitError(
+            f"window sums up to {bound:.3g} leave no exact float64 running sum"
+        )
+    return g
+
+
+def _grid_split(x: np.ndarray, g: int, high=None, low=None):
+    """x = high + low exactly, high the multiple of 2^-g nearest x and
+    |low| <= 2^-(g+1); |x| < 2^(51-g).  Adding and taking away 1.5 2^(52-g)
+    rounds to that grid.  ``low`` may be ``x`` itself."""
+    shift = 1.5 * 2.0 ** (52 - g)
+    high = np.add(x, shift, out=high)
+    np.subtract(high, shift, out=high)
+    return high, np.subtract(x, high, out=low)
+
+
+def _split(value: Fraction, s: int) -> Tuple[float, float]:
+    """value = high + low, high = floor(value 2^s) 2^-s exactly, low rounded
+    once; high is a float64 while floor(value 2^s) < 2^53."""
+    num, den = value.numerator << s, value.denominator
+    whole = num // den
+    return math.ldexp(whole, -s), (num - whole * den) / (den << s)
 
 
 def _series_terms(order: float) -> list:
@@ -576,12 +627,18 @@ class _Midpoints:
         return total + self._crossing_sum(m, Kind.ABSOLUTE)
 
 
-def _pieces(geom: Fixed | Scaled, ns: np.ndarray, weights: np.ndarray, ka: int, kb: int):
-    """The pieces tiling [ka, kb): their breakpoint keys and the value of S
-    on each, points[i] to points[i+1] carrying svals[i].
+def _pieces(
+    geom: Fixed | Scaled, ns: np.ndarray, weights: np.ndarray, ka: int, kb: int, grid: int
+):
+    """The pieces tiling [ka, kb): their breakpoint keys and, on each, S
+    less the linear part at ka, as a high part on the grid 2^-grid and a
+    low part; points[i] to points[i+1] carries high[i] + low[i].
 
-    ns/weights hold exactly the events overlapping [ka, kb).  Both results
-    are workspace views, valid until the next sub-chunk.
+    Every weight and the linear part are split into a multiple of 2^-grid
+    and a remainder (_grid_split, _split), so the running sum of the high
+    parts is exact (the sweep's grid bounds it) and only the tiny low parts
+    round.  ns/weights hold exactly the events overlapping [ka, kb).  The
+    results are workspace views, valid until the next sub-chunk.
     """
     K = geom.K
     # events entered by ka only set the starting value of S, and events
@@ -591,7 +648,9 @@ def _pieces(geom: Fixed | Scaled, ns: np.ndarray, weights: np.ndarray, ka: int, 
     # exactly when n < first_entering(ka + 1), and n*K < kb when n <= (kb-1) // K
     inside = int(np.searchsorted(ns, geom.first_entering(ka + 1), side="left"))
     leaving = int(np.searchsorted(ns, (kb - 1) // K, side="right"))
-    s0 = np.sum(weights[:inside], dtype=np.longdouble)
+    head_high, head_low = _grid_split(weights[:inside], grid)
+    anchor = geom.h if isinstance(geom, Fixed) else geom.delta * Fraction(ka, K)
+    anchor_high, anchor_low = _split(anchor, grid)
     entering = ns.size - inside
     size = entering + leaving
     keys = _WORK.take("keys", size, np.int64)
@@ -610,25 +669,34 @@ def _pieces(geom: Fixed | Scaled, ns: np.ndarray, weights: np.ndarray, ka: int, 
     points = _WORK.take("points", size + 2, np.int64)
     points[0], points[-1] = ka, kb
     np.take(keys, order, out=points[1:-1], mode="wrap")
-    running = _WORK.take("keys", size + 1, np.longdouble)
-    running[0] = s0
-    running[1:] = np.take(deltas, order, out=_WORK.take("sorted", size), mode="wrap")
-    np.cumsum(running, out=running)
+    running = _WORK.take("keys", 2 * (size + 1))
+    high, low = running[: size + 1], running[size + 1 :]
+    np.take(deltas, order, out=low[1:], mode="wrap")
+    _grid_split(low[1:], grid, high[1:], low[1:])
+    high[0] = np.sum(head_high) - anchor_high
+    low[0] = np.sum(head_low) - anchor_low
+    np.cumsum(high, out=high)
+    np.cumsum(low, out=low)
 
-    # once the empty pieces are dropped the rest tile [ka, kb), so each
-    # piece ends where the next one starts
+    # keys that several events share leave empty pieces; once those are
+    # dropped the rest tile [ka, kb), so each piece ends where the next one
+    # starts.  The kept entries are gathered aside and moved to the front
     nonempty = np.greater(points[1:], points[:-1], out=_WORK.take("deltas", size + 1, bool))
+    if nonempty.all():
+        return points, high, low
     keep = np.flatnonzero(nonempty)
-    kept = _WORK.take("deltas", keep.size + 1, np.int64)
-    np.take(points, keep, out=kept[:-1], mode="wrap")
-    kept[-1] = kb
-    svals = _WORK.take("sorted", keep.size, np.longdouble)
-    return kept, np.take(running, keep, out=svals, mode="wrap")
+    n = keep.size
+    aside = _WORK.take("deltas", n, np.int64)
+    for array in (points, high, low):
+        np.take(array, keep, out=aside.view(array.dtype), mode="wrap")
+        array[:n] = aside.view(array.dtype)
+    points[n] = kb
+    return points[: n + 1], high[:n], low[:n]
 
 
 def _chunk_moments(
     geom: Fixed | Scaled, ns: np.ndarray, weights: np.ndarray, ka: int, kb: int,
-    pairs: Sequence[Tuple[float, Kind]], x_end: float | None,
+    pairs: Sequence[Tuple[float, Kind]], x_end: float | None, grid: int,
 ):
     """Integrate all requested (order, kind) pairs over x in [ka/K, kb/K).
 
@@ -637,44 +705,52 @@ def _chunk_moments(
     the sweep ends at X itself even when X*K is not an integer.
     """
     K = geom.K
-    points, svals = _pieces(geom, ns, weights, ka, kb)
-    piece_count = int(svals.size)
+    points, high, low = _pieces(geom, ns, weights, ka, kb, grid)
+    piece_count = int(high.size)
+    left = int(points[-2])  # where the final piece starts
 
     # exact integer differences, rounded once; slots are reused as what they
     # held dies (see the module docstring)
-    steps = _WORK.take("points", piece_count, np.int64)
-    np.subtract(points[1:], points[:-1], out=steps)
+    steps = np.subtract(points[1:], points[:-1], out=_WORK.take("deltas", piece_count, np.int64))
+    u = _WORK.take("points", piece_count)
+    p, q = geom.width.numerator, geom.width.denominator
+    if isinstance(geom, Fixed):
+        # S - h is high + low, one rounding of their exact sum
+        np.add(high, low, out=u)
+    else:
+        # the residual at each midpoint: S - delta x less the drift of delta
+        # x since ka, p (mid - 2 ka) / (2 q K) from the exact doubled
+        # midpoint key mid, with p / (2 q K) split so that its high part
+        # times mid - 2 ka < 2 (kb - ka) is exact
+        per_key = Fraction(p, 2 * q * K)
+        bits = max(53 - (2 * (kb - ka)).bit_length(), 0)
+        drift_high, drift_low = _split(
+            per_key, max(bits + (2 * q * K).bit_length() - p.bit_length() - 1, 0)
+        )
+        off = np.add(points[:-1], points[1:], out=_WORK.take("sorted", piece_count, np.int64))
+        off -= 2 * ka
+        rest = np.multiply(off, drift_low, out=_WORK.take("midpoints", piece_count))
+        np.subtract(low, rest, out=rest)
+        np.subtract(rest, np.multiply(off, drift_high, out=u), out=rest)
+        np.add(high, rest, out=u)
+    if x_end is not None:
+        last = Fraction(x_end) - Fraction(left, K)
+        if isinstance(geom, Scaled):  # its midpoint (left / K + X) / 2 is no key
+            drift = per_key * (left - 2 * ka + Fraction(x_end) * K)
+            u[-1] = float(Fraction(high[-1]) + Fraction(low[-1]) - drift)
     lengths = np.divide(steps, K, out=_WORK.take("keys", piece_count))
     if x_end is not None:
-        last = Fraction(x_end) - Fraction(int(points[-2]), K)
         lengths[-1] = float(last)
     length_sum = float(np.sum(lengths))
 
-    # the linear part from the exact width p/q in extended precision: a fixed
-    # residual takes one float64 rounding while p < 2^64, a scaled one two
-    # longdouble roundings of delta*x first (2^-63 relative with an 80-bit
-    # longdouble, more where that is float64)
-    p, q = geom.width.numerator, geom.width.denominator
     with np.errstate(over="ignore", invalid="ignore"):  # sweep_moments rejects inf and nan
         if isinstance(geom, Fixed):
-            u = _WORK.take("points", piece_count)
-            np.subtract(svals, np.longdouble(p) / q, out=u, casting="same_kind")
             values = [float(np.sum(_integrand(u, o, k) * lengths)) for o, k in pairs]
         else:
-            # the exact half-fall, and the residual at each midpoint from the
-            # exact doubled midpoint key (below 2^63, as keys are below 2^62)
-            d = _WORK.take("d", piece_count)
-            np.multiply(steps, float(Fraction(p, 2 * q * K)), out=d)
+            # the exact half-fall
+            d = np.multiply(steps, float(per_key), out=_WORK.take("d", piece_count))
             if x_end is not None:
                 d[-1] = float(last * Fraction(p, 2 * q))
-            per_key = np.longdouble(p) / (2 * q * K)
-            mid = np.add(points[:-1], points[1:], out=steps)
-            c = _WORK.take("midpoints", piece_count, np.longdouble)
-            np.multiply(mid, per_key, out=c)
-            if x_end is not None:
-                c[-1] = (points[-2] + np.longdouble(x_end) * K) * per_key
-            u = _WORK.take("points", piece_count)
-            np.subtract(svals, c, out=u, casting="same_kind")
             pieces = _Midpoints(u, d, lengths)
             values = [pieces.integral(o, k) for o, k in pairs]
     return values, piece_count, length_sum
@@ -701,48 +777,85 @@ class _EventBuffer:
     """A rolling buffer over a stream of event blocks (ns, ws), ascending
     within and across blocks: it pulls blocks only as far as it is asked to
     reach and lets go of the events it is told are done with, so it holds
-    a sub-chunk's events and the blocks it overlaps, never the stream."""
+    a sub-chunk's events and the blocks it overlaps, never the stream.
+
+    The blocks are held in a list, and only a sub-chunk that straddles two
+    of them is joined.  Before it pulls a block the buffer copies the
+    events it still holds, at most a sub-chunk's and the window's reach,
+    out of the blocks that held them, so those are let go before the sieve
+    builds the next."""
 
     def __init__(self, blocks):
         self._blocks = iter(blocks)
-        self.ns, self.ws = np.empty(0, dtype=np.int64), np.empty(0)
-        self._first = 0  # stream index of ns[0]
+        self._held = []  # the blocks pulled and not let go, in order
+        self._first = 0  # stream index of the first held block's first event
+        self._done = 0  # events of that block already let go
+        self._end = 0  # stream index past the last event held
+
+    def _parts(self, n=None):
+        """The held events < n (all when n is None), one part per block."""
+        start = self._done
+        for ns, ws in self._held:
+            end = ns.size if n is None else int(np.searchsorted(ns, n, side="left"))
+            if end > start:
+                yield ns[start:end], ws[start:end]
+            if end < ns.size:
+                return
+            start = 0
 
     def _pull(self) -> bool:
-        # the held events leave the block they came from first, so that
-        # block is let go before the next one is sieved
-        self.ns, self.ws = self.ns.copy(), self.ws.copy()
-        block = next(self._blocks, None)
-        if block is None:
-            return False
-        if self.ns.size:
-            self.ns = np.concatenate((self.ns, block[0]))
-            self.ws = np.concatenate((self.ws, block[1]))
-        else:  # a lone block, such as a preloaded slice, is held as it is
-            self.ns, self.ws = block
-        return True
+        # copies, not views, so that no reference keeps the blocks alive
+        joined = [np.concatenate(part) for part in zip(*self._parts())]
+        self._held = [tuple(joined)] if joined else []
+        self._first, self._done = self._first + self._done, 0
+        for block in self._blocks:
+            if block[0].size:  # a lone block, such as a preloaded slice, is held as it is
+                self._held.append(block)
+                self._end += block[0].size
+                return True
+        return False
 
     def event(self, i: int) -> int | None:
         """The n of event i of the stream, or None past its end."""
-        while self._first + self.ns.size <= i:
+        while self._end <= i:
             if not self._pull():
                 return None
-        return int(self.ns[i - self._first])
+        i -= self._first
+        for ns, _ in self._held:
+            if i < ns.size:
+                return int(ns[i])
+            i -= ns.size
 
     def reach(self, n: int):
         """Pull blocks until one event >= n is held, or the stream ends."""
-        while not (self.ns.size and self.ns[-1] >= n) and self._pull():
+        while not (self._held and self._held[-1][0][-1] >= n) and self._pull():
             pass
 
     def drop(self, n: int):
-        """Let go of the events <= n, all of them already held."""
-        done = int(np.searchsorted(self.ns, n, side="right"))
-        self.ns, self.ws = self.ns[done:], self.ws[done:]
-        self._first += done
+        """Let go of the events <= n, all of them already held; n never
+        falls from one call to the next."""
+        while self._held:
+            ns = self._held[0][0]
+            self._done = int(np.searchsorted(ns, n, side="right"))
+            if self._done < ns.size:
+                return
+            self._held.pop(0)
+            self._first += ns.size
+        self._done = 0
+
+    def below(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The held events < n, from the first held on: a view of one block,
+        or the parts of the blocks they straddle joined."""
+        parts = list(self._parts(n))
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _sweep_chunk(
-    geom: Fixed | Scaled, pairs: Sequence[Tuple[float, Kind]], limit: int,
+    geom: Fixed | Scaled, pairs: Sequence[Tuple[float, Kind]], limit: int, grid: int,
     b_key: int, X: float, ka: int, kb: int, events: Tuple[np.ndarray, np.ndarray] | None,
 ) -> _Chunk:
     """Integrate [ka, kb) sub-chunk by sub-chunk, over its events (ns, ws),
@@ -763,9 +876,8 @@ def _sweep_chunk(
         cb = kb if n is None or n * K >= kb else n * K
         entering = geom.first_entering(cb)
         buffer.reach(entering)
-        h = int(np.searchsorted(buffer.ns, entering, side="left"))
         v, p, s = _chunk_moments(
-            geom, buffer.ns[:h], buffer.ws[:h], ca, cb, pairs, X if cb == b_key else None
+            geom, *buffer.below(entering), ca, cb, pairs, X if cb == b_key else None, grid
         )
         values.append(v)
         length_sums.append(s)
@@ -796,6 +908,10 @@ def sweep_moments(
     start = time.monotonic()
     geom = window.geometry
     limit = window.limit()
+    # S - (the linear part at a sub-chunk's start) is at most the weight of
+    # the integers in the closed window at X + 1, at most log(limit) each
+    reach = geom.right_end(Fraction(window.X) + 1) - Fraction(window.X) - 1
+    grid = _grid((float(reach) + 1.0) * math.log(max(limit, 2)))
 
     a_key = geom.K
     # no breakpoint falls strictly between floor and ceil of X*K, so rounding
@@ -818,7 +934,7 @@ def sweep_moments(
         None if events is None else events.range(*_chunk_span(geom, limit, ka, kb))
         for ka, kb in zip(bounds[:-1], bounds[1:])
     ]
-    chunk = functools.partial(_sweep_chunk, geom, pairs, limit, b_key, float(window.X))
+    chunk = functools.partial(_sweep_chunk, geom, pairs, limit, grid, b_key, float(window.X))
     if threads > 1 and n_chunks > 1:
         import multiprocessing
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
@@ -901,9 +1017,10 @@ def grid_oracle(
     order; converges to the sweep value as step -> 0.  Slow, only for
     modest X.
 
-    The residual u(x) = S(x) - width at a sample point reads S(x) off a
-    longdouble prefix sum of the weights by binary search, so sampling
-    shares nothing with the sweep's piece machinery.
+    The residual u(x) = S(x) - width at a sample point reads S(x) off
+    prefix sums of the weights by binary search, so sampling shares nothing
+    with the sweep's piece machinery.  The prefix sum of the weights' high
+    parts on a grid 2^-g is exact, so a difference of two is too.
     """
     X = float(window.X)
     orders = [float(o) for o in orders]
@@ -917,9 +1034,10 @@ def grid_oracle(
     if events is None:
         events = EventSource(window.limit())
     ns, ws = events.range(2, window.limit() + 1)
-    prefix = np.concatenate(
-        [np.zeros(1, dtype=np.longdouble), np.cumsum(ws.astype(np.longdouble))]
-    )
+    # a prefix sum of the high parts is at most the sum of all weights
+    # and 2^-(g+1) a weight, which _grid's spare factor 2 covers
+    high, low = _grid_split(ws, _grid(float(np.sum(ws)) + 1.0))
+    prefix_high, prefix_low = (np.concatenate([[0.0], np.cumsum(part)]) for part in (high, low))
     n_cells = int(math.ceil((X - 1.0) / step))
     width = (X - 1.0) / n_cells
     totals = np.zeros(len(orders), dtype=np.float64)
@@ -931,10 +1049,9 @@ def grid_oracle(
             hi, lin = x + d, d
         else:
             hi, lin = x * (1.0 + d), d * x
-        S = prefix[np.searchsorted(ns, hi, side="right")] - prefix[
-            np.searchsorted(ns, x, side="right")
-        ]
-        u = S.astype(np.float64) - lin
+        top, bottom = np.searchsorted(ns, hi, side="right"), np.searchsorted(ns, x, side="right")
+        S = (prefix_high[top] - prefix_high[bottom]) + (prefix_low[top] - prefix_low[bottom])
+        u = S - lin
         for j, o in enumerate(orders):
             totals[j] += np.sum(_integrand(u, o, kind))
     return [float(t * width) for t in totals]

@@ -758,6 +758,141 @@ def test_key_range_errors():
             w.limit()
 
 
+def test_window_past_the_exact_running_sum_raises():
+    # S - h reaches 2^50 log(limit) > 2^52, so no grid keeps the running
+    # sum of the weights' high parts exact; nothing is sieved first
+    w = WindowSpec(2.0**51, Fixed(Fraction(2**50)))
+    with pytest.raises(RangeLimitError, match="exact float64 running sum"):
+        sweep_moments(w, [(1.0, Kind.SIGNED)])
+
+
+RESIDUAL_WINDOWS = [
+    # (geometry, whether two events share a key inside (1, X))
+    (Fixed(Fraction(2)), True),  # even h: n - 2 = n' for twin primes
+    (Fixed(Fraction(7)), True),  # odd h: only n - 7 = 2^k ties
+    (Fixed(Fraction(3, 2)), False),  # entry keys odd, exit keys even
+    (Fixed(Fraction(45, 4)), False),
+    (Scaled(Fraction(1, 3)), True),  # keys 3n and 4n' tie at 12 = 3*4 = 4*3
+    (Scaled(Fraction(1, 50)), False),  # 50n = 51n' needs n = 51m
+]
+
+
+def _exact_residuals(window, events):
+    """Each piece's exact residual u at its midpoint (the constant u of a
+    fixed piece) and the midpoint, as Fractions of the float weights, and
+    whether keys tie."""
+    X = Fraction(window.X)
+    geometry = window.geometry
+    ns, ws = events.arrays()
+    ns, ws = [int(v) for v in ns], [Fraction(w) for w in ws.tolist()]
+    enters = [geometry.entry_key(n) / Fraction(geometry.K) for n in ns]
+    raw = [c for e, n in zip(enters, ns) for c in (e, Fraction(n)) if 1 < c < X]
+    cuts = sorted({Fraction(1), X, *raw})
+    pieces = []
+    for a, b in zip(cuts, cuts[1:]):
+        s = sum((w for n, e, w in zip(ns, enters, ws) if e <= a < n), Fraction(0))
+        mid = (a + b) / 2
+        if isinstance(geometry, Fixed):
+            pieces.append((s - geometry.h, mid))
+        else:
+            pieces.append((s - geometry.delta * mid, mid))
+    return pieces, len(raw) > len(set(raw))
+
+
+@pytest.mark.parametrize("sub_events", [sweep._SUB_EVENTS, 5])
+@pytest.mark.parametrize("geometry, ties", RESIDUAL_WINDOWS)
+def test_residuals_against_exact_fractions(monkeypatch, geometry, ties, sub_events):
+    # every piece's residual, from the split running sum and the split
+    # drift of delta x since its sub-chunk's start, lies within one ulp of
+    # max(|u|, drift) of the exact residual; keys that tie leave empty
+    # pieces, which are dropped, and without ties none is looked for.  Small
+    # sub-chunks start the running sum at many anchors.  X * K is not an
+    # integer, so the final piece ends at X itself
+    monkeypatch.setattr(sweep, "_SUB_EVENTS", sub_events)
+    window = WindowSpec(150.3, geometry)
+    events = EventSource(window.limit())
+    residuals, starts = [], []  # each piece's residual and its sub-chunk's start key
+    chunk_moments = sweep._chunk_moments
+
+    def recording_chunk(geom, ns, ws, ka, *args):
+        first = len(residuals)
+        result = chunk_moments(geom, ns, ws, ka, *args)
+        starts.extend([ka] * (len(residuals) - first))
+        return result
+
+    class Recording(sweep._Midpoints):
+        def __init__(self, c, d, lengths):
+            residuals.extend(c.tolist())
+            super().__init__(c, d, lengths)
+
+    integrand = sweep._integrand
+
+    def recording_integrand(u, order, kind):
+        residuals.extend(u.tolist())
+        return integrand(u, order, kind)
+
+    monkeypatch.setattr(sweep, "_Midpoints", Recording)
+    monkeypatch.setattr(sweep, "_integrand", recording_integrand)
+    monkeypatch.setattr(sweep, "_chunk_moments", recording_chunk)
+    _, diag = sweep_moments(window, [(1, Kind.SIGNED)], events=events)
+    want, tied = _exact_residuals(window, events)
+    assert tied == ties
+    assert diag.piece_count == len(residuals) == len(want)
+    if sub_events < sweep._SUB_EVENTS:
+        assert len(set(starts)) > 1
+    slope = geometry.delta if isinstance(geometry, Scaled) else 0
+    for got, start, (exact, mid) in zip(residuals, starts, want):
+        drift = slope * (mid - Fraction(start, geometry.K))
+        assert abs(Fraction(got) - exact) <= math.ulp(max(abs(float(exact)), float(drift)))
+
+
+DESK_LIKE_PAIRS = [(o, Kind.ABSOLUTE) for o in (1.0, 2.1, 3.2, 6.5)] + [
+    (float(n), Kind.SIGNED) for n in (1, 3, 5)
+]
+
+
+def test_values_do_not_depend_on_longdouble(events_small, monkeypatch):
+    # numpy's longdouble is float64 on Windows and macOS arm64: the sweep and
+    # the grid oracle give the same values bit for bit where it is
+    windows = [WindowSpec(2e4, Scaled(Fraction(1, 100))), WindowSpec(1e4, Fixed(Fraction(50)))]
+
+    def run():
+        return [
+            (
+                [r.value for r in sweep_moments(w, DESK_LIKE_PAIRS, events=events_small)[0]],
+                grid_oracle(w, [1.0, 2.1], Kind.ABSOLUTE, step=0.5, events=events_small),
+            )
+            for w in windows
+        ]
+
+    want = run()
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    assert run() == want
+
+
+def test_event_buffer_slices_match_one_array():
+    # blocks of every size, empty ones too: each slice the sweep asks for is
+    # the slice of the joined array, a view of its block when it lies in one
+    rng = np.random.default_rng(7)
+    ns = np.cumsum(rng.integers(1, 6, 500))
+    ws = rng.random(500)
+    edges = [0, *sorted(rng.choice(np.arange(1, 500), 40, replace=False)), 500]
+    blocks = [(ns[a:b], ws[a:b]) for a, b in zip(edges, edges[1:])]
+    blocks[3:3] = [(ns[:0], ws[:0])]
+    buffer = sweep._EventBuffer(blocks)
+    starts, views = range(0, 500, 11), 0
+    for start in starts:
+        buffer.drop(int(ns[start]) - 1)
+        assert buffer.event(start + 13) == (int(ns[start + 13]) if start + 13 < 500 else None)
+        stop = int(ns[min(start + 30, 499)])
+        buffer.reach(stop)
+        got_ns, got_ws = buffer.below(stop)
+        end = int(np.searchsorted(ns, stop))
+        assert np.array_equal(got_ns, ns[start:end]) and np.array_equal(got_ws, ws[start:end])
+        views += any(np.shares_memory(got_ns, b) for b, _ in blocks)
+    assert 0 < views < len(starts)
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     x_num=st.integers(min_value=5, max_value=200),
