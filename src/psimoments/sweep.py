@@ -13,12 +13,15 @@ enters, and it leaves at key n*K.  The keys are int64 and ordered by integer
 comparison; floats only enter when a piece is integrated.
 
 On a piece [a, b) the residual u(x) = S - h is constant (fixed) or
-u(x) = S - delta x falls linearly (scaled).  A fixed piece raises its
-constant residual to integer orders by products and to others by ``**``
-on |u|.  A scaled piece of length L is described by its midpoint residual
-c, read off the exact doubled midpoint key a + b, and its exact half-fall
-d = delta L / 2: u runs from c + d down to c - d, and the piece integral
-is L times the mean of g over that interval.  With t = d/|c|:
+u(x) = S - delta x falls linearly (scaled).  One kernel (_Midpoints)
+integrates both.  A piece of length L is described by its midpoint
+residual c and its half-fall d: u runs from c + d down to c - d, and the
+piece integral is L times the mean of g over that interval.  A scaled
+piece reads c off the exact doubled midpoint key a + b, and its exact
+half-fall is d = delta L / 2.  A fixed piece is a midpoint piece with
+d = 0, the t = 0 end of the forms below: its mean is g(c), L c^n or
+L |c|^l = L exp(l log|c|) at every order, and it forms nothing else.
+With t = d/|c|:
     integer n, every kind, where u keeps its sign:
         L c^(n%2) sum_j C(n,2j) c^(n-n%2-2j) d^(2j) / (2j+1),
         e.g. L c (c^2 + d^2) for n = 3; a positive or negative part is
@@ -140,20 +143,23 @@ sieve's segment or the buffer, or per piece of the sub-chunk:
               steps; scaled, then r2
     points    sorted keys, then the float64 residual (scaled,     8 / piece
               the drift's high part first)
-    sorted    scaled: the doubled midpoint keys less 2 ka, then   8 / piece
-              q
+    sorted    scaled: the doubled midpoint keys less 2 ka; then   8 / piece
+              the kernel's last q in either geometry
     d         scaled: the exact half-falls                        8 / piece
-    midpoints scaled: the low sum less the drift's low part,      8 / piece
-              then the kernel's temporaries term, side and beyond
-    kernel    scaled: _Midpoints' own slots, as the pairs need    8 / piece
-              them: a, t, log_top (top until its log replaces      each
-              it), scratch, Lc, c2, d2^j and series^k
+    midpoints scaled: the low sum less the drift's low part;      8 / piece
+              then the kernel's temporaries term, a part's factor
+              and beyond (fixed: the factor alone)
+    kernel    _Midpoints' own slots, as the pairs need them:      8 / piece
+              scratch, a, log_top, Lc and c2; scaled also t (top   each
+              lives in log_top's slot until its log replaces it),
+              d2^j and series^k
 The first four are the sieve's and the buffer's, allocated per block;
 the rest are workspace slots.  The desk table's sweep (X = 1e8, nine
 scaled pairs) takes 16 slots, 5.0 MB, and its blocks hold about 110k
-events each.  What a sub-chunk still allocates is argsort's indices, the
-split of the weights already inside the window at its start, flatnonzero
-results, the fixed windows' integrand temporaries, the scaled kernel's
+events each; a fixed window's, 6 slots, 2.0 MB, for |u|^2 and u, and 9,
+2.8 MB, for the four kinds of order 3 and |u|^2.1.  What a sub-chunk
+still allocates is argsort's indices, the split of the weights already
+inside the window at its start, flatnonzero results, the scaled kernel's
 arrays over the few pieces outside the series regime and, where it
 straddles blocks, its joined events.
 """
@@ -311,42 +317,6 @@ def _validate_pairs(pairs: Sequence[Tuple[float, Kind]]):
             )
 
 
-def _power(u: np.ndarray, n: int) -> np.ndarray:
-    """u**n for an integer n >= 1 by binary powering.
-
-    Only products, so a negative base costs no more than a positive one.
-    The result may be ``u`` itself; callers must not write into it.
-    """
-    result = None
-    while True:
-        if n & 1:
-            result = u if result is None else result * u
-        n >>= 1
-        if not n:
-            return result
-        u = u * u
-
-
-def _clip(u: np.ndarray, kind: Kind) -> np.ndarray:
-    """The part of the residual a kind raises to its order."""
-    if kind == Kind.POSITIVE_PART:
-        return np.maximum(u, 0.0)
-    if kind == Kind.NEGATIVE_PART:
-        return np.minimum(u, 0.0)
-    return u
-
-
-def _integrand(u: np.ndarray, order: float, kind: Kind) -> np.ndarray:
-    """g(u) pointwise: integer orders by products, others by ** on |u|."""
-    n = int(order)
-    if kind != Kind.ABSOLUTE or (n == order and n % 2 == 0):
-        return _power(_clip(u, kind), n)
-    u = np.abs(u)
-    if n == order:
-        return _power(u, n)
-    return u**order
-
-
 def _grid(bound: float) -> int:
     """g such that running sums of high parts on the grid 2^-g are exact
     while their size stays below ``bound``: a multiple of 2^-g below
@@ -450,9 +420,13 @@ class _cached:
 
 
 class _Midpoints:
-    """Scaled pieces by midpoint residual c, half-fall d = delta L/2 > 0 and
-    length L: on each the residual falls linearly from c + d to c - d, so
-    the integral of g over it is L times the mean of g over [c - d, c + d].
+    """Pieces by midpoint residual c, half-fall d and length L: on each the
+    residual falls linearly from c + d to c - d, so the integral of g over
+    it is L times the mean of g over [c - d, c + d].  d is None for flat
+    pieces, a fixed window's or grid cells, whose mean is g(c): the t = 0
+    end of the series regime.  They form none of t, top, the d^2 powers,
+    the crossing and middle sets or the series weights, and every order
+    takes the leading term L |c|^order alone.
 
     Quantities that several (order, kind) pairs share are computed once, on
     first use, into the thread's workspace: one instance per thread is in
@@ -467,15 +441,17 @@ class _Midpoints:
     The arrays that die young take no slot of their own: top lives in
     log_top's slot until its log replaces it, and the setup slots that no
     array of the sub-chunk reads any more by the time a kernel runs host
-    r2 (deltas), q (sorted) and the loop temporaries term, side and the
-    beyond mask (midpoints).
+    r2 (deltas), q (sorted) and the loop temporaries term, a part's factor
+    and the beyond mask (midpoints).  The last q is kept, with its order,
+    so that pairs of one order share it.
     """
 
-    def __init__(self, c: np.ndarray, d: np.ndarray, lengths: np.ndarray):
+    def __init__(self, c: np.ndarray, d: np.ndarray | None, lengths: np.ndarray):
         self.c, self.d, self.L = c, d, lengths
         self._scratch = self._work("scratch")
         self._d2_powers = {}
         self._series_weights = {}
+        self._q = None, None  # the last Q_n: (n, array)
 
     def _work(self, name: str, dtype=np.float64) -> np.ndarray:
         return _WORK.take(name, self.c.size, dtype)
@@ -496,6 +472,9 @@ class _Midpoints:
 
     @_cached
     def log_top(self) -> np.ndarray:
+        if self.d is None:  # log|c| in a slot of its own; exp(order log 0) = 0
+            with np.errstate(divide="ignore"):
+                return np.log(self.a, out=self._work("log_top"))
         self.t  # t reads top before its log takes the slot
         return np.log(self.top, out=self.top)
 
@@ -541,22 +520,32 @@ class _Midpoints:
         return self._series_weights[k]
 
     def _even_part(self, n: int):
-        """Q_n = sum_j C(n, 2j)/(2j+1) c^(n-n%2-2j) d^(2j), or None for Q_n = 1.
+        """Q_n = sum_j C(n, 2j)/(2j+1) c^(n-n%2-2j) d^(2j), or None for Q_n = 1;
+        on flat pieces its j = 0 term c^(n-n%2) alone.
 
         The mean of u^n over the piece is c^(n%2) Q_n, every term of which
         has the sign of c^n, so nothing cancels.
         """
-        q = None
-        for j in range(1, n // 2 + 1):
-            b = math.comb(n, 2 * j) / (2 * j + 1)
-            term = self._d2_power(j)
-            if b != 1:
-                term = np.multiply(b, term, out=self._work("midpoints"))
-            if q is None:
-                q = np.add(self.c2, term, out=self._work("sorted"))
-            else:
-                q *= self.c2
-                q += term
+        if n < 2:
+            return None
+        if self._q[0] == n:
+            return self._q[1]
+        if self.d is None:
+            q = self.c2
+            for _ in range(n // 2 - 1):
+                q = np.multiply(q, self.c2, out=self._work("sorted"))
+        else:
+            for j in range(1, n // 2 + 1):
+                b = math.comb(n, 2 * j) / (2 * j + 1)
+                term = self._d2_power(j)
+                if b != 1:
+                    term = np.multiply(b, term, out=self._work("midpoints"))
+                if j == 1:
+                    q = np.add(self.c2, term, out=self._work("sorted"))
+                else:
+                    q *= self.c2
+                    q += term
+        self._q = n, q
         return q
 
     def _crossing_sum(self, m: float, kind: Kind) -> float:
@@ -585,16 +574,20 @@ class _Midpoints:
             # u^n is one polynomial on every piece, sign change or not
             weighted, rest = (self.Lc if n % 2 else self.L), 0.0
         else:
+            # g's mean is factor Q_n where u keeps its sign
             if kind == Kind.ABSOLUTE:
                 factor = self.a
+            elif n % 2:  # c where c has the part's sign, 0 elsewhere
+                clip = np.maximum if kind == Kind.POSITIVE_PART else np.minimum
+                factor = clip(self.c, 0.0, out=self._work("midpoints"))
             else:  # 1 where c has the part's sign, 0 elsewhere
                 compare = np.greater if kind == Kind.POSITIVE_PART else np.less
                 factor = compare(self.c, 0.0, out=self._work("midpoints", bool))
             weighted = np.multiply(self.L, factor, out=self._scratch)
-            weighted[self.crossing] = 0.0  # summed by _crossing_sum
-            if n % 2 and kind != Kind.ABSOLUTE:
-                np.multiply(weighted, self.c, out=weighted)
-            rest = self._crossing_sum(n + 1.0, kind)
+            rest = 0.0
+            if self.d is not None:
+                weighted[self.crossing] = 0.0  # summed by _crossing_sum
+                rest = self._crossing_sum(n + 1.0, kind)
         q = self._even_part(n)
         if q is not None:
             weighted = np.multiply(weighted, q, out=self._scratch)
@@ -602,11 +595,13 @@ class _Midpoints:
 
     def _real_absolute(self, order: float) -> float:
         m = order + 1.0
-        if order * _SERIES_T <= 1:
+        if self.d is None or order * _SERIES_T <= 1:
             # series regime: L |c|^order (1 + sum_k b_k r^(2k)); the corrections
             # are below 1e-6 of the leading sum, which alone is summed pairwise
             p = np.multiply(self.log_top, order, out=self._scratch)
             np.exp(p, out=p)
+            if self.d is None:  # flat: the leading term alone, at every order
+                return float(np.sum(np.multiply(p, self.L, out=p)))
             p[self.beyond_series] = 0.0
             corrections = [
                 b * float(np.einsum("i,i->", p, self._series_weight(k)))
@@ -743,16 +738,14 @@ def _chunk_moments(
         lengths[-1] = float(last)
     length_sum = float(np.sum(lengths))
 
+    d = None  # a fixed window's pieces do not fall
+    if isinstance(geom, Scaled):  # the exact half-fall
+        d = np.multiply(steps, float(per_key), out=_WORK.take("d", piece_count))
+        if x_end is not None:
+            d[-1] = float(last * Fraction(p, 2 * q))
     with np.errstate(over="ignore", invalid="ignore"):  # sweep_moments rejects inf and nan
-        if isinstance(geom, Fixed):
-            values = [float(np.sum(_integrand(u, o, k) * lengths)) for o, k in pairs]
-        else:
-            # the exact half-fall
-            d = np.multiply(steps, float(per_key), out=_WORK.take("d", piece_count))
-            if x_end is not None:
-                d[-1] = float(last * Fraction(p, 2 * q))
-            pieces = _Midpoints(u, d, lengths)
-            values = [pieces.integral(o, k) for o, k in pairs]
+        pieces = _Midpoints(u, d, lengths)
+        values = [pieces.integral(o, k) for o, k in pairs]
     return values, piece_count, length_sum
 
 
@@ -1020,7 +1013,8 @@ def grid_oracle(
     The residual u(x) = S(x) - width at a sample point reads S(x) off
     prefix sums of the weights by binary search, so sampling shares nothing
     with the sweep's piece machinery.  The prefix sum of the weights' high
-    parts on a grid 2^-g is exact, so a difference of two is too.
+    parts on a grid 2^-g is exact, so a difference of two is too.  Each
+    cell, with u at its centre, is a flat piece of the sweep's kernel.
     """
     X = float(window.X)
     orders = [float(o) for o in orders]
@@ -1040,8 +1034,10 @@ def grid_oracle(
     prefix_high, prefix_low = (np.concatenate([[0.0], np.cumsum(part)]) for part in (high, low))
     n_cells = int(math.ceil((X - 1.0) / step))
     width = (X - 1.0) / n_cells
-    totals = np.zeros(len(orders), dtype=np.float64)
-    block = 1 << 20
+    # cells are flat midpoint pieces, in blocks no larger than a sub-chunk's
+    # pieces, so they grow no workspace slot past a sweep's size
+    block = 2 * _SUB_EVENTS
+    blocks = []
     for start_idx in range(0, n_cells, block):
         count = min(block, n_cells - start_idx)
         x = 1.0 + (start_idx + np.arange(count) + 0.5) * width
@@ -1051,10 +1047,9 @@ def grid_oracle(
             hi, lin = x * (1.0 + d), d * x
         top, bottom = np.searchsorted(ns, hi, side="right"), np.searchsorted(ns, x, side="right")
         S = (prefix_high[top] - prefix_high[bottom]) + (prefix_low[top] - prefix_low[bottom])
-        u = S - lin
-        for j, o in enumerate(orders):
-            totals[j] += np.sum(_integrand(u, o, kind))
-    return [float(t * width) for t in totals]
+        cells = _Midpoints(S - lin, None, np.full(count, width))
+        blocks.append([cells.integral(o, kind) for o in orders])
+    return [math.fsum(column) for column in zip(*blocks)]
 
 
 def default_threads() -> int:

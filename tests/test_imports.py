@@ -51,7 +51,7 @@ def _private_definitions(tree: ast.Module):
 
 
 def _references(node: ast.AST) -> Counter:
-    """Names read under a node, bare or as attributes (``sweep._power``)."""
+    """Names read under a node, bare or as attributes (``sweep._grid``)."""
     return Counter(
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)

@@ -587,11 +587,73 @@ def test_scaled_sweep_against_mpmath():
             assert dev <= 1e-14, (x, r.order, r.kind, dev)
 
 
+def _mpmath_g(u, order, kind):
+    """g(u) for an mpf u."""
+    if kind == Kind.SIGNED:
+        return u ** int(order)
+    if kind == Kind.ABSOLUTE:
+        return abs(u) ** order
+    if kind == Kind.POSITIVE_PART:
+        return max(u, 0) ** int(order)
+    return min(u, 0) ** int(order)
+
+
+def mpmath_fixed_moment(window, pairs, events, dps=40):
+    """High-precision reference for fixed windows: exact Fraction
+    breakpoints, S as a sum of the logs of the primes at ``dps`` digits, not
+    of the float64 weights, and L g(S - h) on every piece, on which u is
+    constant."""
+    mpmath = pytest.importorskip("mpmath")
+    h = window.geometry.h
+    X = Fraction(window.X)
+    ns, ws = events.range(2, window.limit() + 1)
+    steps = []
+    for n, w in zip(ns.tolist(), ws.tolist()):
+        p = round(math.exp(w))  # the weight of p^k is log p
+        steps += [(n - h, p, 1), (Fraction(n), p, -1)]
+    steps.sort(key=lambda s: s[0])
+    cuts = sorted({Fraction(1), X} | {c for c, _, _ in steps if 1 < c < X})
+    with mpmath.mp.workdps(dps):
+        totals = [mpmath.mpf(0)] * len(pairs)
+        S = mpmath.mpf(0)
+        i = 0
+        for a, b in zip(cuts, cuts[1:]):
+            while i < len(steps) and steps[i][0] <= a:
+                S += steps[i][2] * mpmath.log(steps[i][1])
+                i += 1
+            u = S - mpmath.mpf(h.numerator) / h.denominator
+            length = mpmath.mpf((b - a).numerator) / (b - a).denominator
+            for j, (order, kind) in enumerate(pairs):
+                totals[j] += length * _mpmath_g(u, order, kind)
+        return totals
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        WindowSpec(2e4, Fixed(Fraction(20))),  # even h: n - 20 = n' ties keys
+        WindowSpec(15000.3, Fixed(Fraction(73, 3))),  # the final piece ends at X
+    ],
+)
+def test_fixed_sweep_against_mpmath(window):
+    # flat pieces through the midpoint kernel, against constant residuals
+    # from 40-digit logs of the primes
+    pairs = DESK_LIKE_PAIRS + [(3.0, Kind.POSITIVE_PART), (3.0, Kind.NEGATIVE_PART)]
+    events = EventSource(window.limit())
+    res, _ = sweep_moments(window, pairs, events=events)
+    want = mpmath_fixed_moment(window, pairs, events)
+    for r, w in zip(res, want):
+        dev = float(abs((r.value - w) / w))
+        assert dev <= 1e-14, (window.geometry.h, r.order, r.kind, dev)
+
+
 def _mpmath_piece(c, d, length, order, kind):
     """L times the mean of g(u) over [c - d, c + d] at 40 digits, from the
-    antiderivative G of g, continuous at 0."""
+    antiderivative G of g, continuous at 0; L g(c) when d = 0."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.mp.workdps(40):
+        if d == 0:
+            return float(mpmath.mpf(length) * _mpmath_g(mpmath.mpf(c), order, kind))
         m = mpmath.mpf(order) + 1
 
         def G(u):
@@ -621,13 +683,23 @@ def _kernel_pieces():
     return pieces
 
 
+def _flat_pieces():
+    """(c, 0) for each c of _kernel_pieces: pieces that do not fall."""
+    return [(c, 0.0) for c in sorted({c for c, _ in _kernel_pieces()})]
+
+
+def _one_piece(c, d):
+    """The kernel over one piece of length 0.625; d = 0 is passed as None."""
+    return sweep._Midpoints(np.array([c]), np.array([d]) if d else None, np.array([0.625]))
+
+
 def test_midpoint_kernel_against_mpmath():
     c, d = np.array(_kernel_pieces()).T
     batch = sweep._Midpoints(c, d, np.ones_like(c))
     series = np.flatnonzero(batch.t <= sweep._SERIES_T)
     assert series.size and batch.middle.size and batch.crossing.size
-    for c, d in _kernel_pieces():
-        pieces = sweep._Midpoints(np.array([c]), np.array([d]), np.array([0.625]))
+    for c, d in _kernel_pieces() + _flat_pieces():
+        pieces = _one_piece(c, d)
         for order in (0.5, 1, 2, 2.1, 3, 6.5, 12):
             kinds = ALL_KINDS if order == int(order) else (Kind.ABSOLUTE,)
             for kind in kinds:
@@ -639,15 +711,14 @@ def test_midpoint_kernel_against_mpmath():
 def test_midpoint_kernel_large_order_against_mpmath():
     # past order 1/_SERIES_T the series would need about order/2 terms, so
     # the closed form covers every piece; its error grows like
-    # order * |log|c|| ulps
+    # order * |log|c|| ulps.  A flat piece (d = 0) takes the leading term
+    # L |c|^order at every order
     order = 1500.5
     assert order * sweep._SERIES_T > 1
-    for c, d in _kernel_pieces():
+    for c, d in _kernel_pieces() + _flat_pieces():
         if abs(c) + d > 1.5:  # the moment itself would pass float64
             continue
-        got = sweep._Midpoints(np.array([c]), np.array([d]), np.array([0.625])).integral(
-            order, Kind.ABSOLUTE
-        )
+        got = _one_piece(c, d).integral(order, Kind.ABSOLUTE)
         want = _mpmath_piece(c, d, 0.625, order, Kind.ABSOLUTE)
         assert abs(got - want) <= 1e-12 * abs(want), (c, d, got, want)
 
@@ -825,14 +896,7 @@ def test_residuals_against_exact_fractions(monkeypatch, geometry, ties, sub_even
             residuals.extend(c.tolist())
             super().__init__(c, d, lengths)
 
-    integrand = sweep._integrand
-
-    def recording_integrand(u, order, kind):
-        residuals.extend(u.tolist())
-        return integrand(u, order, kind)
-
     monkeypatch.setattr(sweep, "_Midpoints", Recording)
-    monkeypatch.setattr(sweep, "_integrand", recording_integrand)
     monkeypatch.setattr(sweep, "_chunk_moments", recording_chunk)
     _, diag = sweep_moments(window, [(1, Kind.SIGNED)], events=events)
     want, tied = _exact_residuals(window, events)
