@@ -144,11 +144,11 @@ sieve's segment or the buffer, or per piece of the sub-chunk:
     points    sorted keys, then the float64 residual (scaled,     8 / piece
               the drift's high part first)
     sorted    scaled: the doubled midpoint keys less 2 ka; then   8 / piece
-              the kernel's last q in either geometry
+              the kernel's q in either geometry
     d         scaled: the exact half-falls                        8 / piece
     midpoints scaled: the low sum less the drift's low part;      8 / piece
-              then the kernel's temporaries term, a part's factor
-              and beyond (fixed: the factor alone)
+              then the kernel's temporaries term, a part's sign
+              mask and beyond (fixed: the mask alone)
     kernel    _Midpoints' own slots, as the pairs need them:      8 / piece
               scratch, a, log_top, Lc and c2; scaled also t (top   each
               lives in log_top's slot until its log replaces it),
@@ -157,7 +157,7 @@ The first four are the sieve's and the buffer's, allocated per block;
 the rest are workspace slots.  The desk table's sweep (X = 1e8, nine
 scaled pairs) takes 16 slots, 5.0 MB, and its blocks hold about 110k
 events each; a fixed window's, 6 slots, 2.0 MB, for |u|^2 and u, and 9,
-2.8 MB, for the four kinds of order 3 and |u|^2.1.  What a sub-chunk
+2.6 MB, for the four kinds of order 3 and |u|^2.1.  What a sub-chunk
 still allocates is argsort's indices, the split of the weights already
 inside the window at its start, flatnonzero results, the scaled kernel's
 arrays over the few pieces outside the series regime and, where it
@@ -441,9 +441,8 @@ class _Midpoints:
     The arrays that die young take no slot of their own: top lives in
     log_top's slot until its log replaces it, and the setup slots that no
     array of the sub-chunk reads any more by the time a kernel runs host
-    r2 (deltas), q (sorted) and the loop temporaries term, a part's factor
-    and the beyond mask (midpoints).  The last q is kept, with its order,
-    so that pairs of one order share it.
+    r2 (deltas), q (sorted) and the loop temporaries term, a part's sign
+    mask and the beyond mask (midpoints).
     """
 
     def __init__(self, c: np.ndarray, d: np.ndarray | None, lengths: np.ndarray):
@@ -451,7 +450,6 @@ class _Midpoints:
         self._scratch = self._work("scratch")
         self._d2_powers = {}
         self._series_weights = {}
-        self._q = None, None  # the last Q_n: (n, array)
 
     def _work(self, name: str, dtype=np.float64) -> np.ndarray:
         return _WORK.take(name, self.c.size, dtype)
@@ -528,8 +526,6 @@ class _Midpoints:
         """
         if n < 2:
             return None
-        if self._q[0] == n:
-            return self._q[1]
         if self.d is None:
             q = self.c2
             for _ in range(n // 2 - 1):
@@ -545,7 +541,6 @@ class _Midpoints:
                 else:
                     q *= self.c2
                     q += term
-        self._q = n, q
         return q
 
     def _crossing_sum(self, m: float, kind: Kind) -> float:
@@ -574,12 +569,8 @@ class _Midpoints:
             # u^n is one polynomial on every piece, sign change or not
             weighted, rest = (self.Lc if n % 2 else self.L), 0.0
         else:
-            # g's mean is factor Q_n where u keeps its sign
             if kind == Kind.ABSOLUTE:
                 factor = self.a
-            elif n % 2:  # c where c has the part's sign, 0 elsewhere
-                clip = np.maximum if kind == Kind.POSITIVE_PART else np.minimum
-                factor = clip(self.c, 0.0, out=self._work("midpoints"))
             else:  # 1 where c has the part's sign, 0 elsewhere
                 compare = np.greater if kind == Kind.POSITIVE_PART else np.less
                 factor = compare(self.c, 0.0, out=self._work("midpoints", bool))
@@ -588,6 +579,8 @@ class _Midpoints:
             if self.d is not None:
                 weighted[self.crossing] = 0.0  # summed by _crossing_sum
                 rest = self._crossing_sum(n + 1.0, kind)
+            if n % 2 and kind != Kind.ABSOLUTE:
+                np.multiply(weighted, self.c, out=weighted)
         q = self._even_part(n)
         if q is not None:
             weighted = np.multiply(weighted, q, out=self._scratch)
@@ -1011,10 +1004,12 @@ def grid_oracle(
     modest X.
 
     The residual u(x) = S(x) - width at a sample point reads S(x) off
-    prefix sums of the weights by binary search, so sampling shares nothing
-    with the sweep's piece machinery.  The prefix sum of the weights' high
-    parts on a grid 2^-g is exact, so a difference of two is too.  Each
-    cell, with u at its centre, is a flat piece of the sweep's kernel.
+    prefix sums of the weights by binary search, so S and the breakpoints
+    are checked independently of the sweep's piece machinery.  The prefix
+    sum of the weights' high parts on a grid 2^-g is exact, so a difference
+    of two is too.  Each cell, with u at its centre, is a flat piece of the
+    sweep's kernel: the integrand is shared, and checked on its own by the
+    40-digit oracles in the tests.
     """
     X = float(window.X)
     orders = [float(o) for o in orders]
