@@ -32,17 +32,15 @@ from .predictions import (
 from .sieve import EventSource
 from .sweep import Fixed, Kind, Scaled, WindowSpec, _validate_pairs, sweep_moments
 
-# name -> (window geometry it needs, value at (X, width, order)).  The
-# lambdas look each prediction up by its module-level name at call time,
-# so wrappers installed on those names (perfbench/layers.py) see the call.
+# name -> (window geometry it needs, value at (X, width, order))
 FORMULAS = {
-    "fixed-main": (Fixed, lambda X, w, o: fixed_main_term(X, w, o)),
-    "scaled-main": (Scaled, lambda X, w, o: scaled_main_term(X, w, o)),
-    "fixed-refined": (Fixed, lambda X, w, o: fixed_refined_term(X, w, o)),
-    "scaled-refined": (Scaled, lambda X, w, o: scaled_refined_term(X, w, o)),
-    "odd-normalizer": (Scaled, lambda X, w, o: odd_normalizer(X, w, o)),
-    "even-b-fixed": (Fixed, lambda X, w, o: even_main_b_fixed(X, w, o)),
-    "even-b-scaled": (Scaled, lambda X, w, o: even_main_b_scaled(X, w, o)),
+    "fixed-main": (Fixed, fixed_main_term),
+    "scaled-main": (Scaled, scaled_main_term),
+    "fixed-refined": (Fixed, fixed_refined_term),
+    "scaled-refined": (Scaled, scaled_refined_term),
+    "odd-normalizer": (Scaled, odd_normalizer),
+    "even-b-fixed": (Fixed, even_main_b_fixed),
+    "even-b-scaled": (Scaled, even_main_b_scaled),
 }
 FORMULA_NAMES = tuple(FORMULAS)
 

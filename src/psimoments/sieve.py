@@ -1,18 +1,17 @@
 """Prime power enumeration with von Mangoldt weights.
 
-Every n = p^a <= limit is an event (n, log p).  Events reach the rest of
-the package through range requests.  ``sieve_blocks(lo, hi)`` sieves just
-[lo, hi) against the base primes up to sqrt(hi) and yields its events as a
-stream of ascending blocks (ns, ws), one per segment; ``sieve_range(lo,
-hi)`` joins them into two arrays.  Memory is bounded by the span a caller
-asks for, or by one segment for a caller that reads the stream.  Adjacent
-spans tile the full table bit for bit, whatever the cut points, so a pass
-given no event source (a sweep, the first-moment oracle, psi) sieves each
-of its spans itself and never holds the table; a sweep reads each span
-block by block.  ``EventSource`` answers range requests up to a limit,
-slicing one sieved table for small limits and re-sieving each span past
-PRELOAD_LIMIT; the table pays off only when one source is shared by
-several passes.
+Every n = p^a <= limit is an event (n, log p).  ``sieve_blocks(lo, hi)``
+sieves just [lo, hi) against the base primes up to sqrt(hi) and yields its
+events as a stream of ascending blocks (ns, ws), one per segment;
+``sieve_range(lo, hi)`` joins them into two arrays.  Memory is bounded by
+the span a caller asks for, or by one segment for a caller that reads the
+stream.  Adjacent spans tile the full table bit for bit, whatever the cut
+points, so a single pass sieves its own spans and never holds the table: a
+sweep given no event source reads each chunk's span block by block, and
+psi and the first-moment oracle read the blocks of [2, limit].
+``EventSource`` is one sieved table up to a limit, for callers that share
+it across several passes; past PRELOAD_LIMIT it holds no table, and only
+a sweep takes such a source, to check its coverage.
 
 A span is sieved in segments of _SEGMENT odd numbers (a 1 MB mask, after
 Bays and Hudson, BIT 17, 1977), so the strided writes of every base prime
@@ -38,12 +37,10 @@ import numpy as np
 
 from .errors import CoverageError, RangeLimitError
 
-# beyond this limit events are re-sieved per range instead of held in memory
+# beyond this limit an event source holds no table: a sweep sieves each span
 PRELOAD_LIMIT = 1 << 28
 # the sweep's int64 keys n*K stay below this, and so does every event n
 KEY_LIMIT = 1 << 62
-# psi streams its weights in range requests of this width
-PSI_SPAN = 1 << 20
 # odd slots sieved at a time: a 1 MB mask stays in cache
 _SEGMENT = 1 << 20
 
@@ -157,14 +154,14 @@ def sieve_range(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class EventSource:
-    """Random access view of the events up to ``limit``, for callers that
-    share one set of events across several passes.
+    """The events up to ``limit``, sieved once into one table, for callers
+    that share it across several passes; range requests slice it.
 
-    Small limits are materialised once; past PRELOAD_LIMIT each range
-    request re-sieves just the span it needs, so huge limits never hold
-    the full event list in memory.  A single pass needs no source: given
-    none, it sieves each span itself, which costs no more than slicing the
-    table and never holds it.
+    A single pass needs no source: given none, it sieves each span itself,
+    which costs no more than slicing the table and never holds it.  Past
+    PRELOAD_LIMIT the table is not built: ``arrays`` and ``range`` raise
+    RangeLimitError, and a sweep given such a source only checks its
+    coverage, then sieves each chunk's span as with no source.
     """
 
     limit: int
@@ -176,10 +173,14 @@ class EventSource:
 
     @property
     def preload(self) -> bool:
-        """Whether range requests slice one table sieved up front."""
+        """Whether the table fits: the limit is at most PRELOAD_LIMIT."""
         return self.limit <= PRELOAD_LIMIT
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        if not self.preload:
+            raise RangeLimitError(
+                f"a source up to {self.limit} holds no table: its limit is past {PRELOAD_LIMIT}"
+            )
         if self._arrays is None:
             self._arrays = sieve_range(2, self.limit + 1)
         return self._arrays
@@ -192,31 +193,23 @@ class EventSource:
             )
 
     def range(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Events with lo <= n < hi."""
+        """Events with lo <= n < hi: a slice of the table."""
         self.check(hi)
-        if self.preload:
-            ns, ws = self.arrays()
-            i = np.searchsorted(ns, lo, side="left")
-            j = np.searchsorted(ns, hi, side="left")
-            return ns[i:j], ws[i:j]
-        return sieve_range(lo, hi)
+        ns, ws = self.arrays()
+        i = np.searchsorted(ns, lo, side="left")
+        j = np.searchsorted(ns, hi, side="left")
+        return ns[i:j], ws[i:j]
 
 
-def psi(x: float, events: EventSource | None = None) -> float:
+def psi(x: float) -> float:
     """Chebyshev psi: the correctly rounded sum of weights over n <= x.
 
-    Weights stream from consecutive PSI_SPAN-wide range requests into one
-    math.fsum, so the result does not depend on how the events are held;
-    without ``events`` each span is sieved directly.
+    The weights of [2, x] stream block by block from the sieve into one
+    math.fsum, so the result does not depend on how the blocks are cut.
     """
     if x < 2:
         return 0.0
     n_max = int(math.floor(x))
     if n_max > KEY_LIMIT:
         raise RangeLimitError(f"psi({x}) needs events past the 64-bit key range")
-    fetch = sieve_range if events is None else events.range
-    return math.fsum(
-        w
-        for lo in range(2, n_max + 1, PSI_SPAN)
-        for w in fetch(lo, min(lo + PSI_SPAN, n_max + 1))[1].tolist()
-    )
+    return math.fsum(w for _, ws in sieve_blocks(2, n_max + 1) for w in ws.tolist())

@@ -45,9 +45,10 @@ there and costs an order of magnitude more per element.
 Piece lengths are exact integer key differences divided by K once.
 
 The key range [K, ceil(X K)] is cut at two levels.  Outer chunks hold
-about _CHUNK_EVENTS events each.  Each is one task: one call of
-_sweep_chunk, a module-level function of picklable arguments, whose
-_Chunk record holds each sub-chunk's values and length sum and the
+about _CHUNK_EVENTS events each; a window that needs more than _MAX_CHUNKS
+of them raises RangeLimitError before any is planned.  Each is one task:
+one call of _sweep_chunk, a module-level function of picklable arguments,
+whose _Chunk record holds each sub-chunk's values and length sum and the
 chunk's piece count.  A task carries its chunk's events or nothing:
     no source               the task streams its own span (_chunk_span)
                             from the sieve, one block of events per sieve
@@ -57,9 +58,9 @@ chunk's piece count.  A task carries its chunk's events or nothing:
                             that span, not the source, which would carry the
                             whole table to every worker; it is read as one
                             block;
-    a source past           it holds no table and would only re-sieve each
-    PRELOAD_LIMIT           span, so its coverage is checked once, up front,
-                            and the sweep runs as with no source.
+    a source past           it holds no table, so its coverage is checked
+    PRELOAD_LIMIT           once, up front, and the sweep runs as with no
+                            source.
 A table pays off only when a caller shares one source across several
 sweeps.  The tasks run in one pool of min(threads, chunks) worker
 processes, forked where the platform can fork, as the sieve's Python loops
@@ -186,11 +187,14 @@ from .errors import (
     RangeLimitError,
     ResourceError,
 )
-from .sieve import KEY_LIMIT, PSI_SPAN, EventSource, sieve_blocks, sieve_range
+from .sieve import KEY_LIMIT, EventSource, sieve_blocks, sieve_range
 
 MAX_DELTA_DENOMINATOR = 10**9
 # events per outer chunk: one pool task each
 _CHUNK_EVENTS = 1 << 20
+# most outer chunks a sweep plans: their bounds and tasks are lists, built
+# before any work starts (the full-scale table takes 415)
+_MAX_CHUNKS = 1 << 20
 # events per integration sub-chunk, so that its setup temporaries stay in cache
 _SUB_EVENTS = 1 << 14
 # t = d/|c| up to which the scaled kernel sums the binomial series in t^2 for
@@ -906,6 +910,11 @@ def sweep_moments(
 
     est_events = max(64, int(limit / max(math.log(max(limit, 3)), 1.0)))
     n_chunks = max(1, math.ceil(est_events / _CHUNK_EVENTS))
+    if n_chunks > _MAX_CHUNKS:
+        raise RangeLimitError(
+            f"a sweep up to {limit} reads about {est_events:.3g} events in "
+            f"{n_chunks} chunks, past the {_MAX_CHUNKS} a sweep can plan"
+        )
     span = max(1, (b_key - a_key + n_chunks - 1) // n_chunks)
     bounds = [*range(a_key, b_key, span), b_key]  # no empty chunk
 
@@ -957,7 +966,7 @@ def sweep_moments(
     return results, diag
 
 
-def first_moment_exact(window: WindowSpec, events: EventSource | None = None) -> float:
+def first_moment_exact(window: WindowSpec) -> float:
     """Signed first moment by direct per-event accounting.
 
     Each event n contributes weight(n) times the measure of x in [1, X]
@@ -965,20 +974,18 @@ def first_moment_exact(window: WindowSpec, events: EventSource | None = None) ->
     Overlaps are exact integer key differences, plus the fraction of a key
     that X*K may leave past floor(X*K); each weighted overlap is rounded
     once, and the sum is carried exactly (an fsum and its remainder per
-    range request) until the exact linear part is subtracted.  Events
-    stream in PSI_SPAN-wide range requests, like psi's.  Shares nothing
-    with the sweep except the event list, so it serves as an independent
-    oracle for it.
+    sieve block) until the exact linear part is subtracted.  Events stream
+    block by block from the sieve, like psi's.  Shares nothing with the
+    sweep except the event list, so it serves as an independent oracle for
+    it.
     """
     geom = window.geometry
     limit = window.limit()
-    fetch = sieve_range if events is None else events.range
     xf = Fraction(window.X)
     b_key, tail = divmod(xf * geom.K, 1)
 
     positive = Fraction(0)  # in key units
-    for lo in range(2, limit + 1, PSI_SPAN):
-        ns, ws = fetch(lo, min(lo + PSI_SPAN, limit + 1))
+    for ns, ws in sieve_blocks(2, limit + 1):
         entry = geom.entry_key(ns)
         exit_ = ns * geom.K
         overlap = np.minimum(exit_, b_key) - np.maximum(entry, geom.K)
@@ -997,7 +1004,6 @@ def grid_oracle(
     orders: Sequence[float],
     kind: Kind,
     step: float,
-    events: EventSource | None = None,
 ) -> list:
     """Midpoint-rule approximation sampling psi directly, one value per
     order; converges to the sweep value as step -> 0.  Slow, only for
@@ -1020,9 +1026,7 @@ def grid_oracle(
     if not 0 < step <= (X - 1.0) / 10.0:
         raise InvalidWindowError(f"step must lie in (0, (X-1)/10], got {step}")
     d = float(window.geometry.width)
-    if events is None:
-        events = EventSource(window.limit())
-    ns, ws = events.range(2, window.limit() + 1)
+    ns, ws = sieve_range(2, window.limit() + 1)
     # a prefix sum of the high parts is at most the sum of all weights
     # and 2^-(g+1) a weight, which _grid's spare factor 2 covers
     high, low = _grid_split(ws, _grid(float(np.sum(ws)) + 1.0))

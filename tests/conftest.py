@@ -75,4 +75,4 @@ def desk_sweep():
     )
     wall = time.monotonic() - t0
     values = {(r.order, r.kind): r.value for r in results}
-    return dict(values=values, diag=diag, wall=wall, window=window, events=events)
+    return dict(values=values, diag=diag, wall=wall, window=window)

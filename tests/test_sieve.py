@@ -145,34 +145,35 @@ def test_psi_10():
 
 
 def test_psi_monotone_steps():
-    src = EventSource(200)
-    vals = [psi(float(x), events=src) for x in range(1, 100)]
+    vals = [psi(float(x)) for x in range(1, 100)]
     assert vals[0] == 0.0
     for a, b in zip(vals, vals[1:]):
         assert b >= a
 
 
-def test_psi_independent_of_source_state():
-    # one fsum over all weights: correctly rounded, however the events are held
-    class Streamed(EventSource):
-        preload = False  # re-sieve every psi span
-
-    src = EventSource(3_000_000)
-    before = psi(2.5e6, events=src)
-    ns, ws = src.arrays()
-    assert psi(2.5e6, events=src) == before
-    assert psi(2.5e6, events=Streamed(3_000_000)) == before
-    assert before == math.fsum(ws[ns <= 2_500_000].tolist())
-
-
 def test_psi_coverage_guard():
-    src = EventSource(100)
-    with pytest.raises(CoverageError):
-        psi(1000.0, events=src)
-    # events past the key range fail at once, with or without a source
-    for events in (None, src):
+    # events past the key range fail at once
+    with pytest.raises(RangeLimitError):
+        psi(1e19)
+
+
+def test_source_past_preload_limit_holds_no_table(monkeypatch):
+    # a source past PRELOAD_LIMIT builds no table, and slices none: it
+    # raises without sieving, after the check of its own limit
+    def no_sieve(lo, hi):
+        raise AssertionError("a source past PRELOAD_LIMIT sieved")
+
+    monkeypatch.setattr(sieve, "PRELOAD_LIMIT", 1000)
+    monkeypatch.setattr(sieve, "sieve_range", no_sieve)
+    src = EventSource(5000)
+    assert not src.preload
+    with pytest.raises(RangeLimitError):
+        src.arrays()
+    for lo, hi in ((2, 5001), (2000, 3000)):
         with pytest.raises(RangeLimitError):
-            psi(1e19, events=events)
+            src.range(lo, hi)
+    with pytest.raises(CoverageError):
+        src.range(2000, 5002)
 
 
 def test_event_source_range_matches_preload():

@@ -19,7 +19,7 @@ from psimoments.errors import (
     ResourceError,
 )
 from psimoments import sieve, sweep
-from psimoments.sieve import PSI_SPAN, EventSource, psi, sieve_blocks, sieve_range
+from psimoments.sieve import EventSource, psi, sieve_blocks, sieve_range
 from psimoments.sweep import (
     Fixed,
     Kind,
@@ -131,31 +131,14 @@ def test_fractional_endpoint(events_toy, monkeypatch):
 
 def test_first_moment_exact_tiny():
     # only the prime 2 is inside reach: contribution log 2 over half a unit
-    src = EventSource(8)
     w = WindowSpec(2.0, Fixed(Fraction(1, 2)))
     want = 0.5 * math.log(2.0) - 0.5
-    got = first_moment_exact(w, events=src)
+    got = first_moment_exact(w)
     assert got == pytest.approx(want, rel=1e-15)
     assert got == pytest.approx(-0.15342640972002736, rel=1e-15)
     # X = 1 leaves no x to integrate over
     for geometry in (Fixed(Fraction(1, 2)), Scaled(Fraction(1, 2))):
-        assert first_moment_exact(WindowSpec(1.0, geometry), events=src) == 0.0
-
-
-def test_first_moment_exact_streams_spans(monkeypatch, recording_source):
-    # on a streamed source every request is at most PSI_SPAN wide and the
-    # requests tile [2, limit]
-    w = WindowSpec(2.5e6, Fixed(Fraction(100)))
-    limit = w.limit()
-    preloaded = first_moment_exact(w, EventSource(limit))
-    monkeypatch.setattr(sieve, "PRELOAD_LIMIT", 1000)
-    streamed = recording_source(limit)
-    assert not streamed.preload
-    assert first_moment_exact(w, streamed) == preloaded
-    assert len(streamed.calls) == 3
-    assert all(hi - lo <= PSI_SPAN for lo, hi in streamed.calls)
-    assert streamed.calls[0][0] == 2 and streamed.calls[-1][1] == limit + 1
-    assert all(a[1] == b[0] for a, b in zip(streamed.calls, streamed.calls[1:]))
+        assert first_moment_exact(WindowSpec(1.0, geometry)) == 0.0
 
 
 NO_TABLE_WINDOWS = (
@@ -166,15 +149,14 @@ NO_TABLE_PAIRS = [(2.1, Kind.ABSOLUTE), (3, Kind.SIGNED), (1, Kind.POSITIVE_PART
 
 
 def test_no_source_builds_no_table(monkeypatch):
-    # a pass given no event source sieves its own spans, bit for bit the
-    # values a preloaded source gives
+    # a sweep given no event source sieves its own spans, bit for bit the
+    # values a preloaded source gives; the oracles never build a table
     monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 12)
     want = []
     for w in NO_TABLE_WINDOWS:
-        src = EventSource(w.limit())
-        res, diag = sweep_moments(w, NO_TABLE_PAIRS, events=src)
-        want.append(([r.value for r in res], diag.piece_count, first_moment_exact(w, src)))
-    want_psi = psi(2e5 + 0.5, events=EventSource(200_000))
+        res, diag = sweep_moments(w, NO_TABLE_PAIRS, events=EventSource(w.limit()))
+        want.append(([r.value for r in res], diag.piece_count, first_moment_exact(w)))
+    want_psi = math.fsum(EventSource(200_000).arrays()[1].tolist())
 
     def no_table(self):
         raise AssertionError("an event table was built")
@@ -186,6 +168,33 @@ def test_no_source_builds_no_table(monkeypatch):
         assert [r.value for r in res] == values and diag.piece_count == pieces
         assert first_moment_exact(w) == first
     assert psi(2e5 + 0.5) == want_psi
+
+
+ORACLE_WINDOWS = (WindowSpec(2e4, Fixed(Fraction(20))), *NO_TABLE_WINDOWS)
+
+
+def test_oracles_do_not_depend_on_sieve_segments(monkeypatch):
+    # psi and the first-moment oracle read the sieve's blocks, one per
+    # segment: their values are the same bit for bit however it cuts them
+    def values():
+        return [
+            (first_moment_exact(w), psi(w.X), psi(float(w.limit()))) for w in ORACLE_WINDOWS
+        ]
+
+    want = values()
+    monkeypatch.setattr(sieve, "_SEGMENT", 1 << 8)
+    assert values() == want
+
+
+def test_oversized_chunk_plan_fails_up_front(monkeypatch):
+    # X = 2^51, h = 1 would plan about 6e7 chunks: the sweep refuses it
+    # before it builds their bounds and tasks, and sieves nothing
+    def no_sieve(lo, hi):
+        raise AssertionError("a chunk was sieved")
+
+    monkeypatch.setattr(sweep, "sieve_blocks", no_sieve)
+    with pytest.raises(RangeLimitError, match="events in [0-9]+ chunks"):
+        sweep_moments(WindowSpec(2.0**51, Fixed(Fraction(1))), [(1.0, Kind.SIGNED)])
 
 
 def test_chunks_cross_a_process_boundary(monkeypatch):
@@ -452,14 +461,14 @@ def test_first_entering_inverts_entry_key(geometry, e):
 def test_sweep_matches_closed_form_oracle_fixed(events_1e6):
     w = WindowSpec(1e6, Fixed(Fraction(1000)))
     res, _ = sweep_moments(w, [(1, Kind.SIGNED)], events=events_1e6)
-    want = first_moment_exact(w, events=events_1e6)
+    want = first_moment_exact(w)
     assert res[0].value == pytest.approx(want, rel=1e-9)
 
 
 def test_sweep_matches_closed_form_oracle_scaled(events_1e6):
     w = WindowSpec(1e6, Scaled(Fraction(1, 1000)))
     res, _ = sweep_moments(w, [(1, Kind.SIGNED)], events=events_1e6)
-    want = first_moment_exact(w, events=events_1e6)
+    want = first_moment_exact(w)
     assert res[0].value == pytest.approx(want, rel=1e-9)
 
 
@@ -467,7 +476,7 @@ def test_desk_first_moment_matches_oracle(desk_sweep):
     # desk signed n=1 is -1.48e7 beside a linear part of 5e11, so the sweep's
     # linear part must come from the exact width
     got = desk_sweep["values"][(1.0, Kind.SIGNED)]
-    want = first_moment_exact(desk_sweep["window"], events=desk_sweep["events"])
+    want = first_moment_exact(desk_sweep["window"])
     assert got == pytest.approx(want, rel=1e-13)
 
 
@@ -480,7 +489,7 @@ def test_sweep_matches_grid_oracle(events_small):
             orders = [1.0, 2.1, 3.0] if kind == Kind.ABSOLUTE else [1.0, 3.0]
             pairs = [(o, k) for o in orders for k in (kind, Kind.ABSOLUTE)]
             res, _ = sweep_moments(w, pairs, events=events_small)
-            grid = grid_oracle(w, orders, kind, step=1e-2, events=events_small)
+            grid = grid_oracle(w, orders, kind, step=1e-2)
             for got, absolute, g in zip(res[::2], res[1::2], grid):
                 assert got.value == pytest.approx(g, abs=1e-4 * absolute.value)
 
@@ -808,9 +817,8 @@ def test_validation_errors():
         sweep_moments(w, [(0.0, Kind.ABSOLUTE)])
     with pytest.raises(InvalidOrderError):
         sweep_moments(w, [(2.5, Kind.SIGNED)])
-    src = EventSource(64)
     with pytest.raises(InvalidWindowError):
-        grid_oracle(w, [1.0], Kind.ABSOLUTE, step=5.0, events=src)
+        grid_oracle(w, [1.0], Kind.ABSOLUTE, step=5.0)
 
 
 def test_key_range_errors():
@@ -824,7 +832,7 @@ def test_key_range_errors():
         with pytest.raises(RangeLimitError):
             sweep_moments(w, [(1.0, Kind.SIGNED)], events=src)
         with pytest.raises(RangeLimitError):
-            first_moment_exact(w, events=src)
+            first_moment_exact(w)
         with pytest.raises(RangeLimitError):
             w.limit()
 
@@ -924,7 +932,7 @@ def test_values_do_not_depend_on_longdouble(events_small, monkeypatch):
         return [
             (
                 [r.value for r in sweep_moments(w, DESK_LIKE_PAIRS, events=events_small)[0]],
-                grid_oracle(w, [1.0, 2.1], Kind.ABSOLUTE, step=0.5, events=events_small),
+                grid_oracle(w, [1.0, 2.1], Kind.ABSOLUTE, step=0.5),
             )
             for w in windows
         ]
