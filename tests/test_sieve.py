@@ -151,6 +151,16 @@ def test_psi_monotone_steps():
         assert b >= a
 
 
+def test_psi_independent_of_source_state(monkeypatch):
+    # one fsum over all weights: correctly rounded, however the events are
+    # held or the sieve cuts its blocks
+    before = psi(2.5e6)
+    ns, ws = EventSource(3_000_000).arrays()
+    assert before == math.fsum(ws[ns <= 2_500_000].tolist())
+    monkeypatch.setattr(sieve, "_SEGMENT", 1 << 12)
+    assert psi(2.5e6) == before
+
+
 def test_psi_coverage_guard():
     # events past the key range fail at once
     with pytest.raises(RangeLimitError):

@@ -141,6 +141,32 @@ def test_first_moment_exact_tiny():
         assert first_moment_exact(WindowSpec(1.0, geometry)) == 0.0
 
 
+def test_first_moment_exact_streams_spans(monkeypatch):
+    # the oracle streams the sieve's blocks of [2, limit], at most one
+    # segment of odd slots each: together they are a preloaded source's
+    # table, and the value does not depend on how they are cut
+    w = WindowSpec(2.5e6, Fixed(Fraction(100)))
+    limit = w.limit()
+    want = first_moment_exact(w)
+    monkeypatch.setattr(sieve, "_SEGMENT", 1 << 18)
+    calls, blocks = [], []
+
+    def recording(lo, hi):
+        calls.append((lo, hi))
+        for ns, ws in sieve_blocks(lo, hi):
+            blocks.append((ns.copy(), ws.copy()))
+            yield ns, ws
+
+    monkeypatch.setattr(sweep, "sieve_blocks", recording)
+    assert first_moment_exact(w) == want
+    assert calls == [(2, limit + 1)]
+    assert len(blocks) == 5
+    assert all(ns[-1] - ns[0] < 2 * sieve._SEGMENT for ns, _ in blocks)
+    table_ns, table_ws = EventSource(limit).arrays()
+    assert np.array_equal(np.concatenate([ns for ns, _ in blocks]), table_ns)
+    assert np.array_equal(np.concatenate([ws for _, ws in blocks]), table_ws)
+
+
 NO_TABLE_WINDOWS = (
     WindowSpec(2e5 + 0.375, Fixed(Fraction(45, 4))),
     WindowSpec(2e5, Scaled(Fraction(1535, 2086612))),
