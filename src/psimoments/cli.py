@@ -291,6 +291,3 @@ def main(argv=None) -> int:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 4
 
-
-if __name__ == "__main__":
-    sys.exit(main())

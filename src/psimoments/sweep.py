@@ -79,17 +79,18 @@ array is formed.  Those already inside the window at its left end only set
 the starting value of S, and those leaving at its right end or later never
 step it, so a window wider than a sub-chunk costs one sum, not a larger
 sort.  The events reach the sub-chunks through a rolling buffer over the
-chunk's block stream (_EventBuffer).  Before a sub-chunk [ca, cb) it lets
-go of the events with n <= ca // K, which have left by ca; it pulls blocks
-until it holds the event that sets cb and the first n >= first_entering(cb),
-or the stream ends.  The sub-chunk's events are then the buffer's first
-ones, the very slice a single array of the chunk's events would give, so
-the values do not depend on the blocks.  The buffer holds the blocks in a
-list and hands a sub-chunk a view of one of them; only a sub-chunk that
-straddles blocks is joined.  Before it pulls a block it copies what it
-still holds, at most a sub-chunk's events and the window's reach, out of
-the blocks that held it, which lets those go before the sieve builds the
-next.
+chunk's block stream (_EventBuffer).  A sub-chunk [ca, cb) ends at the exit
+key n K of the buffer's event _SUB_EVENTS - 1; the buffer pulls blocks until
+it holds that event and the first n >= first_entering(cb), or the stream
+ends.  The sub-chunk's events are then the buffer's first ones, the very
+slice a single array of the chunk's events would give, so the values do not
+depend on the blocks.  After it the buffer lets go of exactly _SUB_EVENTS
+events: the n are distinct and ascend, so those with n <= cb // K, which
+have left by cb, are its first _SUB_EVENTS.  It holds at most two parts, a
+copy of what it still held when it last pulled, at most a sub-chunk's
+events and the window's reach, and the block it pulled; a sub-chunk gets a
+view of one of them, or the two joined where it straddles them.  The copy
+lets go of the blocks before the sieve builds the next.
 
 Both levels of cuts depend only on the window, _CHUNK_EVENTS and the
 events, never on the worker count or the sieve's segments, and the results
@@ -133,10 +134,9 @@ sieve's segment or the buffer, or per piece of the sub-chunk:
     mask      the segment mask, one byte per odd slot            _SEGMENT
     block     one segment's odd primes, then its events          24 / event
               (ns, ws) with those powers merged in
-    buffer    the held events (ns, ws): the blocks that a         16 / event
-              sub-chunk's events and the window's reach overlap;
-              while it pulls, a copy of the events held; a
-              sub-chunk that straddles blocks, joined
+    buffer    the held events (ns, ws): a copy of those still     16 / event
+              held at the last pull, and the block pulled; a
+              sub-chunk that straddles the two, joined
     keys      event keys, then the running sums of the high and  16 / piece
               the low parts, then the piece lengths
     deltas    event deltas, then the mask of nonempty pieces and  8 / piece
@@ -168,7 +168,6 @@ straddles blocks, its joined events.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import mmap
 import os
@@ -766,77 +765,54 @@ def _chunk_span(geom: Fixed | Scaled, limit: int, ka: int, kb: int) -> Tuple[int
 class _EventBuffer:
     """A rolling buffer over a stream of event blocks (ns, ws), ascending
     within and across blocks: it pulls blocks only as far as it is asked to
-    reach and lets go of the events it is told are done with, so it holds
-    a sub-chunk's events and the blocks it overlaps, never the stream.
+    read and lets go of a count of its first events, so it holds a
+    sub-chunk's events and the blocks they overlap, never the stream.
 
-    The blocks are held in a list, and only a sub-chunk that straddles two
-    of them is joined.  Before it pulls a block the buffer copies the
-    events it still holds, at most a sub-chunk's and the window's reach,
-    out of the blocks that held them, so those are let go before the sieve
-    builds the next."""
+    It holds at most two parts: a copy of what was still held when it last
+    pulled, and the block it pulled.  A sub-chunk's events that lie in one
+    part are a view of it; only those that straddle both are joined.  The
+    copy lets go of the blocks before the sieve builds the next."""
 
     def __init__(self, blocks):
         self._blocks = iter(blocks)
-        self._held = []  # the blocks pulled and not let go, in order
-        self._first = 0  # stream index of the first held block's first event
-        self._done = 0  # events of that block already let go
-        self._end = 0  # stream index past the last event held
-
-    def _parts(self, n=None):
-        """The held events < n (all when n is None), one part per block."""
-        start = self._done
-        for ns, ws in self._held:
-            end = ns.size if n is None else int(np.searchsorted(ns, n, side="left"))
-            if end > start:
-                yield ns[start:end], ws[start:end]
-            if end < ns.size:
-                return
-            start = 0
+        self._held = []  # the parts (ns, ws) not let go, in order, none empty
 
     def _pull(self) -> bool:
         # copies, not views, so that no reference keeps the blocks alive
-        joined = [np.concatenate(part) for part in zip(*self._parts())]
+        joined = [np.concatenate(part) for part in zip(*self._held)]
         self._held = [tuple(joined)] if joined else []
-        self._first, self._done = self._first + self._done, 0
         for block in self._blocks:
             if block[0].size:  # a lone block, such as a preloaded slice, is held as it is
                 self._held.append(block)
-                self._end += block[0].size
                 return True
         return False
 
     def event(self, i: int) -> int | None:
-        """The n of event i of the stream, or None past its end."""
-        while self._end <= i:
+        """The n of held event i, or None if the stream ends first."""
+        while sum(ns.size for ns, _ in self._held) <= i:
             if not self._pull():
                 return None
-        i -= self._first
         for ns, _ in self._held:
             if i < ns.size:
                 return int(ns[i])
             i -= ns.size
 
-    def reach(self, n: int):
-        """Pull blocks until one event >= n is held, or the stream ends."""
-        while not (self._held and self._held[-1][0][-1] >= n) and self._pull():
-            pass
-
-    def drop(self, n: int):
-        """Let go of the events <= n, all of them already held; n never
-        falls from one call to the next."""
-        while self._held:
-            ns = self._held[0][0]
-            self._done = int(np.searchsorted(ns, n, side="right"))
-            if self._done < ns.size:
+    def drop(self, count: int):
+        """Let go of the first ``count`` held events, or all there are."""
+        while count and self._held:
+            ns, ws = self._held[0]
+            if count < ns.size:
+                self._held[0] = ns[count:], ws[count:]
                 return
-            self._held.pop(0)
-            self._first += ns.size
-        self._done = 0
+            count -= ns.size
+            del self._held[0]
 
     def below(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The held events < n, from the first held on: a view of one block,
-        or the parts of the blocks they straddle joined."""
-        parts = list(self._parts(n))
+        """The held events < n, once blocks are pulled until one >= n is
+        held or the stream ends: a view of one part, or both parts joined."""
+        while not (self._held and self._held[-1][0][-1] >= n) and self._pull():
+            pass
+        parts = [(ns[:k], ws[:k]) for ns, ws in self._held if (k := np.searchsorted(ns, n))]
         if len(parts) == 1:
             return parts[0]
         if not parts:
@@ -850,31 +826,34 @@ def _sweep_chunk(
 ) -> _Chunk:
     """Integrate [ka, kb) sub-chunk by sub-chunk, over its events (ns, ws),
     or the sieve's block stream of their span when ``events`` is None; the
-    sub-chunk ending at b_key ends at X."""
+    sub-chunk ending at b_key ends at X.
+
+    A sub-chunk [ca, cb) ends at the exit key n K of the buffer's event
+    _SUB_EVENTS - 1, or at kb, and holds the events with exit key > ca and
+    entry key < cb: the buffer's first ones.  The events that have left by
+    cb are those with n' <= cb // K = n: as the n ascend and are distinct,
+    exactly the buffer's first _SUB_EVENTS.  None has left by ka, as the
+    span starts at ka // K + 1.  So after each sub-chunk the buffer lets go
+    of _SUB_EVENTS events, and its event _SUB_EVENTS - 1 sets every cut.
+    """
     K = geom.K
     span = _chunk_span(geom, limit, ka, kb)
     buffer = _EventBuffer(sieve_blocks(*span) if events is None else [events])
     values, length_sums, pieces = [], [], 0
     ca = ka
-    for cut in itertools.count(_SUB_EVENTS - 1, _SUB_EVENTS):
-        # a sub-chunk [ca, cb) ends at the exit key of every _SUB_EVENTS-th
-        # event of the chunk, or at kb, and holds the events with exit key
-        # n*K > ca and entry key < cb: the buffer's first events, once
-        # those with n <= ca // K are dropped (none are in the first)
-        buffer.drop(ca // K)
-        n = buffer.event(cut)
+    while ca < kb:
+        n = buffer.event(_SUB_EVENTS - 1)
         cb = kb if n is None or n * K >= kb else n * K
         entering = geom.first_entering(cb)
-        buffer.reach(entering)
         v, p, s = _chunk_moments(
             geom, *buffer.below(entering), ca, cb, pairs, X if cb == b_key else None, grid
         )
         values.append(v)
         length_sums.append(s)
         pieces += p
-        if cb == kb:
-            return _Chunk(tuple(values), tuple(length_sums), pieces)
+        buffer.drop(_SUB_EVENTS)
         ca = cb
+    return _Chunk(tuple(values), tuple(length_sums), pieces)
 
 
 def sweep_moments(

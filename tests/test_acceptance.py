@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import psimoments.sieve
 import psimoments.sweep
 from psimoments import (
     EventSource,
@@ -37,7 +38,7 @@ from psimoments import (
 )
 from psimoments.report import REFERENCE_ABSOLUTE, REFERENCE_ODD
 
-from conftest import ACCEPTANCE_LINES, DESK_ABS_ORDERS, DESK_ODD_ORDERS
+from conftest import ACCEPTANCE_LINES, DESK_ABS_ORDERS, DESK_DELTA, DESK_ODD_ORDERS, DESK_X
 
 
 def record(num, ok, detail):
@@ -95,6 +96,29 @@ def test_criterion_4_odd_smallness(desk_sweep):
     ok = ok and ratios[1] < 0.0 and ratios[3] < 0.0
     detail = ", ".join(f"n={n}: {r:+.2e}" for n, r in ratios.items())
     record(4, ok, f"signed/normalizer {detail} (gate |r| <= 0.02; n=1,3 negative)")
+
+
+def test_stored_references_are_theta_moments(monkeypatch):
+    # the stored desk actuals are moments of theta(x+h) - theta(x) - h, over
+    # the primes alone: a sieve that weighs no higher prime power holds all
+    # nine within their rounding to 5 significant digits.  Against psi, what
+    # the sweep computes, they deviate by up to 2.55e-3 (absolute) and 0.70
+    # (signed)
+    unsieved = psimoments.sieve._unsieved
+
+    def primes_only(*args):  # 2 is the one prime among the unsieved events
+        ns, ws = unsieved(*args)
+        return ns[ns == 2], ws[ns == 2]
+
+    monkeypatch.setattr(psimoments.sieve, "_unsieved", primes_only)
+    refs = {(o, Kind.ABSOLUTE): REFERENCE_ABSOLUTE["desk"][o][0] for o in DESK_ABS_ORDERS}
+    refs.update({(float(n), Kind.SIGNED): REFERENCE_ODD["desk"][n][0] for n in DESK_ODD_ORDERS})
+    results, _ = sweep_moments(WindowSpec(DESK_X, Scaled(DESK_DELTA)), list(refs), threads=1)
+    deviations = {
+        (r.order, r.kind.value): abs(r.value - refs[r.order, r.kind]) / abs(refs[r.order, r.kind])
+        for r in results
+    }
+    assert all(dev <= 5e-5 for dev in deviations.values()), deviations
 
 
 def test_criterion_5_oracle_equivalence(events_1e6, events_small):

@@ -1,8 +1,11 @@
 import concurrent.futures.process
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -537,6 +540,16 @@ def test_cli_verify_identities(capsys):
     assert main(["verify-identities"]) == 0
     out = capsys.readouterr().out
     assert "identities within" in out
+
+
+def test_module_runs_the_cli():
+    # python -m psimoments runs the console script's command line from a checkout
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    out = subprocess.run([sys.executable, "-m", "psimoments", "verify-identities"], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "identities within" in out.stdout
 
 
 def test_cli_equivalence(capsys):

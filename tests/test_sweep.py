@@ -174,10 +174,19 @@ NO_TABLE_WINDOWS = (
 NO_TABLE_PAIRS = [(2.1, Kind.ABSOLUTE), (3, Kind.SIGNED), (1, Kind.POSITIVE_PART)]
 
 
-def test_no_source_builds_no_table(monkeypatch):
+@pytest.mark.parametrize(
+    "segment, sub_events",
+    [(sieve._SEGMENT, sweep._SUB_EVENTS), (1 << 6, 1 << 5)],
+    ids=["default", "small-blocks"],
+)
+def test_no_source_builds_no_table(monkeypatch, segment, sub_events):
     # a sweep given no event source sieves its own spans, bit for bit the
-    # values a preloaded source gives; the oracles never build a table
+    # values a preloaded source gives; the oracles never build a table.  At
+    # 2^6 odd slots a block holds about 10 events near 2e5, and the scaled
+    # window reaches about 147 numbers: every sub-chunk straddles blocks,
+    # and the buffer pulls more than once for it
     monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 12)
+    monkeypatch.setattr(sweep, "_SUB_EVENTS", sub_events)
     want = []
     for w in NO_TABLE_WINDOWS:
         res, diag = sweep_moments(w, NO_TABLE_PAIRS, events=EventSource(w.limit()))
@@ -188,6 +197,7 @@ def test_no_source_builds_no_table(monkeypatch):
         raise AssertionError("an event table was built")
 
     monkeypatch.setattr(EventSource, "arrays", no_table)
+    monkeypatch.setattr(sieve, "_SEGMENT", segment)
     for w, (values, pieces, first) in zip(NO_TABLE_WINDOWS, want):
         res, diag = sweep_moments(w, NO_TABLE_PAIRS)
         assert diag.chunks > 1
@@ -969,8 +979,9 @@ def test_values_do_not_depend_on_longdouble(events_small, monkeypatch):
 
 
 def test_event_buffer_slices_match_one_array():
-    # blocks of every size, empty ones too: each slice the sweep asks for is
-    # the slice of the joined array, a view of its block when it lies in one
+    # blocks of every size, empty ones too, and counts let go of at random:
+    # each slice the sweep asks for is the slice of the joined array, a
+    # view of the buffer's part when it lies in one, joined when it does not
     rng = np.random.default_rng(7)
     ns = np.cumsum(rng.integers(1, 6, 500))
     ws = rng.random(500)
@@ -978,17 +989,23 @@ def test_event_buffer_slices_match_one_array():
     blocks = [(ns[a:b], ws[a:b]) for a, b in zip(edges, edges[1:])]
     blocks[3:3] = [(ns[:0], ws[:0])]
     buffer = sweep._EventBuffer(blocks)
-    starts, views = range(0, 500, 11), 0
-    for start in starts:
-        buffer.drop(int(ns[start]) - 1)
-        assert buffer.event(start + 13) == (int(ns[start + 13]) if start + 13 < 500 else None)
-        stop = int(ns[min(start + 30, 499)])
-        buffer.reach(stop)
+    start, views, joins = 0, 0, 0
+    while start < 499:
+        assert buffer.event(13) == (int(ns[start + 13]) if start + 13 < 500 else None)
+        stop = int(ns[min(start + int(rng.integers(1, 40)), 499)])
         got_ns, got_ws = buffer.below(stop)
         end = int(np.searchsorted(ns, stop))
         assert np.array_equal(got_ns, ns[start:end]) and np.array_equal(got_ws, ws[start:end])
+        parts = [part for part, _ in buffer._held if part[0] < stop]
+        assert np.shares_memory(got_ns, parts[0]) == (len(parts) == 1)
         views += any(np.shares_memory(got_ns, b) for b, _ in blocks)
-    assert 0 < views < len(starts)
+        joins += len(parts) > 1
+        count = int(rng.integers(1, 20))
+        buffer.drop(count)
+        start += count
+    assert 0 < views and 0 < joins
+    buffer.drop(500)
+    assert buffer.event(0) is None and buffer.below(int(ns[-1]) + 1)[0].size == 0
 
 
 @settings(deadline=None, max_examples=40)
