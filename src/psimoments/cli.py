@@ -51,7 +51,10 @@ def _add_kind_arg(p: argparse.ArgumentParser):
 
 def _add_threads_arg(p: argparse.ArgumentParser):
     p.add_argument(
-        "--threads", type=parse_threads, default=0, help="worker processes; 0: one per core"
+        "--threads",
+        type=parse_threads,
+        default=0,
+        help="worker processes; 0: one per usable core, at most 8",
     )
 
 
@@ -95,11 +98,13 @@ def _write_file(path: str, text: str):
     os.replace: a write that fails or is killed leaves the old file, or
     none, never a partial one that looks valid."""
     head, name = os.path.split(os.path.abspath(path))
-    temp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    temp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
     f = open(temp, "x")
     try:
         with f:
             f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(temp, path)
     except BaseException:
         os.remove(temp)
@@ -136,15 +141,6 @@ def _cmd_verify_identities(args) -> int:
     checks.append(("sin^2 integral lambda=1 vs pi/2", abs(g1 - math.pi / 2) / (math.pi / 2)))
     d2 = sin_fourth_integral(2.0)
     checks.append(("sin^4 integral theta=2 vs pi/3", abs(d2 - math.pi / 3) / (math.pi / 3)))
-    for lam in (0.3, 0.8, 1.3, 1.8):
-        scaled = sin_squared_integral(lam, omega=2.0)
-        base = sin_squared_integral(lam)
-        checks.append(
-            (
-                f"sin^2 scaling lambda={lam:g}",
-                abs(scaled - 2.0 ** lam * base) / (2.0 ** lam * base),
-            )
-        )
     worst = 0.0
     for name, resid in checks:
         status = "ok" if resid <= tol else "FAIL"

@@ -62,7 +62,7 @@ def parse_rational(text) -> Fraction:
 
 
 def parse_threads(value) -> int:
-    """A worker count: an integer >= 0 or its digits; 0 means one per core."""
+    """A worker count: an integer >= 0 or its digits; 0 means one per usable core."""
     if isinstance(value, str) and value.strip().isdecimal():
         value = int(value)
     if type(value) is not int or value < 0:  # a bool is an int too
@@ -78,7 +78,7 @@ class RunConfig:
     orders: Sequence[float] = ()
     kinds: Sequence[Kind] = (Kind.ABSOLUTE,)
     formulas: Sequence[str] = ()
-    threads: int = 0  # 0: one per core, as for --threads
+    threads: int = 0  # 0: one per usable core, as for --threads
 
     def __post_init__(self):
         if (self.h is None) == (self.delta is None):

@@ -80,38 +80,31 @@ def moment_constant_residual(lam: float) -> float:
     return max(r1, r2)
 
 
-def sin_squared_integral(lam: float, omega: float = 1.0) -> float:
-    """int_0^inf sin(omega u)^2 / u^(1+lam) du for lam in [0.1, 2).
+def sin_squared_integral(lam: float) -> float:
+    """int_0^inf sin(u)^2 / u^(1+lam) du for lam in [0.1, 2).
 
-    omega^lam 2^(lam-2) pi / (Gamma(lam+1) sin(pi lam/2)); pi/2 at lam=1.
+    2^(lam-2) pi / (Gamma(lam+1) sin(pi lam/2)); pi/2 at lam=1.
     The integral diverges at lam = 2.
     """
     if not 0.1 <= lam < 2.0:
         raise DomainError(f"exponent must lie in [0.1, 2), got {lam}")
-    return (
-        omega**lam
-        * 2.0 ** (lam - 2.0)
-        * math.pi
-        / (math.gamma(lam + 1.0) * math.sin(math.pi * lam / 2.0))
-    )
+    return 2.0 ** (lam - 2.0) * math.pi / (math.gamma(lam + 1.0) * math.sin(math.pi * lam / 2.0))
 
 
-def sin_fourth_integral(theta: float, omega: float = 1.0) -> float:
-    """int_0^inf sin(omega u)^4 / u^(2+theta) du for theta in (0, 2].
+def sin_fourth_integral(theta: float) -> float:
+    """int_0^inf sin(u)^4 / u^(2+theta) du for theta in (0, 2].
 
     With s = 1 + theta and t = theta - 1 this is
-    omega^s 2^(s-1) pi (2^t - 1) / (2 Gamma(s+1) sin(pi t/2)): pi/3 at
-    theta=2, and the removable singularity at theta=1 takes the limit
-    omega^2 log 2.
+    2^(s-1) pi (2^t - 1) / (2 Gamma(s+1) sin(pi t/2)): pi/3 at theta=2,
+    and the removable singularity at theta=1 takes the limit log 2.
     """
     if not 0.0 < theta <= 2.0:
         raise DomainError(f"exponent must lie in (0, 2], got {theta}")
     if theta == 1.0:
-        return omega**2 * math.log(2.0)
+        return math.log(2.0)
     s, t = 1.0 + theta, theta - 1.0
     return (
-        omega**s
-        * 2.0 ** (s - 1.0)
+        2.0 ** (s - 1.0)
         * math.pi
         * math.expm1(t * math.log(2.0))
         / (2.0 * math.gamma(s + 1.0) * math.sin(math.pi * t / 2.0))

@@ -1031,4 +1031,7 @@ def grid_oracle(
 
 
 def default_threads() -> int:
+    """One worker per core this process may run on, at most 8."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)

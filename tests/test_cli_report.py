@@ -192,6 +192,24 @@ def test_output_is_written_whole_or_not_at_all(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
+def test_stale_temporary_file_does_not_block_output(tmp_path):
+    # a killed write can leave its temporary file; a later run in a process
+    # with the same pid still writes, leaves that file alone, and gives the
+    # output the mode a plain open would
+    path = tmp_path / "out.csv"
+    stale = tmp_path / f".out.csv.{os.getpid()}.tmp"
+    stale.write_text("stale\n")
+    argv = ["predict", "--x", "1e8", "--delta", "1e-4", "--orders", "1",
+            "--formulas", "scaled-main", "--output", str(path)]
+    assert main(argv) == 0
+    assert path.read_text().startswith(CSV_HEADER)
+    assert stale.read_text() == "stale\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "out.csv"]
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    assert path.stat().st_mode == plain.stat().st_mode
+
+
 def test_run_with_formula():
     cfg = RunConfig(
         X=5000.0,
@@ -463,6 +481,18 @@ def test_threads_zero_means_one_per_core(monkeypatch):
     assert result.value == values[0]
 
 
+def test_default_threads_follows_affinity(monkeypatch):
+    # a process pinned to one core (taskset -c 0) gets one worker, however
+    # many the machine has; where os has no affinity call, the core count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert sweep.default_threads() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(12)))
+    assert sweep.default_threads() == 8
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert sweep.default_threads() == 2
+
+
 def test_cli_equivalence_average_wider_than_window(capsys):
     # the one event source must cover the averaging widths up to Delta too
     argv = ["equivalence", "--x", "2e4", "--delta", "1/1000", "--orders", "1",
@@ -540,6 +570,11 @@ def test_cli_verify_identities(capsys):
     assert main(["verify-identities"]) == 0
     out = capsys.readouterr().out
     assert "identities within" in out
+    # and README's "identity suite, N checks" quotes the count it prints
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quoted = re.search(r"Special function identity suite, (\d+) checks", text)
+    printed = re.search(r"^all (\d+) identities within", out, flags=re.M)
+    assert quoted and printed and quoted.group(1) == printed.group(1)
 
 
 def test_module_runs_the_cli():

@@ -91,6 +91,25 @@ def test_no_environment_reads(path):
     assert not reads, f"{path.name}: environment read on lines {reads}"
 
 
+EXTENDED_FLOATS = {"longdouble", "clongdouble", "float128"}
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_longdouble(path):
+    # numpy's longdouble is 80-bit on Linux x86-64 but float64 on Windows and
+    # macOS arm64: no module names it, as an attribute, a name, an import or
+    # a dtype string, so no value depends on the platform's long double
+    names = sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in EXTENDED_FLOATS)
+        or (isinstance(node, ast.Name) and node.id in EXTENDED_FLOATS)
+        or (isinstance(node, ast.alias) and node.name in EXTENDED_FLOATS)
+        or (isinstance(node, ast.Constant) and node.value in EXTENDED_FLOATS)
+    )
+    assert not names, f"{path.name}: extended precision float on lines {names}"
+
+
 def _runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

@@ -70,23 +70,6 @@ def test_sin_fourth_integral_grid(theta, want):
     assert sin_fourth_integral(theta) == pytest.approx(want, rel=1e-10)
 
 
-def test_sin_squared_scaling_in_omega():
-    # int sin^2(c u) / u^(1+lam) du = c^lam * G_lam
-    for lam in (0.3, 0.8, 1.3, 1.8):
-        base = sin_squared_integral(lam)
-        for c in (0.5, 2.0, 4.0):
-            got = sin_squared_integral(lam, omega=c)
-            assert got == pytest.approx(c**lam * base, rel=1e-9)
-
-
-def test_sin_fourth_scaling_in_omega():
-    for theta in (0.5, 1.0, 1.5):
-        base = sin_fourth_integral(theta)
-        for c in (0.5, 2.0):
-            got = sin_fourth_integral(theta, omega=c)
-            assert got == pytest.approx(c ** (1.0 + theta) * base, rel=1e-9)
-
-
 def test_oscillatory_integrals_against_mpmath():
     # 20-digit quadrature that shares nothing with the closed forms.  On
     # [0, 1] the sin^2 integrand loses its u^2 term, integrated exactly, so

@@ -959,25 +959,6 @@ DESK_LIKE_PAIRS = [(o, Kind.ABSOLUTE) for o in (1.0, 2.1, 3.2, 6.5)] + [
 ]
 
 
-def test_values_do_not_depend_on_longdouble(events_small, monkeypatch):
-    # numpy's longdouble is float64 on Windows and macOS arm64: the sweep and
-    # the grid oracle give the same values bit for bit where it is
-    windows = [WindowSpec(2e4, Scaled(Fraction(1, 100))), WindowSpec(1e4, Fixed(Fraction(50)))]
-
-    def run():
-        return [
-            (
-                [r.value for r in sweep_moments(w, DESK_LIKE_PAIRS, events=events_small)[0]],
-                grid_oracle(w, [1.0, 2.1], Kind.ABSOLUTE, step=0.5),
-            )
-            for w in windows
-        ]
-
-    want = run()
-    monkeypatch.setattr(np, "longdouble", np.float64)
-    assert run() == want
-
-
 def test_event_buffer_slices_match_one_array():
     # blocks of every size, empty ones too, and counts let go of at random:
     # each slice the sweep asks for is the slice of the joined array, a
