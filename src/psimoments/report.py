@@ -14,12 +14,13 @@ and the full scale (X = 1e10, delta = 1e-5).
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, RangeLimitError
 from .predictions import (
     even_main_b_fixed,
     even_main_b_scaled,
@@ -120,6 +121,10 @@ class RunConfig:
         for key in ("orders", "kinds", "formulas"):
             if not isinstance(data.get(key, []), list):
                 raise ConfigError(f"config {key!r} must be a list, got {data[key]!r}")
+        numbers = [(key, data.get(key)) for key in ("x", "h", "delta")]
+        for key, value in numbers + [("orders", o) for o in data.get("orders", [])]:
+            if isinstance(value, bool):  # float(True) is 1.0
+                raise ConfigError(f"config {key!r} takes numbers, not {value!r}")
         try:
             return cls(
                 X=float(data["x"]),
@@ -160,10 +165,18 @@ CSV_HEADER = ",".join(COLUMNS)
 
 
 def _formula_value(name: str, window: WindowSpec, order: float) -> float:
+    """The formula's value; one past float64 raises RangeLimitError, as a
+    swept moment does."""
     geometry, formula = FORMULAS[name]
     if not isinstance(window.geometry, geometry):
         raise ConfigError(f"formula {name} needs a {geometry.__name__.lower()} window")
-    return formula(float(window.X), float(window.geometry.width), float(order))
+    try:
+        value = formula(float(window.X), float(window.geometry.width), float(order))
+    except OverflowError:  # a float power or an int factor past float64
+        value = math.inf
+    if not math.isfinite(value):
+        raise RangeLimitError(f"formula {name} at order {order:g} is not finite in float64")
+    return value
 
 
 def _predictions(window: WindowSpec, formulas: Sequence[str], order: float):

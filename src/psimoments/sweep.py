@@ -120,11 +120,11 @@ maps no fresh memory.  Allocated afresh, they would be handed back to the
 system and faulted in again, zeroed, on every sub-chunk, which cost a
 third of the time of many short sweeps.  The calling thread keeps its
 workspace across sweeps; a pool worker's goes when the pool closes at the
-end of a sweep.  A slot is an anonymous memory map, mmap(-1, n), which is
-shared, not copied, across fork: a forked worker that kept the calling
-thread's slots would write the same memory as its siblings, so the pool's
-initializer starts every worker on an empty workspace.  A workspace view
-never outlives the sub-chunk that took it: the next one overwrites it.
+end of a sweep.  A slot is a private anonymous memory map, copied on write
+across fork: any forked process, the pool's or the caller's own, starts on
+a copy of the forking thread's slots and writes only that copy.  A
+workspace view never outlives the sub-chunk that took it: the next one
+overwrites it.
 Arrays whose lifetimes do not overlap share a slot, as every slot adds to
 the peak memory and the cache footprint.  What one thread holds while it
 sweeps a chunk, sieve and sweep together, in bytes per event of the
@@ -379,8 +379,8 @@ class _Workspace(threading.local):
     an anonymous memory map of its own, not a malloc block: a long-lived
     block inside a malloc heap keeps the heap from shrinking once a chunk's
     event arrays are freed, about 8 MB more resident at the peak of a
-    two-thread streaming sweep.  A process forked from the thread shares
-    its maps (see _own_workspace).
+    two-thread streaming sweep.  The maps are private: a process forked
+    from the thread writes its own copy of them, never the thread's.
     """
 
     def __init__(self):
@@ -392,18 +392,13 @@ class _Workspace(threading.local):
         slot = self._slots.get(name)
         if slot is None or slot.size < nbytes:
             size = max(nbytes + nbytes // 8, 1)
-            slot = self._slots[name] = np.frombuffer(mmap.mmap(-1, size), np.uint8)
+            slot = self._slots[name] = np.frombuffer(
+                mmap.mmap(-1, size, access=mmap.ACCESS_COPY), np.uint8
+            )
         return slot[:nbytes].view(dtype)
 
 
 _WORK = _Workspace()
-
-
-def _own_workspace():
-    """Start a pool worker on an empty workspace.  Slots are shared
-    mappings, so a forked worker that kept the parent's would write the
-    same memory as its siblings."""
-    _WORK._slots = {}
 
 
 class _cached:
@@ -916,8 +911,7 @@ def sweep_moments(
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         try:
             with ProcessPoolExecutor(
-                min(threads, n_chunks), mp_context=multiprocessing.get_context(method),
-                initializer=_own_workspace,
+                min(threads, n_chunks), mp_context=multiprocessing.get_context(method)
             ) as pool:
                 chunks = list(pool.map(chunk, bounds[:-1], bounds[1:], tasks))
         except BrokenProcessPool as exc:  # a worker was killed, say for memory

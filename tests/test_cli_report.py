@@ -64,6 +64,18 @@ def test_run_config_from_dict():
         RunConfig.from_dict(
             {"x": 1e4, "delta": "1e-2", "orders": [1, 2.1], "kinds": ["absolute", "signed"]}
         )
+    # a JSON true is not the number 1, though float(True) is
+    base = {"x": 1e4, "h": 10, "orders": [1, 3]}
+    for change, key in [
+        ({"x": True}, "x"),
+        ({"h": True}, "h"),
+        ({"h": None, "delta": False}, "delta"),
+        ({"orders": [True]}, "orders"),
+        ({"orders": [1, True]}, "orders"),
+    ]:
+        data = {k: v for k, v in {**base, **change}.items() if v is not None}
+        with pytest.raises(ConfigError, match=f"^config '{key}' takes numbers, not (True|False)$"):
+            RunConfig.from_dict(data)
 
 
 def test_run_config_rejects_bad_shapes():
@@ -577,14 +589,39 @@ def test_cli_verify_identities(capsys):
     assert quoted and printed and quoted.group(1) == printed.group(1)
 
 
-def test_module_runs_the_cli():
-    # python -m psimoments runs the console script's command line from a checkout
+def _run_module(*argv):
+    """python -m psimoments with argv, from a checkout."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    out = subprocess.run([sys.executable, "-m", "psimoments", "verify-identities"], env=env,
-                         capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "psimoments", *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def test_module_runs_the_cli():
+    # python -m psimoments runs the console script's command line from a checkout
+    out = _run_module("verify-identities")
     assert out.returncode == 0, out.stderr
     assert "identities within" in out.stdout
+
+
+@pytest.mark.parametrize("argv, formula", [
+    # X^31 is a Python float power past float64, which raises
+    ("predict --x 1e18 --delta 1e-3 --orders 60 --formulas scaled-main", "scaled-main"),
+    # a product of floats that overflows to inf, which JSON cannot hold
+    ("predict --x 1e300 --h 1e3 --orders 60 --formulas fixed-main --format json", "fixed-main"),
+    # moments evaluates its formulas before it sieves
+    ("moments --x 1e10 --delta 1e-3 --orders 1,60 --formulas scaled-main", "scaled-main"),
+])
+def test_formula_past_float64_exits_3_without_output(tmp_path, argv, formula):
+    # a prediction past float64 is a range error, as a swept moment past it is
+    path = tmp_path / "rows.out"
+    for output in ([], ["--output", str(path)]):
+        out = _run_module(*argv.split(), *output)
+        assert out.returncode == 3, out.stderr
+        assert out.stdout == ""
+        assert "Traceback" not in out.stderr
+        assert f"formula {formula} at order 60 is not finite" in out.stderr
+    assert not path.exists()
 
 
 def test_cli_equivalence(capsys):

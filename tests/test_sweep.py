@@ -1,5 +1,7 @@
 import concurrent.futures.process
+import functools
 import math
+import multiprocessing
 import os
 import pickle
 import threading
@@ -429,12 +431,11 @@ def test_thread_workspaces_do_not_alias(events_1e6, monkeypatch):
 
 @pytest.mark.parametrize("geometry, pairs", WARM_RUNS)
 def test_warm_workspace_stays_in_the_parent(events_1e6, monkeypatch, geometry, pairs):
-    # the calling process's workspace slots are shared memory maps, so a
-    # forked worker that kept them would write the same memory as its
-    # siblings; each worker starts on a workspace of its own, and a pooled
-    # sweep after a serial one gives its values bit for bit.  Without that,
-    # one pooled sweep in about ten happens not to overlap the workers'
-    # writes, so three are run
+    # the calling process's workspace slots are private maps, so each
+    # forked worker writes its own copy of them, and a pooled sweep after a
+    # serial one gives its values bit for bit.  Were the maps shared, the
+    # workers would write the same memory, and as one pooled sweep in about
+    # ten happens not to overlap their writes, three are run
     monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 13)
     w = WindowSpec(1e6, geometry)
     want, _ = sweep_moments(w, pairs, events=events_1e6)
@@ -443,6 +444,48 @@ def test_warm_workspace_stays_in_the_parent(events_1e6, monkeypatch, geometry, p
         got, diag = sweep_moments(w, pairs, events=events_1e6, threads=2)
         assert diag.chunks > 1
         assert got == want
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_writes_its_own_slots():
+    # after a sweep warms this thread's workspace, a forked child that
+    # writes every slot leaves the parent's bytes as they were
+    sweep_moments(WindowSpec(1e5, Fixed(Fraction(100))), [(2, Kind.ABSOLUTE)], threads=1)
+    slots = sweep._WORK._slots
+    before = {name: slot.tobytes() for name, slot in slots.items()}
+    assert before
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            for slot in slots.values():
+                slot[:] = 0xAB
+            code = 0
+        finally:
+            os._exit(code)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert {name: slot.tobytes() for name, slot in slots.items()} == before
+
+
+def _serial_moments(pairs, events, window):
+    return sweep_moments(window, pairs, events=events, threads=1)[0]
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform"
+)
+def test_a_callers_fork_pool_after_a_warm_sweep(events_1e6):
+    # a caller's own fork pool, started after a sweep in this process: its
+    # two workers start on copies of the warm slots, and as each writes
+    # only its own, every value is the serial one bit for bit.  Workers
+    # that shared the slots could spin on each other's writes, so the wait
+    # is bounded
+    windows = [WindowSpec(x, Fixed(Fraction(h))) for x in (1e5, 1e6) for h in (100, 300, 1000)]
+    sweep_one = functools.partial(_serial_moments, WIDTH_SCAN_PAIRS, events_1e6)
+    want = [sweep_one(w) for w in windows]
+    with multiprocessing.get_context("fork").Pool(2) as pool:
+        got = pool.map_async(sweep_one, windows, chunksize=1).get(timeout=120)
+    assert got == want
 
 
 def test_source_past_preload_limit(monkeypatch, recording_source):
