@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from .equivalence import decomposition_check, saffari_vaughan_average, width_grid
 from .errors import ConfigError, InvariantError, ResourceError
@@ -276,7 +277,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage already; normalize everything else
         return 2 if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # one line per warning, as the errors below: no source path or line
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

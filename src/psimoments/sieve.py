@@ -2,9 +2,9 @@
 
 Every n = p^a <= limit is an event (n, log p).  ``sieve_blocks(lo, hi)``
 sieves just [lo, hi) against the base primes up to sqrt(hi) and yields its
-events as a stream of ascending blocks (ns, ws), one per segment;
-``sieve_range(lo, hi)`` joins them into two arrays.  Memory is bounded by
-the span a caller asks for, or by one segment for a caller that reads the
+events as a stream of ascending blocks (ns, ws); ``sieve_range(lo, hi)``
+joins them into two arrays.  Memory is bounded by the span a caller asks
+for, or by one segment's mask and one block for a caller that reads the
 stream.  Adjacent spans tile the full table bit for bit, whatever the cut
 points, so a single pass sieves its own spans and never holds the table: a
 sweep given no event source reads each chunk's span block by block, and
@@ -16,10 +16,13 @@ a sweep takes such a source, to check its coverage.
 A span is sieved in segments of _SEGMENT odd numbers (a 1 MB mask, after
 Bays and Hudson, BIT 17, 1977), so the strided writes of every base prime
 stay in cache; each base prime carries the position of its next odd
-multiple from one segment to the next.  The events no odd slot holds, 2,
-its powers and the higher powers of the odd primes, are then inserted
-among each segment's primes, which leaves the events of a block in
-ascending order.
+multiple from one segment to the next.  A marked segment is handed on in
+blocks of at most _BLOCK odd slots, the primes of one slice of its mask at
+a time, so a block holds about as many events as a sweep's sub-chunk
+reads, and no generator keeps a block once it is handed on.  The events
+no odd slot holds, 2, its powers and the higher powers of the odd primes,
+are then inserted among each block's primes, which leaves the events of a
+block in ascending order.
 
 The weight of p^a reuses the float computed for p itself, so a prime and
 all its powers carry bitwise identical weights: the log of every event is
@@ -43,6 +46,8 @@ PRELOAD_LIMIT = 1 << 28
 KEY_LIMIT = 1 << 62
 # odd slots sieved at a time: a 1 MB mask stays in cache
 _SEGMENT = 1 << 20
+# odd slots per block handed on: about 14k events near 1e8, a sub-chunk's 2^14
+_BLOCK = 1 << 17
 
 
 def _simple_primes(limit: int) -> np.ndarray:
@@ -78,8 +83,9 @@ def _unsieved(base: np.ndarray, base_logs: np.ndarray, lo: int, hi: int):
 
 def _segments(lo: int, hi: int, base_odd: np.ndarray):
     """The odd primes in [lo, hi), 2 <= lo < hi, given the odd primes up to
-    sqrt(hi - 1): one ascending array per segment of _SEGMENT odd slots,
-    each with the end of the numbers its segment covers (hi for the last)."""
+    sqrt(hi - 1), marked a segment of _SEGMENT odd slots at a time: one
+    ascending array per block of at most _BLOCK of those slots, each with
+    the end of the numbers its block covers (hi for the last)."""
     first_odd = lo | 1
     n_slots = (hi - first_odd + 1) // 2
     ps = base_odd
@@ -96,13 +102,15 @@ def _segments(lo: int, hi: int, base_odd: np.ndarray):
             mask[off::p] = False
         # advance each offset past s1; one already past it stays
         offsets += np.maximum(s1 - offsets + ps - 1, 0) // ps * ps
-        end = hi if s1 == n_slots else first_odd + 2 * s1
         # this frame keeps no reference to the primes it hands on
-        yield 2 * np.flatnonzero(mask) + (first_odd + 2 * s0), end
+        for b0 in range(s0, max(s1, 1), _BLOCK):
+            b1 = min(b0 + _BLOCK, s1)
+            end = hi if b1 == n_slots else first_odd + 2 * b1
+            yield 2 * np.flatnonzero(mask[b0 - s0 : b1 - s0]) + (first_odd + 2 * b0), end
 
 
 def _blocks(lo: int, hi: int):
-    """Per segment of [lo, hi): its events ns, ascending, the positions in
+    """Per block of [lo, hi): its events ns, ascending, the positions in
     ns of the events no odd slot holds, and those events' weights."""
     lo = max(lo, 2)
     if hi <= lo:
@@ -112,13 +120,14 @@ def _blocks(lo: int, hi: int):
     other_n, other_w = _unsieved(base, base_logs, lo, hi)
     done = 0
     for primes, end in _segments(lo, hi, base[1:]):
-        # the other events below the segment's end; none of them is an odd
+        # the other events below the block's end; none of them is an odd
         # prime, so each goes before the first larger prime
         stop = int(np.searchsorted(other_n, end))
         at = np.searchsorted(primes, other_n[done:stop])
         ns = np.insert(primes, at, other_n[done:stop])
         del primes  # gone before the block is consumed
         yield ns, at + np.arange(at.size), other_w[done:stop]
+        del ns, at  # gone before the next block is built
         done = stop
 
 
@@ -132,10 +141,11 @@ def _weights(ns: np.ndarray, at: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def sieve_blocks(lo: int, hi: int):
-    """Event blocks (ns, ws) for lo <= n < hi, one per segment of _SEGMENT
-    odd slots: each block ascending, and each past the one before it."""
+    """Event blocks (ns, ws) for lo <= n < hi, one per _BLOCK odd slots:
+    each block ascending, and each past the one before it."""
     for ns, at, w in _blocks(lo, hi):
         yield ns, _weights(ns, at, w)
+        del ns, at, w  # gone before the next block is built
 
 
 def sieve_range(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:

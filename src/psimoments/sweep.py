@@ -51,8 +51,8 @@ one call of _sweep_chunk, a module-level function of picklable arguments,
 whose _Chunk record holds each sub-chunk's values and length sum and the
 chunk's piece count.  A task carries its chunk's events or nothing:
     no source               the task streams its own span (_chunk_span)
-                            from the sieve, one block of events per sieve
-                            segment (sieve_blocks), so the sweep holds
+                            from the sieve in blocks of events
+                            (sieve_blocks), so the sweep holds
                             neither the event table nor a chunk's events;
     a preloaded source      the task carries the table's slice (ns, ws) for
                             that span, not the source, which would carry the
@@ -86,14 +86,17 @@ ends.  The sub-chunk's events are then the buffer's first ones, the very
 slice a single array of the chunk's events would give, so the values do not
 depend on the blocks.  After it the buffer lets go of exactly _SUB_EVENTS
 events: the n are distinct and ascend, so those with n <= cb // K, which
-have left by cb, are its first _SUB_EVENTS.  It holds at most two parts, a
-copy of what it still held when it last pulled, at most a sub-chunk's
-events and the window's reach, and the block it pulled; a sub-chunk gets a
-view of one of them, or the two joined where it straddles them.  The copy
-lets go of the blocks before the sieve builds the next.
+have left by cb, are its first _SUB_EVENTS.  It holds one run of events,
+and a sub-chunk gets a view of it.  A pull joins what the buffer still
+holds, at most a sub-chunk's events and the window's reach, to the blocks
+it pulls, until the new events outnumber the held ones or the stream
+ends: each join but the last copies fewer than twice the events it adds,
+so the joins copy fewer than three times the chunk's events, however wide
+the window.  The join lets go of the blocks before the sieve builds the
+next.
 
 Both levels of cuts depend only on the window, _CHUNK_EVENTS and the
-events, never on the worker count or the sieve's segments, and the results
+events, never on the worker count or the sieve's blocks, and the results
 are combined in a fixed order, so they do not depend on either.  Within a
 sub-chunk S is carried exactly in float64 alone, by an error-free split
 (Dekker 1971): each weight is the sum of a high part, a multiple of 2^-g,
@@ -128,15 +131,15 @@ overwrites it.
 Arrays whose lifetimes do not overlap share a slot, as every slot adds to
 the peak memory and the cache footprint.  What one thread holds while it
 sweeps a chunk, sieve and sweep together, in bytes per event of the
-sieve's segment or the buffer, or per piece of the sub-chunk:
+sieve's block or the buffer, or per piece of the sub-chunk:
     sieve     the base primes and their offsets, the powers      < 1 MB
               of 2 and the higher prime powers of the span
     mask      the segment mask, one byte per odd slot            _SEGMENT
-    block     one segment's odd primes, then its events          24 / event
-              (ns, ws) with those powers merged in
-    buffer    the held events (ns, ws): a copy of those still     16 / event
-              held at the last pull, and the block pulled; a
-              sub-chunk that straddles the two, joined
+    block     the odd primes of _BLOCK slots of the segment,     24 / event
+              then its events (ns, ws) with those powers
+              merged in
+    buffer    the held run (ns, ws); while a pull joins it, the  16 / event
+              blocks pulled and the new run too
     keys      event keys, then the running sums of the high and  16 / piece
               the low parts, then the piece lengths
     deltas    event deltas, then the mask of nonempty pieces and  8 / piece
@@ -156,13 +159,13 @@ sieve's segment or the buffer, or per piece of the sub-chunk:
               d2^j and series^k
 The first four are the sieve's and the buffer's, allocated per block;
 the rest are workspace slots.  The desk table's sweep (X = 1e8, nine
-scaled pairs) takes 16 slots, 5.0 MB, and its blocks hold about 110k
-events each; a fixed window's, 6 slots, 2.0 MB, for |u|^2 and u, and 9,
-2.6 MB, for the four kinds of order 3 and |u|^2.1.  What a sub-chunk
-still allocates is argsort's indices, the split of the weights already
-inside the window at its start, flatnonzero results, the scaled kernel's
-arrays over the few pieces outside the series regime and, where it
-straddles blocks, its joined events.
+scaled pairs) takes 16 slots, 5.0 MB, and its blocks hold about 14k
+events each, where a segment holds about 110k; a fixed window's, 6 slots,
+2.0 MB, for |u|^2 and u, and 9, 2.6 MB, for the four kinds of order 3 and
+|u|^2.1.  What a sub-chunk still allocates is argsort's indices, the split
+of the weights already inside the window at its start, flatnonzero
+results and the scaled kernel's arrays over the few pieces outside the
+series regime.
 """
 
 from __future__ import annotations
@@ -763,56 +766,48 @@ class _EventBuffer:
     read and lets go of a count of its first events, so it holds a
     sub-chunk's events and the blocks they overlap, never the stream.
 
-    It holds at most two parts: a copy of what was still held when it last
-    pulled, and the block it pulled.  A sub-chunk's events that lie in one
-    part are a view of it; only those that straddle both are joined.  The
-    copy lets go of the blocks before the sieve builds the next."""
+    It holds one run of events, so whatever it hands out is a view of it.
+    A pull joins the run and the blocks it pulls into a new run, and pulls
+    until the new events outnumber the held ones or the stream ends: each
+    join but the last copies fewer than twice the events it adds, so the
+    joins copy fewer than three times the stream's events, however wide
+    the window.  The join lets go of the blocks before the sieve builds the
+    next; a lone block, such as a preloaded slice, is held as it is."""
 
     def __init__(self, blocks):
         self._blocks = iter(blocks)
-        self._held = []  # the parts (ns, ws) not let go, in order, none empty
+        self._ns, self._ws = np.empty(0, dtype=np.int64), np.empty(0)  # the run not let go
 
     def _pull(self) -> bool:
-        # copies, not views, so that no reference keeps the blocks alive
-        joined = [np.concatenate(part) for part in zip(*self._held)]
-        self._held = [tuple(joined)] if joined else []
+        parts, new = [(self._ns, self._ws)], 0
         for block in self._blocks:
-            if block[0].size:  # a lone block, such as a preloaded slice, is held as it is
-                self._held.append(block)
-                return True
-        return False
+            parts.append(block)
+            new += block[0].size
+            if new > self._ns.size:
+                break
+        # a lone block, such as a preloaded slice, is held as it is
+        parts = [part for part in parts if part[0].size] or parts[:1]
+        self._ns, self._ws = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        return new > 0
 
     def event(self, i: int) -> int | None:
         """The n of held event i, or None if the stream ends first."""
-        while sum(ns.size for ns, _ in self._held) <= i:
+        while self._ns.size <= i:
             if not self._pull():
                 return None
-        for ns, _ in self._held:
-            if i < ns.size:
-                return int(ns[i])
-            i -= ns.size
+        return int(self._ns[i])
 
     def drop(self, count: int):
         """Let go of the first ``count`` held events, or all there are."""
-        while count and self._held:
-            ns, ws = self._held[0]
-            if count < ns.size:
-                self._held[0] = ns[count:], ws[count:]
-                return
-            count -= ns.size
-            del self._held[0]
+        self._ns, self._ws = self._ns[count:], self._ws[count:]
 
     def below(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """The held events < n, once blocks are pulled until one >= n is
-        held or the stream ends: a view of one part, or both parts joined."""
-        while not (self._held and self._held[-1][0][-1] >= n) and self._pull():
+        held or the stream ends: a view of the run."""
+        while not (self._ns.size and self._ns[-1] >= n) and self._pull():
             pass
-        parts = [(ns[:k], ws[:k]) for ns, ws in self._held if (k := np.searchsorted(ns, n))]
-        if len(parts) == 1:
-            return parts[0]
-        if not parts:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        return tuple(np.concatenate(part) for part in zip(*parts))
+        k = np.searchsorted(self._ns, n)
+        return self._ns[:k], self._ws[:k]
 
 
 def _sweep_chunk(

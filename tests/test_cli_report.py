@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -602,6 +603,28 @@ def test_module_runs_the_cli():
     out = _run_module("verify-identities")
     assert out.returncode == 0, out.stderr
     assert "identities within" in out.stdout
+
+
+def test_cli_prints_a_warning_as_one_line(capsys):
+    # a prediction outside its width range warns in one line, as an error
+    # prints, without the package's source path or line; the CSV is the
+    # one the command prints with warnings ignored
+    argv = "predict --x 1e10 --h 1e9 --orders 3 --formulas fixed-main".split()
+    out = _run_module(*argv)
+    assert out.returncode == 0, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: h=1000000000.0 outside")
+    assert "report.py" not in out.stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+
+    def rows(csv):  # every column but wall_seconds
+        return [line.rsplit(",", 1)[0] for line in csv.splitlines()]
+
+    assert rows(out.stdout) == rows(quiet.out) and len(rows(quiet.out)) == 2
 
 
 @pytest.mark.parametrize("argv, formula", [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,26 +107,48 @@ def test_segmented_sieve_tiles_arrays(monkeypatch, segment):
 )
 def test_blocks_join_to_sieve_range(monkeypatch, lo, hi):
     # the sweep reads the block stream, psi and the sources the joined
-    # arrays: they are the same events, bit for bit, and a segment of 64 odd
-    # slots gives one block per segment, each within its segment's numbers
+    # arrays: they are the same events, bit for bit.  A segment of 64 odd
+    # slots gives one block per segment at the default block size, or
+    # four with blocks of 16 odd slots; each block lies within its numbers
     full_ns, full_ws = EventSource(10_000).arrays()
     monkeypatch.setattr(sieve, "_SEGMENT", 64)
-    blocks = list(sieve_blocks(lo, hi))
-    ns, ws = sieve_range(lo, hi)
-    assert b"".join(b.tobytes() for b, _ in blocks) == ns.tobytes()
-    assert b"".join(w.tobytes() for _, w in blocks) == ws.tobytes()
     i, j = np.searchsorted(full_ns, [lo, hi])
-    assert ns.tobytes() == full_ns[i:j].tobytes()
-    assert ws.tobytes() == full_ws[i:j].tobytes()
     first_odd = lo | 1
-    assert len(blocks) == max(1, math.ceil((hi - first_odd + 1) // 2 / 64))
-    for k, (block, weights) in enumerate(blocks):
-        assert block.dtype == np.int64 and weights.dtype == np.float64
-        assert block.size == weights.size and np.all(np.diff(block) > 0)
-        edges = [lo if k == 0 else first_odd + 128 * k, min(first_odd + 128 * (k + 1), hi)]
-        if k == len(blocks) - 1:
-            edges[1] = hi
-        assert np.all((block >= edges[0]) & (block < edges[1]))
+    for size in (sieve._BLOCK, 16):
+        monkeypatch.setattr(sieve, "_BLOCK", size)
+        block_slots = min(size, 64)
+        blocks = list(sieve_blocks(lo, hi))
+        ns, ws = sieve_range(lo, hi)
+        assert b"".join(b.tobytes() for b, _ in blocks) == ns.tobytes()
+        assert b"".join(w.tobytes() for _, w in blocks) == ws.tobytes()
+        assert ns.tobytes() == full_ns[i:j].tobytes()
+        assert ws.tobytes() == full_ws[i:j].tobytes()
+        span = 2 * block_slots
+        assert len(blocks) == max(1, math.ceil((hi - first_odd + 1) // 2 / block_slots))
+        for k, (block, weights) in enumerate(blocks):
+            assert block.dtype == np.int64 and weights.dtype == np.float64
+            assert block.size == weights.size and np.all(np.diff(block) > 0)
+            edges = [lo if k == 0 else first_odd + span * k, min(first_odd + span * (k + 1), hi)]
+            if k == len(blocks) - 1:
+                edges[1] = hi
+            assert np.all((block >= edges[0]) & (block < edges[1]))
+
+
+def test_streamed_blocks_stay_small():
+    # a caller that holds one block at a time holds about one block of
+    # events and the 1 MB segment mask, not a whole segment's events
+    # (about 110k near 1e8, 4.6 MB with the temporaries that build them)
+    tracemalloc.start()
+    try:
+        count = 0
+        for ns, ws in sieve_blocks(10**8, 10**8 + 2**23):
+            assert ns[-1] - ns[0] < 2 * sieve._BLOCK and ns.size == ws.size
+            count += 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+    assert count == 2**22 // sieve._BLOCK
 
 
 def test_sieve_range_windows():

@@ -144,8 +144,8 @@ def test_first_moment_exact_tiny():
 
 
 def test_first_moment_exact_streams_spans(monkeypatch):
-    # the oracle streams the sieve's blocks of [2, limit], at most one
-    # segment of odd slots each: together they are a preloaded source's
+    # the oracle streams the sieve's blocks of [2, limit], at most _BLOCK
+    # odd slots each: together they are a preloaded source's
     # table, and the value does not depend on how they are cut
     w = WindowSpec(2.5e6, Fixed(Fraction(100)))
     limit = w.limit()
@@ -162,8 +162,9 @@ def test_first_moment_exact_streams_spans(monkeypatch):
     monkeypatch.setattr(sweep, "sieve_blocks", recording)
     assert first_moment_exact(w) == want
     assert calls == [(2, limit + 1)]
-    assert len(blocks) == 5
-    assert all(ns[-1] - ns[0] < 2 * sieve._SEGMENT for ns, _ in blocks)
+    # 5 segments of 2^18 odd slots, each cut into blocks of _BLOCK = 2^17
+    assert len(blocks) == math.ceil((limit - 1) // 2 / sieve._BLOCK) > 2
+    assert all(ns[-1] - ns[0] < 2 * sieve._BLOCK for ns, _ in blocks)
     table_ns, table_ws = EventSource(limit).arrays()
     assert np.array_equal(np.concatenate([ns for ns, _ in blocks]), table_ns)
     assert np.array_equal(np.concatenate([ws for _, ws in blocks]), table_ws)
@@ -186,7 +187,7 @@ def test_no_source_builds_no_table(monkeypatch, segment, sub_events):
     # values a preloaded source gives; the oracles never build a table.  At
     # 2^6 odd slots a block holds about 10 events near 2e5, and the scaled
     # window reaches about 147 numbers: every sub-chunk straddles blocks,
-    # and the buffer pulls more than once for it
+    # and the buffer joins several of them for it
     monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 12)
     monkeypatch.setattr(sweep, "_SUB_EVENTS", sub_events)
     want = []
@@ -387,8 +388,8 @@ def test_warm_sweep_allocates_no_piece_arrays(events_1e6, geometry, pairs):
     # allocates only argsort's indices, flatnonzero results and the fixed
     # kernel's temporaries (about 256 KB each at 2^15 pieces a sub-chunk).
     # Given no source it sieves too: one segment covers all of [2, limit],
-    # so it adds that one block, 16 bytes per event, and the segment mask,
-    # one byte per odd slot
+    # so its blocks and the buffer's run add at most 16 bytes per event, and
+    # the segment mask one byte per odd slot
     w = WindowSpec(1e6, geometry)
     events = int(np.searchsorted(events_1e6.arrays()[0], w.limit(), side="right"))
     for source, bound in ((events_1e6, 1.5e6), (None, 1.5e6 + 16 * events + w.limit() // 2)):
@@ -1002,34 +1003,60 @@ DESK_LIKE_PAIRS = [(o, Kind.ABSOLUTE) for o in (1.0, 2.1, 3.2, 6.5)] + [
 ]
 
 
+def _walk_event_buffer(ns, ws, edges, rng, reach):
+    """Read the stream of ns, ws, cut into blocks at edges with an empty
+    block among them, through an _EventBuffer as a sweep does: its event
+    13, then the events below one up to ``reach`` events on, then let go
+    of a random count.  Each slice must be a view of the one run the
+    buffer holds, and the slice of the joined array.  Returns the events
+    the buffer copied and the slices that were views of a block."""
+    copied = []
+
+    class Counting(sweep._EventBuffer):
+        def _pull(self):
+            pulled = super()._pull()
+            if pulled and not np.shares_memory(self._ns, ns):  # a join, not a lone block
+                copied.append(self._ns.size)
+            return pulled
+
+    blocks = [(ns[a:b], ws[a:b]) for a, b in zip(edges, edges[1:])]
+    blocks[3:3] = [(ns[:0], ws[:0])]
+    buffer = Counting(blocks)
+    start, views, last = 0, 0, ns.size - 1
+    while start < last:
+        assert buffer.event(13) == (int(ns[start + 13]) if start + 13 <= last else None)
+        stop = int(ns[min(start + int(rng.integers(1, reach)), last)])
+        got_ns, got_ws = buffer.below(stop)
+        end = int(np.searchsorted(ns, stop))
+        assert np.array_equal(got_ns, ns[start:end]) and np.array_equal(got_ws, ws[start:end])
+        assert got_ns.ctypes.data == buffer._ns.ctypes.data
+        assert got_ws.ctypes.data == buffer._ws.ctypes.data
+        views += np.shares_memory(got_ns, ns)
+        count = int(rng.integers(1, 20))
+        buffer.drop(count)
+        start += count
+    buffer.drop(ns.size)
+    assert buffer.event(0) is None and buffer.below(int(ns[-1]) + 1)[0].size == 0
+    return sum(copied), views
+
+
 def test_event_buffer_slices_match_one_array():
     # blocks of every size, empty ones too, and counts let go of at random:
-    # each slice the sweep asks for is the slice of the joined array, a
-    # view of the buffer's part when it lies in one, joined when it does not
+    # each slice the sweep asks for is the slice of the joined array and a
+    # view of the run the buffer holds; a lone block is held as it is, so
+    # some slices are views of a block
     rng = np.random.default_rng(7)
     ns = np.cumsum(rng.integers(1, 6, 500))
     ws = rng.random(500)
     edges = [0, *sorted(rng.choice(np.arange(1, 500), 40, replace=False)), 500]
-    blocks = [(ns[a:b], ws[a:b]) for a, b in zip(edges, edges[1:])]
-    blocks[3:3] = [(ns[:0], ws[:0])]
-    buffer = sweep._EventBuffer(blocks)
-    start, views, joins = 0, 0, 0
-    while start < 499:
-        assert buffer.event(13) == (int(ns[start + 13]) if start + 13 < 500 else None)
-        stop = int(ns[min(start + int(rng.integers(1, 40)), 499)])
-        got_ns, got_ws = buffer.below(stop)
-        end = int(np.searchsorted(ns, stop))
-        assert np.array_equal(got_ns, ns[start:end]) and np.array_equal(got_ws, ws[start:end])
-        parts = [part for part, _ in buffer._held if part[0] < stop]
-        assert np.shares_memory(got_ns, parts[0]) == (len(parts) == 1)
-        views += any(np.shares_memory(got_ns, b) for b, _ in blocks)
-        joins += len(parts) > 1
-        count = int(rng.integers(1, 20))
-        buffer.drop(count)
-        start += count
-    assert 0 < views and 0 < joins
-    buffer.drop(500)
-    assert buffer.event(0) is None and buffer.below(int(ns[-1]) + 1)[0].size == 0
+    copied, views = _walk_event_buffer(ns, ws, edges, rng, 40)
+    assert views > 0 and copied > 0
+    # a window many times a block: the buffer holds about 600 events, 75
+    # blocks of 8, and still copies each event fewer than 3 times
+    ns = np.cumsum(rng.integers(1, 6, 8000))
+    ws = rng.random(8000)
+    copied, _ = _walk_event_buffer(ns, ws, range(0, 8001, 8), rng, 1200)
+    assert copied < 3 * ns.size
 
 
 @settings(deadline=None, max_examples=40)
