@@ -5,20 +5,20 @@ with h = delta x) is piecewise linear in x, with breakpoints where a
 prime power enters or leaves the window.  Sweeping those breakpoints in
 order gives the moment integrals exactly, up to floating point, with no
 sampling grid.  Closed-form predictions for the same quantities live in
-psimoments.predictions, and psimoments.specfun checks the special
-function identities those predictions lean on.
+psimoments.predictions, and psimoments.specfun.identity_residuals checks
+the special function identities those predictions lean on.
 """
 
 from .errors import ConfigError, InvariantError, ResourceError
 from .sieve import EventSource
 from .specfun import (
+    double_factorial,
     duplication_residual,
     gaussian_abs_moment,
-    moment_constant_residual,
     sin_fourth_integral,
     sin_squared_integral,
 )
-from .predictions import double_factorial, odd_normalizer, scaled_refined_term
+from .predictions import odd_normalizer, scaled_refined_term
 from .sweep import (
     Fixed,
     Kind,
@@ -51,7 +51,6 @@ __all__ = [
     "first_moment_exact",
     "gaussian_abs_moment",
     "grid_oracle",
-    "moment_constant_residual",
     "odd_normalizer",
     "saffari_vaughan_average",
     "scaled_refined_term",

@@ -30,12 +30,7 @@ from .report import (
     run,
 )
 from .sieve import EventSource
-from .specfun import (
-    duplication_residual,
-    moment_constant_residual,
-    sin_fourth_integral,
-    sin_squared_integral,
-)
+from .specfun import identity_residuals
 from .sweep import Kind, Scaled, WindowSpec
 
 
@@ -133,20 +128,10 @@ def _cmd_verify_identities(args) -> int:
     tol = args.tolerance
     if not 0 < tol < math.inf:
         raise ConfigError(f"tolerance must be positive and finite, got {tol}")
-    checks = []
-    for z in (0.5, 1.0, 2.5, 10.0, 40.0, 100.0):
-        checks.append((f"duplication z={z:g}", duplication_residual(z)))
-    for lam in (0.5, 1.0, 1.5, 2.0, 3.0, 5.5):
-        checks.append((f"moment constant lambda={lam:g}", moment_constant_residual(lam)))
-    g1 = sin_squared_integral(1.0)
-    checks.append(("sin^2 integral lambda=1 vs pi/2", abs(g1 - math.pi / 2) / (math.pi / 2)))
-    d2 = sin_fourth_integral(2.0)
-    checks.append(("sin^4 integral theta=2 vs pi/3", abs(d2 - math.pi / 3) / (math.pi / 3)))
-    worst = 0.0
+    checks = identity_residuals()
     for name, resid in checks:
-        status = "ok" if resid <= tol else "FAIL"
-        print(f"{status:>4}  {resid:.3e}  {name}")
-        worst = max(worst, resid)
+        print(f"{'ok' if resid <= tol else 'FAIL':>4}  {resid:.3e}  {name}")
+    worst = max(resid for _, resid in checks)
     if worst > tol:
         raise InvariantError(f"identity residual {worst:.3e} exceeds {tol:g}")
     print(f"all {len(checks)} identities within {tol:g}")

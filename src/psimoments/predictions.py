@@ -17,7 +17,7 @@ import math
 import warnings
 
 from .errors import DomainError
-from .specfun import gaussian_abs_moment
+from .specfun import double_factorial, gaussian_abs_moment
 
 # Euler's constant, single source of truth for B and E
 C0 = 0.57721566490153286061
@@ -118,15 +118,6 @@ def odd_normalizer(X: float, delta: float, n: int) -> float:
     the scaled main term at order n."""
     _check_odd_order(n)
     return scaled_main_term(X, delta, float(n))
-
-
-def double_factorial(m: int) -> int:
-    """(m)!! for odd m >= -1; (k-1)!! counts pair matchings of k items."""
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
 
 
 def _check_even_order(k: int):

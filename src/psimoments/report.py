@@ -112,6 +112,11 @@ class RunConfig:
         """
         if not isinstance(data, dict):
             raise ConfigError(f"config must be an object, got {type(data).__name__}")
+        names = {}
+        for key in data:
+            first = names.setdefault(key.lower(), key)
+            if first != key:
+                raise ConfigError(f"config keys {first!r} and {key!r} differ only in case")
         data = {k.lower(): v for k, v in data.items()}
         unknown = set(data) - _CONFIG_KEYS
         if unknown:

@@ -1,10 +1,12 @@
-"""Special function evaluation and identity residuals.
+"""Special function evaluation and the identity suite.
 
 Everything here is classical analysis used to back the moment formulas:
 the Legendre duplication identity of the gamma function, the upper
-incomplete gamma function at half-integers, absolute moments
-of a standard Gaussian, and the oscillatory integrals
+incomplete gamma function at half-integers, absolute moments of a
+standard Gaussian and the double factorials its even moments equal, and
+the oscillatory integrals
 int_0^inf sin^2(u)/u^(1+lam) du and int_0^inf sin^4(u)/u^(2+theta) du.
+identity_residuals checks them all, each against a second computation.
 
 Both oscillatory integrals have closed forms (Gradshteyn & Ryzhik 3.823),
 with s = 1 + theta and t = theta - 1:
@@ -62,24 +64,6 @@ def duplication_residual(z: float) -> float:
     return abs(math.expm1(log_rhs - log_lhs))
 
 
-def moment_constant_residual(lam: float) -> float:
-    """Residual of the constant chain behind the moment main terms.
-
-    Checks 2^lam Gamma((lam+1)/2) / sqrt(pi) == Gamma(lam+1) / Gamma(lam/2+1)
-    and that gaussian_abs_moment matches the right-hand side divided by
-    2^(lam/2).  Returns the larger relative residual.
-    """
-    if not 0 < lam <= 60:
-        raise DomainError(f"order must lie in (0, 60], got {lam}")
-    lhs = 2.0**lam * math.gamma((lam + 1.0) / 2.0) / SQRT_PI
-    rhs = math.gamma(lam + 1.0) / math.gamma(lam / 2.0 + 1.0)
-    r1 = abs(lhs - rhs) / rhs
-    r2 = abs(gaussian_abs_moment(lam) - rhs / 2.0 ** (lam / 2.0)) / (
-        rhs / 2.0 ** (lam / 2.0)
-    )
-    return max(r1, r2)
-
-
 def sin_squared_integral(lam: float) -> float:
     """int_0^inf sin(u)^2 / u^(1+lam) du for lam in [0.1, 2).
 
@@ -109,3 +93,37 @@ def sin_fourth_integral(theta: float) -> float:
         * math.expm1(t * math.log(2.0))
         / (2.0 * math.gamma(s + 1.0) * math.sin(math.pi * t / 2.0))
     )
+
+
+def double_factorial(m: int) -> int:
+    """(m)!! for odd m >= -1; (k-1)!! counts pair matchings of k items."""
+    out = 1
+    while m > 1:
+        out *= m
+        m -= 2
+    return out
+
+
+def identity_residuals() -> list[tuple[str, float]]:
+    """The identity suite: (name, relative residual) pairs, each comparing
+    two different computations.  The duplication formula from z = 1/4 into
+    its log-space range; gaussian_abs_moment against the textbook
+    2^(lam/2) Gamma((lam+1)/2) / sqrt(pi), duplication at z = (lam+1)/2;
+    the even moments against (2m-1)!!; the oscillatory integrals at pi/2
+    and pi/3."""
+    checks = [
+        (f"duplication z={z:g}", duplication_residual(z))
+        for z in (0.25, 0.5, 1.0, 2.5, 7.0, 10.0, 40.0, 85.0, 99.9, 100.0)
+    ]
+    pairs = [
+        (f"Gaussian moment lambda={lam:g}", gaussian_abs_moment(lam),
+         2.0 ** (lam / 2.0) * math.gamma((lam + 1.0) / 2.0) / SQRT_PI)
+        for lam in (0.5, 1.0, 1.5, 2.0, 2.1, 3.0, 3.2, 4.3, 5.4, 5.5, 6.5)
+    ] + [
+        (f"even moment lambda={2 * m} vs {2 * m - 1}!!", gaussian_abs_moment(2.0 * m),
+         double_factorial(2 * m - 1))
+        for m in range(1, 11)
+    ]
+    pairs.append(("sin^2 integral lambda=1 vs pi/2", sin_squared_integral(1.0), math.pi / 2))
+    pairs.append(("sin^4 integral theta=2 vs pi/3", sin_fourth_integral(2.0), math.pi / 3))
+    return checks + [(name, abs(got - want) / want) for name, got, want in pairs]

@@ -754,10 +754,9 @@ class _Chunk:
 
 
 def _chunk_span(geom: Fixed | Scaled, limit: int, ka: int, kb: int) -> Tuple[int, int]:
-    """[lo, hi): the n whose events overlap [ka, kb), n*K > ka and n below
-    the right end at kb/K."""
-    K = geom.K
-    return ka // K + 1, min(math.ceil(geom.right_end(Fraction(kb, K))), limit + 1)
+    """[lo, hi): the n whose events overlap [ka, kb), n*K > ka and entry key
+    below kb; hi, as _sweep_chunk's ``below`` reads it, is ceil(right_end(kb/K))."""
+    return ka // geom.K + 1, min(geom.first_entering(kb), limit + 1)
 
 
 class _EventBuffer:

@@ -6,7 +6,6 @@ X = 1e10 reproduction only runs with PSIMOMENTS_EXTENDED=1 in the
 environment; it re-sieves in segments and takes a long while.
 """
 
-import math
 import os
 import time
 from fractions import Fraction
@@ -23,20 +22,15 @@ from psimoments import (
     WindowSpec,
     decomposition_check,
     default_threads,
-    double_factorial,
-    duplication_residual,
     first_moment_exact,
-    gaussian_abs_moment,
     grid_oracle,
-    moment_constant_residual,
     odd_normalizer,
     saffari_vaughan_average,
     scaled_refined_term,
-    sin_fourth_integral,
-    sin_squared_integral,
     sweep_moments,
 )
 from psimoments.report import REFERENCE_ABSOLUTE, REFERENCE_ODD
+from psimoments.specfun import identity_residuals
 
 from conftest import ACCEPTANCE_LINES, DESK_ABS_ORDERS, DESK_DELTA, DESK_ODD_ORDERS, DESK_X
 
@@ -146,26 +140,15 @@ def test_criterion_5_oracle_equivalence(events_1e6, events_small):
 
 def test_criterion_6_identity_suite():
     t0 = time.monotonic()
-    worst = 0.0
-    for z in (0.25, 0.5, 1.0, 2.5, 7.0, 10.0, 40.0, 85.0, 99.9):
-        worst = max(worst, duplication_residual(z))
-    for m in range(1, 11):
-        want = float(double_factorial(2 * m - 1))
-        worst = max(worst, abs(gaussian_abs_moment(2.0 * m) - want) / want)
-    ok_small = worst <= 1e-10
-
-    g1 = abs(sin_squared_integral(1.0) - math.pi / 2) / (math.pi / 2)
-    d2 = abs(sin_fourth_integral(2.0) - math.pi / 3) / (math.pi / 3)
-    ok_osc = g1 <= 1e-6 and d2 <= 1e-6
-
-    chain = max(moment_constant_residual(l) for l in (0.5, 1.0, 2.1, 3.2, 4.3, 5.4, 6.5))
+    checks = identity_residuals()
+    name, worst = max(checks, key=lambda c: c[1])
     wall = time.monotonic() - t0
-    ok = ok_small and ok_osc and chain <= 1e-10 and wall < 10.0
+    ok = all(resid <= 1e-10 for _, resid in checks) and wall < 10.0
     record(
         6,
         ok,
-        f"duplication/moments {worst:.1e}, G1 {g1:.1e}, D2 {d2:.1e}, "
-        f"chain {chain:.1e}, {wall:.2f} s (budget 10 s)",
+        f"{len(checks)} identities, worst {worst:.1e} at {name} (gate 1e-10), "
+        f"{wall:.2f} s (budget 10 s)",
     )
 
 

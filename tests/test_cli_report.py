@@ -92,6 +92,9 @@ def test_run_config_rejects_bad_shapes():
         RunConfig.from_dict({"x": 100, "h": 2, "orders": [1], "bogus": True})
     with pytest.raises(ConfigError):
         RunConfig(X=100.0, h=Fraction(2), orders=[1.0], formulas=["no-such-formula"])
+    # keys that differ only in case would override each other
+    with pytest.raises(ConfigError, match="config keys 'x' and 'X' differ only in case"):
+        RunConfig.from_dict({"x": 1e6, "X": 2e6, "h": 10, "orders": [1]})
     # a repeated order, kind or formula would be swept or evaluated twice
     base = {"x": 1e5, "h": 100, "orders": [2]}
     cases = [
@@ -445,6 +448,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         # unknown config keys fail loudly, never silently ignored
         (["moments", "--config", _config_file(tmp_path, "cache", {**cfg, "cache_path": "e.bin"})], 2),
         (["moments", "--config", _config_file(tmp_path, "chunk", {**cfg, "chunk_events": 4096})], 2),
+        # and keys that differ only in case never override each other
+        (["moments", "--config", _config_file(tmp_path, "case", {**cfg, "X": 2000})], 2),
         # an identity gate that is not a positive finite number
         (["verify-identities", "--tolerance", "nan"], 2),
         (["verify-identities", "--tolerance", "-1"], 2),

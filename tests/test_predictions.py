@@ -8,7 +8,6 @@ from psimoments.predictions import (
     C0,
     E_CONSTANT,
     WidthRangeWarning,
-    double_factorial,
     even_main_b_fixed,
     even_main_b_scaled,
     fixed_main_term,
@@ -17,6 +16,7 @@ from psimoments.predictions import (
     scaled_main_term,
     scaled_refined_term,
 )
+from psimoments.specfun import double_factorial
 
 
 def test_constants_derive_from_euler():

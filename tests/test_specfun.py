@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psimoments import specfun
 from psimoments.errors import DomainError
-from psimoments.predictions import double_factorial
 from psimoments.specfun import (
+    double_factorial,
     duplication_residual,
     gaussian_abs_moment,
-    moment_constant_residual,
+    identity_residuals,
     sin_fourth_integral,
     sin_squared_integral,
     upper_gamma,
@@ -56,8 +57,36 @@ def test_duplication_residual_grid(z):
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.1, 3.2, 4.3, 5.4, 6.5])
-def test_moment_constant_chain(lam):
-    assert moment_constant_residual(lam) < 1e-10
+def test_gaussian_moment_textbook_form(lam):
+    # E|Z|^lam = 2^(lam/2) Gamma((lam+1)/2) / sqrt(pi), one gamma against two
+    textbook = 2.0 ** (lam / 2.0) * math.gamma((lam + 1.0) / 2.0) / math.sqrt(math.pi)
+    assert gaussian_abs_moment(lam) == pytest.approx(textbook, rel=1e-10)
+
+
+def test_identity_checks_are_not_true_by_construction(monkeypatch):
+    # each check compares two different computations, so a relative error
+    # of 1e-6 in one of them shows in its residual
+    names = [name for name, _ in identity_residuals()]
+    assert len(set(names)) == len(names)
+    gaussian = {n for n in names if n.startswith("Gaussian moment")}
+    even = {n for n in names if n.startswith("even moment")}
+    assert gaussian and even
+    eps = 1e-6
+
+    def failing():
+        return {name for name, resid in identity_residuals() if resid > 1e-8}
+
+    with monkeypatch.context() as m:
+        # one gamma, scaled: the log-space duplication branch reads lgamma
+        gamma, lgamma = math.gamma, math.lgamma
+        m.setattr(math, "gamma", lambda x: gamma(x) * (1 + eps))
+        m.setattr(math, "lgamma", lambda x: lgamma(x) + math.log1p(eps))
+        assert failing() >= set(names) - even
+    with monkeypatch.context() as m:
+        moment = specfun.gaussian_abs_moment
+        m.setattr(specfun, "gaussian_abs_moment", lambda lam: moment(lam) * (1 + eps))
+        assert failing() >= gaussian | even
+    assert not failing()
 
 
 @pytest.mark.parametrize("lam,want", sorted(G_REFERENCE.items()))

@@ -522,20 +522,31 @@ def test_source_past_preload_limit(monkeypatch, recording_source):
     assert len(pools) == len(NO_TABLE_WINDOWS)
 
 
-@settings(deadline=None, max_examples=200)
-@given(
-    geometry=st.one_of(
-        st.integers(min_value=1, max_value=10**6).map(lambda h: Fixed(Fraction(h))),
-        st.fractions(min_value=Fraction(1, 10**6), max_value=10**6).map(Fixed),
-        st.fractions(
-            min_value=Fraction(1, 10**9), max_value=Fraction(999, 1000), max_denominator=10**9
-        ).map(Scaled),
-    ),
-    e=st.integers(min_value=-(10**15), max_value=10**15),
+GEOMETRIES = st.one_of(
+    st.integers(min_value=1, max_value=10**6).map(lambda h: Fixed(Fraction(h))),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=10**6).map(Fixed),
+    st.fractions(
+        min_value=Fraction(1, 10**9), max_value=Fraction(999, 1000), max_denominator=10**9
+    ).map(Scaled),
 )
+
+
+@settings(deadline=None, max_examples=200)
+@given(geometry=GEOMETRIES, e=st.integers(min_value=-(10**15), max_value=10**15))
 def test_first_entering_inverts_entry_key(geometry, e):
     m = geometry.first_entering(e)
     assert geometry.entry_key(m - 1) < e <= geometry.entry_key(m)
+
+
+@settings(deadline=None, max_examples=200)
+@given(geometry=GEOMETRIES, data=st.data())
+def test_chunk_span_ends_at_the_right_end(geometry, data):
+    # the span's integer upper end is the ceiling of the exact right end at kb/K
+    K = geometry.K
+    kb = data.draw(st.integers(min_value=0, max_value=sieve.KEY_LIMIT // (2 * K)))
+    limit = data.draw(st.integers(min_value=0, max_value=sieve.KEY_LIMIT // K))
+    reference = min(math.ceil(geometry.right_end(Fraction(kb, K))), limit + 1)
+    assert sweep._chunk_span(geometry, limit, 0, kb)[1] == reference
 
 
 def test_sweep_matches_closed_form_oracle_fixed(events_1e6):
