@@ -131,9 +131,10 @@ def _cmd_verify_identities(args) -> int:
     checks = identity_residuals()
     for name, resid in checks:
         print(f"{'ok' if resid <= tol else 'FAIL':>4}  {resid:.3e}  {name}")
-    worst = max(resid for _, resid in checks)
-    if worst > tol:
-        raise InvariantError(f"identity residual {worst:.3e} exceeds {tol:g}")
+    # a NaN residual fails too: it is not <= tol, though max() would skip it
+    failed = [f"{name} ({resid:.3e})" for name, resid in checks if not resid <= tol]
+    if failed:
+        raise InvariantError(f"identity residuals not within {tol:g}: {', '.join(failed)}")
     print(f"all {len(checks)} identities within {tol:g}")
     return 0
 

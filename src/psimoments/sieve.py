@@ -46,8 +46,8 @@ PRELOAD_LIMIT = 1 << 28
 KEY_LIMIT = 1 << 62
 # odd slots sieved at a time: a 1 MB mask stays in cache
 _SEGMENT = 1 << 20
-# odd slots per block handed on: about 14k events near 1e8, a sub-chunk's 2^14
-_BLOCK = 1 << 17
+# odd slots per block handed on: about 7k events near 1e8, a sub-chunk's 2^13
+_BLOCK = 1 << 16
 
 
 def _simple_primes(limit: int) -> np.ndarray:

@@ -42,14 +42,21 @@ which would cancel: u_a - u_b = 2d is tiny next to |u| on most pieces.
 No ``**`` takes a negative base: numpy's power leaves its vectorised path
 there and costs an order of magnitude more per element.
 
-Piece lengths are exact integer key differences divided by K once.
+Piece lengths are exact integer key differences divided by K once.  Keys
+that several events share leave pieces of length 0 between them (h an
+integer with n and n - h both events, or n q = n' (p + q) scaled); they
+stay in place, with d = 0, add exactly 0 and are not counted.  Moving the
+other pieces to the front would cost a gather and a copy of each array on
+nearly every sub-chunk of an integer h.
 
 The key range [K, ceil(X K)] is cut at two levels.  Outer chunks hold
 about _CHUNK_EVENTS events each; a window that needs more than _MAX_CHUNKS
 of them raises RangeLimitError before any is planned.  Each is one task:
 one call of _sweep_chunk, a module-level function of picklable arguments,
-whose _Chunk record holds each sub-chunk's values and length sum and the
-chunk's piece count.  A task carries its chunk's events or nothing:
+whose _Chunk record holds, for each pair and for the length, the exact
+sum of its sub-chunks' values as a few floats (_partials), and the chunk's
+piece count; a record so does not grow with the sub-chunks.  A task
+carries its chunk's events or nothing:
     no source               the task streams its own span (_chunk_span)
                             from the sieve in blocks of events
                             (sieve_blocks), so the sweep holds
@@ -93,7 +100,8 @@ it pulls, until the new events outnumber the held ones or the stream
 ends: each join but the last copies fewer than twice the events it adds,
 so the joins copy fewer than three times the chunk's events, however wide
 the window.  The join lets go of the blocks before the sieve builds the
-next.
+next, and joins the n first and lets the old ones go before it joins the
+weights.
 
 Both levels of cuts depend only on the window, _CHUNK_EVENTS and the
 events, never on the worker count or the sieve's blocks, and the results
@@ -113,9 +121,11 @@ p / (2 q K) split so that its high part times mid - 2 ka is exact.  So each
 residual is within one ulp of max(|u|, drift) of the exact one, and as no
 step uses a wider type than float64, the values are the same on every
 platform.  The per-piece contributions are summed pairwise (``np.sum``),
-all but the series corrections, which are below 1e-6 of them; the sums of
-all sub-chunks are combined with ``math.fsum``.  A moment that is not
-finite in float64 raises RangeLimitError.
+all but the series corrections, which are below 1e-6 of them; a chunk
+carries the exact sum of its sub-chunks' sums, and the sweep combines them
+with ``math.fsum``, which rounds that exact sum once however the sweep is
+cut into chunks.  A moment that is not finite in float64 raises
+RangeLimitError.
 
 Each thread of each process writes the per-piece arrays of its sub-chunks
 with ``out=`` into one workspace of named, grow-only slots, so a sub-chunk
@@ -139,12 +149,10 @@ sieve's block or the buffer, or per piece of the sub-chunk:
               then its events (ns, ws) with those powers
               merged in
     buffer    the held run (ns, ws); while a pull joins it, the  16 / event
-              blocks pulled and the new run too
+              blocks pulled and one array of the new run too
     keys      event keys, then the running sums of the high and  16 / piece
               the low parts, then the piece lengths
-    deltas    event deltas, then the mask of nonempty pieces and  8 / piece
-              the entries kept past empty ones, then the key
-              steps; scaled, then r2
+    deltas    event deltas, then the key steps; scaled, then r2   8 / piece
     points    sorted keys, then the float64 residual (scaled,     8 / piece
               the drift's high part first)
     sorted    scaled: the doubled midpoint keys less 2 ka; then   8 / piece
@@ -159,13 +167,17 @@ sieve's block or the buffer, or per piece of the sub-chunk:
               d2^j and series^k
 The first four are the sieve's and the buffer's, allocated per block;
 the rest are workspace slots.  The desk table's sweep (X = 1e8, nine
-scaled pairs) takes 16 slots, 5.0 MB, and its blocks hold about 14k
-events each, where a segment holds about 110k; a fixed window's, 6 slots,
-2.0 MB, for |u|^2 and u, and 9, 2.6 MB, for the four kinds of order 3 and
+scaled pairs) takes 16 slots, 2.5 MB, and its blocks hold about 7k events
+each, where a segment holds about 110k; a fixed window's, 6 slots,
+1.0 MB, for |u|^2 and u, and 9, 1.3 MB, for the four kinds of order 3 and
 |u|^2.1.  What a sub-chunk still allocates is argsort's indices, the split
 of the weights already inside the window at its start, flatnonzero
 results and the scaled kernel's arrays over the few pieces outside the
-series regime.
+series regime, one row per real order.  A sub-chunk's fixed cost, the
+Python and the short numpy calls around its arrays, is about 60 us of
+setup and 95 us of kernel for the desk's pairs on a 2-vCPU VM: the real
+orders share one pass over the middle regime and the pieces that change
+sign, and the per-sweep splits are integer arithmetic.
 """
 
 from __future__ import annotations
@@ -198,10 +210,12 @@ _CHUNK_EVENTS = 1 << 20
 # before any work starts (the full-scale table takes 415)
 _MAX_CHUNKS = 1 << 20
 # events per integration sub-chunk, so that its setup temporaries stay in cache
-_SUB_EVENTS = 1 << 14
+_SUB_EVENTS = 1 << 13
 # t = d/|c| up to which the scaled kernel sums the binomial series in t^2 for
 # real absolute orders: at 2^-10 a few terms bound the truncation by 1e-16
 _SERIES_T = 2.0**-10
+# the least positive float64, 2^-1074
+_SUBNORMAL = math.ulp(0.0)
 # the finest grid 2^-g of the weights' high parts: weights are logs of numbers
 # below 2^63, so below 2^6, and _grid_split rounds exactly while |x| < 2^(51-g)
 _GRID_MAX = 45
@@ -345,22 +359,25 @@ def _grid_split(x: np.ndarray, g: int, high=None, low=None):
     return high, np.subtract(x, high, out=low)
 
 
-def _split(value: Fraction, s: int) -> Tuple[float, float]:
-    """value = high + low, high = floor(value 2^s) 2^-s exactly, low rounded
-    once; high is a float64 while floor(value 2^s) < 2^53."""
-    num, den = value.numerator << s, value.denominator
+def _split(num: int, den: int, s: int) -> Tuple[float, float]:
+    """num / den = high + low, high = floor(num 2^s / den) 2^-s exactly, low
+    rounded once; high is a float64 while floor(num 2^s / den) < 2^53.  The
+    integers need not be in lowest terms: an integer quotient rounds
+    correctly, so only the value counts."""
+    num <<= s
     whole = num // den
     return math.ldexp(whole, -s), (num - whole * den) / (den << s)
 
 
-def _series_terms(order: float) -> list:
+@functools.lru_cache(maxsize=256)
+def _series_terms(order: float) -> tuple:
     """b_k = C(order, 2k) / (2k+1) * T^(2k) for k >= 1, T = _SERIES_T.
 
     The mean of |c + s d|^order over s in [-1, 1] is
     |c|^order (1 + sum_k b_k r^(2k)) with r = t / T, t = d/|c| < 1.  For
     order * T <= 1 each term is at most 1/20 of the one before when r <= 1,
     so stopping at the first term below 1e-17 keeps the dropped tail
-    below 1e-16.
+    below 1e-16.  Cached, as every sub-chunk of a sweep asks for them.
     """
     terms, binom, j = [], 1.0, 0  # binom = C(order, j) T^j
     while True:
@@ -368,7 +385,7 @@ def _series_terms(order: float) -> list:
         j += 2
         term = binom / (j + 1)
         if abs(term) < 1e-17:
-            return terms
+            return tuple(terms)
         terms.append(term)
 
 
@@ -383,22 +400,33 @@ class _Workspace(threading.local):
     block inside a malloc heap keeps the heap from shrinking once a chunk's
     event arrays are freed, about 8 MB more resident at the peak of a
     two-thread streaming sweep.  The maps are private: a process forked
-    from the thread writes its own copy of them, never the thread's.
+    from the thread writes its own copy of them, never the thread's.  A
+    view of a whole slot as each dtype it is taken as is kept, so a take
+    is one slice of it.
     """
 
     def __init__(self):
         self._slots = {}
+        self._views = {}  # (name, dtype) -> the whole slot as that dtype
 
     def take(self, name: str, n: int, dtype=np.float64) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        nbytes = n * dtype.itemsize
+        view = self._views.get((name, dtype))
+        if view is None or view.size < n:
+            view = self._view(name, n, dtype)
+        return view[:n]
+
+    def _view(self, name: str, n: int, dtype) -> np.ndarray:
+        itemsize = np.dtype(dtype).itemsize
+        nbytes = n * itemsize
         slot = self._slots.get(name)
         if slot is None or slot.size < nbytes:
             size = max(nbytes + nbytes // 8, 1)
             slot = self._slots[name] = np.frombuffer(
                 mmap.mmap(-1, size, access=mmap.ACCESS_COPY), np.uint8
             )
-        return slot[:nbytes].view(dtype)
+            self._views = {key: v for key, v in self._views.items() if key[0] != name}
+        view = self._views[name, dtype] = slot[: slot.size // itemsize * itemsize].view(dtype)
+        return view
 
 
 _WORK = _Workspace()
@@ -462,8 +490,11 @@ class _Midpoints:
     @_cached
     def top(self) -> np.ndarray:
         """|c|, or d on a piece that changes sign; never 0.  Read only by t
-        and log_top, whose log overwrites it."""
-        return np.maximum(self.a, self.d, out=self._work("log_top"))
+        and log_top, whose log overwrites it.  An empty piece with c = 0
+        (d = 0) takes the least subnormal, so its t is 0, not 0/0; a piece
+        that is not empty has d > 0, far above it."""
+        top = np.maximum(self.a, self.d, out=self._work("log_top"))
+        return np.maximum(top, _SUBNORMAL, out=top)
 
     @_cached
     def t(self) -> np.ndarray:
@@ -544,28 +575,42 @@ class _Midpoints:
                     q += term
         return q
 
-    def _crossing_sum(self, m: float, kind: Kind) -> float:
-        """The pieces that change sign, by the closed form at c + d and c - d:
-        for |u|^(m-1) the two terms add, and a part takes one of them."""
+    @_cached
+    def crossing_ends(self) -> tuple:
+        """On the pieces that change sign: c + d and d - c, the ends' |u|,
+        then L and d."""
         i = self.crossing
-        if not i.size:
-            return 0.0
         c, d = self.c[i], self.d[i]
         # both >= 0 up to rounding where t rounded to 1 on a piece that keeps its sign
-        hi, lo = np.maximum(c + d, 0.0), np.maximum(d - c, 0.0)
+        return np.maximum(c + d, 0.0), np.maximum(d - c, 0.0), self.L[i], d
+
+    def _crossing_sum(self, m, kind: Kind):
+        """The pieces that change sign, by the closed form at c + d and c - d:
+        for |u|^(m-1) the two terms add, and a part takes one of them.  m is
+        one exponent, or a column of them for the real absolute orders, one
+        sum each."""
+        if not self.crossing.size:
+            return 0.0
+        hi, lo, L, d = self.crossing_ends
         if kind == Kind.ABSOLUTE:
             g = hi**m + lo**m
         elif kind == Kind.POSITIVE_PART:
             g = hi**m
         else:  # min(u, 0)^(m-1) integrates to -(c - d)^m / m
             g = lo**m if int(m) % 2 else -(lo**m)
-        return float(np.sum(self.L[i] * g / (2.0 * m * d)))
+        return (L * g / (2.0 * m * d)).sum(axis=-1)
 
     def integral(self, order: float, kind: Kind) -> float:
         """Sum over the pieces of the integral of g(u)."""
-        n = int(order)
-        if n != order:
-            return self._real_absolute(order)
+        return self.integrals([(order, kind)])[0]
+
+    def integrals(self, pairs: Sequence[Tuple[float, Kind]]) -> list:
+        """The integral of g(u) summed over the pieces, for each (order,
+        kind) pair; the real absolute orders are integrated together."""
+        real = iter(self._real_absolute([o for o, _ in pairs if o != int(o)]))
+        return [next(real) if o != int(o) else self._integer(int(o), k) for o, k in pairs]
+
+    def _integer(self, n: int, kind: Kind) -> float:
         if kind == Kind.SIGNED or (kind == Kind.ABSOLUTE and n % 2 == 0):
             # u^n is one polynomial on every piece, sign change or not
             weighted, rest = (self.Lc if n % 2 else self.L), 0.0
@@ -579,41 +624,58 @@ class _Midpoints:
             rest = 0.0
             if self.d is not None:
                 weighted[self.crossing] = 0.0  # summed by _crossing_sum
-                rest = self._crossing_sum(n + 1.0, kind)
+                rest = float(self._crossing_sum(n + 1.0, kind))
             if n % 2 and kind != Kind.ABSOLUTE:
                 np.multiply(weighted, self.c, out=weighted)
         q = self._even_part(n)
         if q is not None:
             weighted = np.multiply(weighted, q, out=self._scratch)
-        return float(np.sum(weighted)) + rest
+        return float(weighted.sum()) + rest
 
-    def _real_absolute(self, order: float) -> float:
-        m = order + 1.0
-        if self.d is None or order * _SERIES_T <= 1:
+    def _real_absolute(self, orders: list) -> list:
+        """The real absolute orders, in one (orders x pieces) pass over each
+        regime beyond the series; each row is one order's, bit for bit."""
+        totals = []
+        for order in orders:
+            if self.d is not None and order * _SERIES_T > 1:
+                # the series would need about order/2 terms: the closed form throughout
+                totals.append(0.0)
+                continue
             # series regime: L |c|^order (1 + sum_k b_k r^(2k)); the corrections
             # are below 1e-6 of the leading sum, which alone is summed pairwise
             p = np.multiply(self.log_top, order, out=self._scratch)
             np.exp(p, out=p)
             if self.d is None:  # flat: the leading term alone, at every order
-                return float(np.sum(np.multiply(p, self.L, out=p)))
+                totals.append(float(np.multiply(p, self.L, out=p).sum()))
+                continue
             p[self.beyond_series] = 0.0
             corrections = [
                 b * float(np.einsum("i,i->", p, self._series_weight(k)))
                 for k, b in enumerate(_series_terms(order), 1)
             ]
-            total = float(np.sum(np.multiply(p, self.L, out=p))) + sum(corrections)
-            i = self.middle
-        else:  # the series would need about order/2 terms: the closed form throughout
-            total, i = 0.0, np.flatnonzero(self.t < 1.0)
-        if i.size:
+            totals.append(float(np.multiply(p, self.L, out=p).sum()) + sum(corrections))
+        if self.d is None or not orders:
+            return totals
+        order = np.array(orders)[:, None]
+        m = order + 1.0
+        large = (order * _SERIES_T > 1)[:, 0]
+        # past order 1/_SERIES_T every piece but the empty ones (t = 0, which
+        # add nothing) and those that change sign
+        beyond_zero = np.flatnonzero((self.t > 0.0) & (self.t < 1.0)) if large.any() else None
+        for rows, i in ((~large, self.middle), (large, beyond_zero)):
+            if not (rows.any() and i.size):
+                continue
             # ((1+t)^m - (1-t)^m) / (2 m t) with the difference factored out:
             # (1+t)^m (1 - ((1-t)/(1+t))^m), the bracket by expm1
+            o, mo = order[rows], m[rows]
             t = self.t[i]
             log_rise = np.log1p(t)
-            x = m * (log_rise - np.log1p(-t))
-            g = np.exp(order * self.log_top[i] + m * log_rise) * -np.expm1(-x) / (2.0 * m * t)
-            total += float(np.sum(self.L[i] * g))
-        return total + self._crossing_sum(m, Kind.ABSOLUTE)
+            x = mo * (log_rise - np.log1p(-t))
+            g = np.exp(o * self.log_top[i] + mo * log_rise) * -np.expm1(-x) / (2.0 * mo * t)
+            for j, total in zip(np.flatnonzero(rows), (self.L[i] * g).sum(axis=1)):
+                totals[j] += float(total)
+        crossing = np.broadcast_to(self._crossing_sum(m, Kind.ABSOLUTE), len(orders))
+        return [total + float(rest) for total, rest in zip(totals, crossing)]
 
 
 def _pieces(
@@ -638,8 +700,11 @@ def _pieces(
     inside = int(np.searchsorted(ns, geom.first_entering(ka + 1), side="left"))
     leaving = int(np.searchsorted(ns, (kb - 1) // K, side="right"))
     head_high, head_low = _grid_split(weights[:inside], grid)
-    anchor = geom.h if isinstance(geom, Fixed) else geom.delta * Fraction(ka, K)
-    anchor_high, anchor_low = _split(anchor, grid)
+    if isinstance(geom, Fixed):
+        anchor = geom.h.numerator, geom.h.denominator
+    else:  # delta ka / K
+        anchor = geom.delta.numerator * ka, geom.delta.denominator * K
+    anchor_high, anchor_low = _split(*anchor, grid)
     entering = ns.size - inside
     size = entering + leaving
     keys = _WORK.take("keys", size, np.int64)
@@ -662,25 +727,15 @@ def _pieces(
     high, low = running[: size + 1], running[size + 1 :]
     np.take(deltas, order, out=low[1:], mode="wrap")
     _grid_split(low[1:], grid, high[1:], low[1:])
-    high[0] = np.sum(head_high) - anchor_high
-    low[0] = np.sum(head_low) - anchor_low
+    high[0] = head_high.sum() - anchor_high
+    low[0] = head_low.sum() - anchor_low
     np.cumsum(high, out=high)
     np.cumsum(low, out=low)
 
-    # keys that several events share leave empty pieces; once those are
-    # dropped the rest tile [ka, kb), so each piece ends where the next one
-    # starts.  The kept entries are gathered aside and moved to the front
-    nonempty = np.greater(points[1:], points[:-1], out=_WORK.take("deltas", size + 1, bool))
-    if nonempty.all():
-        return points, high, low
-    keep = np.flatnonzero(nonempty)
-    n = keep.size
-    aside = _WORK.take("deltas", n, np.int64)
-    for array in (points, high, low):
-        np.take(array, keep, out=aside.view(array.dtype), mode="wrap")
-        array[:n] = aside.view(array.dtype)
-    points[n] = kb
-    return points[: n + 1], high[:n], low[:n]
+    # keys that several events share leave empty pieces between them; they
+    # stay in place, with length 0 and so adding 0, as moving the rest to
+    # the front costs more than integrating them
+    return points, high, low
 
 
 def _chunk_moments(
@@ -695,13 +750,16 @@ def _chunk_moments(
     """
     K = geom.K
     points, high, low = _pieces(geom, ns, weights, ka, kb, grid)
-    piece_count = int(high.size)
+    size = high.size
+    # the keys strictly inside are past ka and below kb: the final piece,
+    # as the first, is not empty
     left = int(points[-2])  # where the final piece starts
 
     # exact integer differences, rounded once; slots are reused as what they
     # held dies (see the module docstring)
-    steps = np.subtract(points[1:], points[:-1], out=_WORK.take("deltas", piece_count, np.int64))
-    u = _WORK.take("points", piece_count)
+    steps = np.subtract(points[1:], points[:-1], out=_WORK.take("deltas", size, np.int64))
+    piece_count = int(np.count_nonzero(steps))
+    u = _WORK.take("points", size)
     p, q = geom.width.numerator, geom.width.denominator
     if isinstance(geom, Fixed):
         # S - h is high + low, one rounding of their exact sum
@@ -711,45 +769,65 @@ def _chunk_moments(
         # x since ka, p (mid - 2 ka) / (2 q K) from the exact doubled
         # midpoint key mid, with p / (2 q K) split so that its high part
         # times mid - 2 ka < 2 (kb - ka) is exact
-        per_key = Fraction(p, 2 * q * K)
+        den = 2 * q * K
         bits = max(53 - (2 * (kb - ka)).bit_length(), 0)
-        drift_high, drift_low = _split(
-            per_key, max(bits + (2 * q * K).bit_length() - p.bit_length() - 1, 0)
-        )
-        off = np.add(points[:-1], points[1:], out=_WORK.take("sorted", piece_count, np.int64))
+        drift_high, drift_low = _split(p, den, max(bits + den.bit_length() - p.bit_length() - 1, 0))
+        off = np.add(points[:-1], points[1:], out=_WORK.take("sorted", size, np.int64))
         off -= 2 * ka
-        rest = np.multiply(off, drift_low, out=_WORK.take("midpoints", piece_count))
+        rest = np.multiply(off, drift_low, out=_WORK.take("midpoints", size))
         np.subtract(low, rest, out=rest)
         np.subtract(rest, np.multiply(off, drift_high, out=u), out=rest)
         np.add(high, rest, out=u)
     if x_end is not None:
         last = Fraction(x_end) - Fraction(left, K)
         if isinstance(geom, Scaled):  # its midpoint (left / K + X) / 2 is no key
-            drift = per_key * (left - 2 * ka + Fraction(x_end) * K)
+            drift = Fraction(p, den) * (left - 2 * ka + Fraction(x_end) * K)
             u[-1] = float(Fraction(high[-1]) + Fraction(low[-1]) - drift)
-    lengths = np.divide(steps, K, out=_WORK.take("keys", piece_count))
+    lengths = np.divide(steps, K, out=_WORK.take("keys", size))
     if x_end is not None:
         lengths[-1] = float(last)
-    length_sum = float(np.sum(lengths))
+    length_sum = float(lengths.sum())
 
     d = None  # a fixed window's pieces do not fall
     if isinstance(geom, Scaled):  # the exact half-fall
-        d = np.multiply(steps, float(per_key), out=_WORK.take("d", piece_count))
+        d = np.multiply(steps, p / den, out=_WORK.take("d", size))
         if x_end is not None:
             d[-1] = float(last * Fraction(p, 2 * q))
     with np.errstate(over="ignore", invalid="ignore"):  # sweep_moments rejects inf and nan
         pieces = _Midpoints(u, d, lengths)
-        values = [pieces.integral(o, k) for o, k in pairs]
+        values = pieces.integrals(pairs)
     return values, piece_count, length_sum
+
+
+def _partials(values: list) -> tuple:
+    """Floats, largest first, whose exact sum is that of ``values``: each
+    is the math.fsum, correctly rounded, of the values less the floats
+    before it, so each is below half an ulp of the one before, and they
+    stop at the first remainder of 0.  The fsum of the partials of several
+    lists is thus the fsum of all their values.  A sum past float64, or
+    inf - inf, gives (nan,), and an inf (inf,)."""
+    partials = []
+    while True:
+        try:
+            partial = math.fsum(values + [-x for x in partials])
+        except (OverflowError, ValueError):
+            partial = math.nan
+        if not math.isfinite(partial):
+            return (partial,)
+        if not partial:
+            return tuple(partials)
+        partials.append(partial)
 
 
 @dataclass
 class _Chunk:
-    """An outer chunk's value list and length sum for each sub-chunk, in key
-    order, and its piece count."""
+    """An outer chunk's sums over its sub-chunks, each as exact partials
+    (_partials): of each pair's values, and of the length sums; and its
+    piece count.  A record so stays the same size however many sub-chunks
+    its chunk holds."""
 
     values: tuple
-    length_sums: tuple
+    lengths: tuple
     pieces: int
 
 
@@ -778,15 +856,25 @@ class _EventBuffer:
         self._ns, self._ws = np.empty(0, dtype=np.int64), np.empty(0)  # the run not let go
 
     def _pull(self) -> bool:
-        parts, new = [(self._ns, self._ws)], 0
+        ns, ws, new = [self._ns], [self._ws], 0
+        block = None
         for block in self._blocks:
-            parts.append(block)
+            ns.append(block[0])
+            ws.append(block[1])
             new += block[0].size
             if new > self._ns.size:
                 break
-        # a lone block, such as a preloaded slice, is held as it is
-        parts = [part for part in parts if part[0].size] or parts[:1]
-        self._ns, self._ws = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        del block
+        # a lone block, such as a preloaded slice, is held as it is.  The n
+        # are joined first and the old ones let go before the weights are
+        # joined, so at most one new array and the other's parts are held
+        kept = [i for i, part in enumerate(ns) if part.size] or [0]
+        if len(kept) == 1:
+            self._ns, self._ws = ns[kept[0]], ws[kept[0]]
+            return new > 0
+        self._ns = np.concatenate([ns[i] for i in kept])
+        del ns
+        self._ws = np.concatenate([ws[i] for i in kept])
         return new > 0
 
     def event(self, i: int) -> int | None:
@@ -828,7 +916,7 @@ def _sweep_chunk(
     K = geom.K
     span = _chunk_span(geom, limit, ka, kb)
     buffer = _EventBuffer(sieve_blocks(*span) if events is None else [events])
-    values, length_sums, pieces = [], [], 0
+    values, lengths, pieces = [], [], 0
     ca = ka
     while ca < kb:
         n = buffer.event(_SUB_EVENTS - 1)
@@ -838,11 +926,13 @@ def _sweep_chunk(
             geom, *buffer.below(entering), ca, cb, pairs, X if cb == b_key else None, grid
         )
         values.append(v)
-        length_sums.append(s)
+        lengths.append(s)
         pieces += p
         buffer.drop(_SUB_EVENTS)
         ca = cb
-    return _Chunk(tuple(values), tuple(length_sums), pieces)
+    # a chunk is not empty, so it holds at least one sub-chunk
+    columns = zip(*values)
+    return _Chunk(tuple(_partials(list(c)) for c in columns), _partials(lengths), pieces)
 
 
 def sweep_moments(
@@ -916,7 +1006,7 @@ def sweep_moments(
     results = []
     for j, (order, kind) in enumerate(pairs):
         try:
-            value = math.fsum(v[j] for c in chunks for v in c.values)
+            value = math.fsum(x for c in chunks for x in c.values[j])
         except (OverflowError, ValueError):  # a sum past float64, or inf - inf
             value = math.nan
         if not math.isfinite(value):
@@ -926,7 +1016,7 @@ def sweep_moments(
         results.append(MomentResult(order, kind, value))
     diag = SweepDiagnostics(
         piece_count=sum(c.pieces for c in chunks),
-        length_sum=math.fsum(s for c in chunks for s in c.length_sums),
+        length_sum=math.fsum(x for c in chunks for x in c.lengths),
         wall_seconds=time.monotonic() - start,
         chunks=n_chunks,
     )
@@ -1014,7 +1104,7 @@ def grid_oracle(
         top, bottom = np.searchsorted(ns, hi, side="right"), np.searchsorted(ns, x, side="right")
         S = (prefix_high[top] - prefix_high[bottom]) + (prefix_low[top] - prefix_low[bottom])
         cells = _Midpoints(S - lin, None, np.full(count, width))
-        blocks.append([cells.integral(o, kind) for o in orders])
+        blocks.append(cells.integrals([(o, kind) for o in orders]))
     return [math.fsum(column) for column in zip(*blocks)]
 
 

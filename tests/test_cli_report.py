@@ -595,6 +595,21 @@ def test_cli_verify_identities(capsys):
     assert quoted and printed and quoted.group(1) == printed.group(1)
 
 
+def test_cli_verify_identities_fails_on_a_nan_residual(monkeypatch, capsys):
+    # a NaN residual is not within any tolerance, wherever it falls in the
+    # suite: max() would skip it unless it came first
+    from psimoments import specfun
+
+    residual = specfun.duplication_residual
+    monkeypatch.setattr(
+        specfun, "duplication_residual", lambda z: math.nan if z == 7.0 else residual(z)
+    )
+    assert main(["verify-identities"]) == 4
+    captured = capsys.readouterr()
+    assert "identities within" not in captured.out
+    assert "duplication z=7 (nan)" in captured.err
+
+
 def _run_module(*argv):
     """python -m psimoments with argv, from a checkout."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]

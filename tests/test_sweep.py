@@ -6,6 +6,7 @@ import os
 import pickle
 import threading
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -162,7 +163,7 @@ def test_first_moment_exact_streams_spans(monkeypatch):
     monkeypatch.setattr(sweep, "sieve_blocks", recording)
     assert first_moment_exact(w) == want
     assert calls == [(2, limit + 1)]
-    # 5 segments of 2^18 odd slots, each cut into blocks of _BLOCK = 2^17
+    # 5 segments of 2^18 odd slots, each cut into blocks of _BLOCK = 2^16
     assert len(blocks) == math.ceil((limit - 1) // 2 / sieve._BLOCK) > 2
     assert all(ns[-1] - ns[0] < 2 * sieve._BLOCK for ns, _ in blocks)
     table_ns, table_ws = EventSource(limit).arrays()
@@ -239,8 +240,8 @@ def test_oversized_chunk_plan_fails_up_front(monkeypatch):
 def test_chunks_cross_a_process_boundary(monkeypatch):
     # the outer chunks run in worker processes: the chunk function, each
     # task (its slice of a preloaded table, or None to sieve its span) and
-    # each record survive a pickle round trip, and the records fsum to the
-    # values of a serial sweep bit for bit
+    # each record survive a pickle round trip, and the records' partials
+    # fsum to the values of a serial sweep bit for bit
     monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 12)
     records, tasks, pools = [], [], []
 
@@ -271,10 +272,10 @@ def test_chunks_cross_a_process_boundary(monkeypatch):
             assert pools[-1] == 2
             assert len(records) == diag.chunks > 1
             assert all(isinstance(r, sweep._Chunk) for r in records)
-            got = [math.fsum(v[j] for r in records for v in r.values) for j in range(len(want))]
+            got = [math.fsum(x for r in records for x in r.values[j]) for j in range(len(want))]
             assert got == [r.value for r in want]
             assert sum(r.pieces for r in records) == diag.piece_count
-            assert math.fsum(s for r in records for s in r.length_sums) == diag.length_sum
+            assert math.fsum(x for r in records for x in r.lengths) == diag.length_sum
             if events is None:
                 assert tasks == [None] * diag.chunks
             else:  # the slices overlap by the window's reach and cover the table
@@ -386,7 +387,7 @@ def test_warm_sweep_allocates_no_piece_arrays(events_1e6, geometry, pairs):
     # the first sweep sizes the thread's workspace; a second identical one
     # writes every per-piece array into it, so it replaces no slot and
     # allocates only argsort's indices, flatnonzero results and the fixed
-    # kernel's temporaries (about 256 KB each at 2^15 pieces a sub-chunk).
+    # kernel's temporaries (about 128 KB each at 2^14 pieces a sub-chunk).
     # Given no source it sieves too: one segment covers all of [2, limit],
     # so its blocks and the buffer's run add at most 16 bytes per event, and
     # the segment mask one byte per odd slot
@@ -823,6 +824,71 @@ def test_midpoint_kernel_large_order_against_mpmath():
         assert abs(got - want) <= 1e-12 * abs(want), (c, d, got, want)
 
 
+def test_batched_real_orders_match_one_order_at_a_time():
+    # the real absolute orders share one (orders x pieces) pass over the
+    # middle regime and the pieces that change sign: each row is bit for
+    # bit the value of its order alone, an integer order among them too.
+    # Past order 1/_SERIES_T the closed form covers every piece, in a batch
+    # of its own
+    c, d = np.array(_kernel_pieces()).T
+    lengths = np.linspace(0.25, 2.0, c.size)
+    small = abs(c) + d <= 1.5  # the large orders' moments stay in float64
+    for keep, orders in ((c == c, (2.1, 3.2, 12.0, 6.5)), (small, (1500.5, 2.1, 1100.5))):
+        pieces = (c[keep], d[keep], lengths[keep])
+        pairs = [(order, Kind.ABSOLUTE) for order in orders]
+        # one instance at a time: they share the thread's workspace
+        want = [sweep._Midpoints(*pieces).integral(*pair) for pair in pairs]
+        batch = sweep._Midpoints(*pieces)
+        assert batch.middle.size and batch.crossing.size
+        assert batch.integrals(pairs) == want
+
+
+def test_empty_pieces_add_nothing():
+    # keys that tie leave pieces of length 0, d = 0 where they fall; each
+    # adds exactly 0 at every order and kind, c = 0 too (no 0/0), and
+    # raises no warning (pytest makes a RuntimeWarning an error)
+    for c in (0.0, 0.75, -0.75):
+        for d in (np.zeros(1), None):
+            pieces = sweep._Midpoints(np.array([c]), d, np.zeros(1))
+            for order in (0.5, 1, 2, 2.1, 3, 6.5, 12, 1500.5):
+                kinds = ALL_KINDS if order == int(order) else (Kind.ABSOLUTE,)
+                for kind in kinds:
+                    got = pieces.integral(float(order), kind)
+                    assert got == 0.0 and not math.copysign(1.0, got) < 0, (c, d, order, kind)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.lists(st.floats(-1e200, 1e200), max_size=12), max_size=8))
+def test_chunk_partials_sum_as_their_values(chunks):
+    # a chunk's record carries the exact sum of its sub-chunks' values as
+    # a few partials: the fsum over every chunk's partials is the fsum of
+    # all the values they replace, bit for bit
+    partials = [sweep._partials(values) for values in chunks]
+    assert math.fsum(x for p in partials for x in p) == math.fsum(x for v in chunks for x in v)
+    assert all(len(p) <= 40 for p in partials)
+
+
+def test_desk_like_sweep_workspace():
+    # a desk-like sweep (the desk table's window at X = 2e7 and its nine
+    # pairs) writes every per-piece array into workspace slots sized for a
+    # sub-chunk of _SUB_EVENTS = 2^13 events, about 2^14 pieces: 16 slots,
+    # 2.5 MB, in a thread whose workspace starts empty
+    pairs = [(o, Kind.ABSOLUTE) for o in (1.0, 2.1, 3.2, 4.3, 5.4, 6.5)] + [
+        (float(n), Kind.SIGNED) for n in (1, 3, 5)
+    ]
+    slots = {}
+
+    def run():
+        sweep_moments(WindowSpec(2e7, Scaled(Fraction(1, 10000))), pairs, threads=1)
+        slots.update(sweep._WORK._slots)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and slots
+    assert sum(slot.size for slot in slots.values()) <= 2.7e6
+
+
 @pytest.mark.parametrize("geometry", [Scaled(Fraction(1, 100)), Fixed(Fraction(100))])
 @pytest.mark.parametrize("kind", [Kind.ABSOLUTE, Kind.SIGNED])
 def test_moment_past_float64_raises(geometry, kind):
@@ -969,19 +1035,23 @@ def _exact_residuals(window, events):
     return pieces, len(raw) > len(set(raw))
 
 
-@pytest.mark.parametrize("sub_events", [sweep._SUB_EVENTS, 5])
+@pytest.mark.parametrize("sub_events", [sweep._SUB_EVENTS, 5], ids=["default", "5"])
 @pytest.mark.parametrize("geometry, ties", RESIDUAL_WINDOWS)
 def test_residuals_against_exact_fractions(monkeypatch, geometry, ties, sub_events):
     # every piece's residual, from the split running sum and the split
     # drift of delta x since its sub-chunk's start, lies within one ulp of
-    # max(|u|, drift) of the exact residual; keys that tie leave empty
-    # pieces, which are dropped, and without ties none is looked for.  Small
+    # max(|u|, drift) of the exact residual.  Keys that tie leave empty
+    # pieces, which stay in place with length 0: one per tied key past the
+    # first, unless the keys tie where a sub-chunk starts, as no sub-chunk
+    # sorts its start key; without ties none is looked for.  Small
     # sub-chunks start the running sum at many anchors.  X * K is not an
     # integer, so the final piece ends at X itself
     monkeypatch.setattr(sweep, "_SUB_EVENTS", sub_events)
     window = WindowSpec(150.3, geometry)
+    K = geometry.K
     events = EventSource(window.limit())
-    residuals, starts = [], []  # each piece's residual and its sub-chunk's start key
+    # each piece's residual and length, and its sub-chunk's start key
+    residuals, lengths, starts = [], [], []
     chunk_moments = sweep._chunk_moments
 
     def recording_chunk(geom, ns, ws, ka, *args):
@@ -991,21 +1061,33 @@ def test_residuals_against_exact_fractions(monkeypatch, geometry, ties, sub_even
         return result
 
     class Recording(sweep._Midpoints):
-        def __init__(self, c, d, lengths):
+        def __init__(self, c, d, L):
             residuals.extend(c.tolist())
-            super().__init__(c, d, lengths)
+            lengths.extend(L.tolist())
+            super().__init__(c, d, L)
 
     monkeypatch.setattr(sweep, "_Midpoints", Recording)
     monkeypatch.setattr(sweep, "_chunk_moments", recording_chunk)
     _, diag = sweep_moments(window, [(1, Kind.SIGNED)], events=events)
     want, tied = _exact_residuals(window, events)
     assert tied == ties
-    assert diag.piece_count == len(residuals) == len(want)
+    pieces = [(got, start) for got, start, L in zip(residuals, starts, lengths) if L > 0]
+    assert diag.piece_count == len(pieces) == len(want)
+    keys = Counter(
+        key for n in events.arrays()[0].tolist() for key in (geometry.entry_key(n), n * K)
+        if K < key < window.X * K
+    )
+    cuts = set(starts)
+    assert len(residuals) - len(pieces) == sum(
+        count - 1 for key, count in keys.items() if key not in cuts
+    )
     if sub_events < sweep._SUB_EVENTS:
-        assert len(set(starts)) > 1
+        assert len(cuts) > 1
+    if ties and sub_events == sweep._SUB_EVENTS:
+        assert len(residuals) > len(pieces)
     slope = geometry.delta if isinstance(geometry, Scaled) else 0
-    for got, start, (exact, mid) in zip(residuals, starts, want):
-        drift = slope * (mid - Fraction(start, geometry.K))
+    for (got, start), (exact, mid) in zip(pieces, want):
+        drift = slope * (mid - Fraction(start, K))
         assert abs(Fraction(got) - exact) <= math.ulp(max(abs(float(exact)), float(drift)))
 
 
@@ -1068,6 +1150,31 @@ def test_event_buffer_slices_match_one_array():
     ws = rng.random(8000)
     copied, _ = _walk_event_buffer(ns, ws, range(0, 8001, 8), rng, 1200)
     assert copied < 3 * ns.size
+
+
+def test_event_buffer_pull_joins_one_array_at_a_time():
+    # a pull that joins the held run of n events to a block of n joins the
+    # n first and lets the old ones go before it joins the weights: beside
+    # the held run it holds the block (16 bytes an event) and one new array
+    # of 2n (16) at a time, not both new arrays (32)
+    n = 1 << 16
+
+    def blocks():
+        yield np.arange(n, dtype=np.int64), np.ones(n)
+        yield np.arange(n, 2 * n, dtype=np.int64), np.ones(n)
+
+    tracemalloc.start()
+    try:
+        buffer = sweep._EventBuffer(blocks())
+        assert buffer.event(0) == 0  # the first block, held as it is
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert buffer.event(n) == n  # the join
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(buffer.below(2 * n)[0], np.arange(2 * n))
+    assert peak < 40 * n
 
 
 @settings(deadline=None, max_examples=40)
