@@ -19,10 +19,14 @@ stay in cache; each base prime carries the position of its next odd
 multiple from one segment to the next.  A marked segment is handed on in
 blocks of at most _BLOCK odd slots, the primes of one slice of its mask at
 a time, so a block holds about as many events as a sweep's sub-chunk
-reads, and no generator keeps a block once it is handed on.  The events
-no odd slot holds, 2, its powers and the higher powers of the odd primes,
-are then inserted among each block's primes, which leaves the events of a
-block in ascending order.
+reads.  The events no odd slot holds, 2, its powers and the higher powers
+of the odd primes, are then inserted among each block's primes, which
+leaves the events of a block in ascending order.  The stream is one chain
+of stages, each a function of its input: the segments' primes with the
+numbers [start, end) each block covers, then the block's events (the
+other events in [start, end) inserted), then their weights.  No stage
+keeps a block once it is handed on, so a consumer that lets a block go
+frees it.
 
 The weight of p^a reuses the float computed for p itself, so a prime and
 all its powers carry bitwise identical weights: the log of every event is
@@ -32,6 +36,7 @@ primes' weights.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -56,7 +61,7 @@ def _simple_primes(limit: int) -> np.ndarray:
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     base_odd = _simple_primes(math.isqrt(limit))[1:]
-    return np.concatenate([[2], *(p for p, _ in _segments(3, limit + 1, base_odd))])
+    return np.concatenate([[2], *(p for p, _, _ in _segments(3, limit + 1, base_odd))])
 
 
 def _unsieved(base: np.ndarray, base_logs: np.ndarray, lo: int, hi: int):
@@ -85,7 +90,8 @@ def _segments(lo: int, hi: int, base_odd: np.ndarray):
     """The odd primes in [lo, hi), 2 <= lo < hi, given the odd primes up to
     sqrt(hi - 1), marked a segment of _SEGMENT odd slots at a time: one
     ascending array per block of at most _BLOCK of those slots, each with
-    the end of the numbers its block covers (hi for the last)."""
+    the numbers [start, end) its block covers (lo for the first start, hi
+    for the last end)."""
     first_odd = lo | 1
     n_slots = (hi - first_odd + 1) // 2
     ps = base_odd
@@ -104,9 +110,9 @@ def _segments(lo: int, hi: int, base_odd: np.ndarray):
         offsets += np.maximum(s1 - offsets + ps - 1, 0) // ps * ps
         # this frame keeps no reference to the primes it hands on
         for b0 in range(s0, max(s1, 1), _BLOCK):
-            b1 = min(b0 + _BLOCK, s1)
+            b1, first = min(b0 + _BLOCK, s1), first_odd + 2 * b0
             end = hi if b1 == n_slots else first_odd + 2 * b1
-            yield 2 * np.flatnonzero(mask[b0 - s0 : b1 - s0]) + (first_odd + 2 * b0), end
+            yield 2 * np.flatnonzero(mask[b0 - s0 : b1 - s0]) + first, first if b0 else lo, end
 
 
 def _blocks(lo: int, hi: int):
@@ -114,38 +120,34 @@ def _blocks(lo: int, hi: int):
     ns of the events no odd slot holds, and those events' weights."""
     lo = max(lo, 2)
     if hi <= lo:
-        return
+        return iter(())
     base = _simple_primes(max(math.isqrt(hi - 1), 2))
     base_logs = np.log(base.astype(np.float64))
     other_n, other_w = _unsieved(base, base_logs, lo, hi)
-    done = 0
-    for primes, end in _segments(lo, hi, base[1:]):
-        # the other events below the block's end; none of them is an odd
-        # prime, so each goes before the first larger prime
-        stop = int(np.searchsorted(other_n, end))
-        at = np.searchsorted(primes, other_n[done:stop])
-        ns = np.insert(primes, at, other_n[done:stop])
-        del primes  # gone before the block is consumed
-        yield ns, at + np.arange(at.size), other_w[done:stop]
-        del ns, at  # gone before the next block is built
-        done = stop
+
+    def insert(primes, start, end):
+        # the other events in [start, end); none of them is an odd prime,
+        # so each goes before the first larger prime
+        i, j = np.searchsorted(other_n, [start, end])
+        at = np.searchsorted(primes, other_n[i:j])
+        return np.insert(primes, at, other_n[i:j]), at + np.arange(at.size), other_w[i:j]
+
+    return itertools.starmap(insert, _segments(lo, hi, base[1:]))
 
 
-def _weights(ns: np.ndarray, at: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The log of every event, taken in place, then the events at ``at``
-    take their prime's float, w."""
+def _weights(ns: np.ndarray, at: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The events ns and their weights: the log of every event, taken in
+    place, then the events at ``at`` take their prime's float, w."""
     ws = ns.astype(np.float64)
     np.log(ws, out=ws)
     ws[at] = w
-    return ws
+    return ns, ws
 
 
 def sieve_blocks(lo: int, hi: int):
     """Event blocks (ns, ws) for lo <= n < hi, one per _BLOCK odd slots:
     each block ascending, and each past the one before it."""
-    for ns, at, w in _blocks(lo, hi):
-        yield ns, _weights(ns, at, w)
-        del ns, at, w  # gone before the next block is built
+    return itertools.starmap(_weights, _blocks(lo, hi))
 
 
 def sieve_range(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -159,7 +161,7 @@ def sieve_range(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
     w = np.concatenate([np.empty(0)] + [w for _, _, w in parts])
     ns = np.concatenate([np.empty(0, dtype=np.int64)] + [ns for ns, _, _ in parts])
     del parts
-    return ns, _weights(ns, at, w)
+    return _weights(ns, at, w)
 
 
 @dataclass

@@ -85,23 +85,24 @@ entry_key(n) < e exactly when n < first_entering(e), so no chunk-wide key
 array is formed.  Those already inside the window at its left end only set
 the starting value of S, and those leaving at its right end or later never
 step it, so a window wider than a sub-chunk costs one sum, not a larger
-sort.  The events reach the sub-chunks through a rolling buffer over the
-chunk's block stream (_EventBuffer).  A sub-chunk [ca, cb) ends at the exit
-key n K of the buffer's event _SUB_EVENTS - 1; the buffer pulls blocks until
-it holds that event and the first n >= first_entering(cb), or the stream
-ends.  The sub-chunk's events are then the buffer's first ones, the very
-slice a single array of the chunk's events would give, so the values do not
-depend on the blocks.  After it the buffer lets go of exactly _SUB_EVENTS
-events: the n are distinct and ascend, so those with n <= cb // K, which
-have left by cb, are its first _SUB_EVENTS.  It holds one run of events,
-and a sub-chunk gets a view of it.  A pull joins what the buffer still
-holds, at most a sub-chunk's events and the window's reach, to the blocks
-it pulls, until the new events outnumber the held ones or the stream
-ends: each join but the last copies fewer than twice the events it adds,
-so the joins copy fewer than three times the chunk's events, however wide
-the window.  The join lets go of the blocks before the sieve builds the
-next, and joins the n first and lets the old ones go before it joins the
-weights.
+sort.  One generator (_sub_chunks) cuts the chunk's block stream into
+sub-chunks and owns both the cut rule and the run of events it serves.  A
+sub-chunk [ca, cb) ends at the exit key n K of the held event
+_SUB_EVENTS - 1; blocks are pulled until that event and the first
+n >= first_entering(cb) are held, or the stream ends.  The sub-chunk's
+events are then the first ones held, the very slice a single array of the
+chunk's events would give, so the values do not depend on the blocks.
+After it exactly _SUB_EVENTS events are let go: the n are distinct and
+ascend, so those with n <= cb // K, which have left by cb, are the first
+_SUB_EVENTS.  One run of events is held, and a sub-chunk gets a view of
+it.  A pull joins what is still held, at most a sub-chunk's events and
+the window's reach, to the blocks it pulls, until the new events outnumber
+the held ones or the stream ends: each join but the last copies fewer
+than twice the events it adds, so the joins copy fewer than three times
+the chunk's events, however wide the window.  The join lets go of the
+blocks before the sieve builds the next, and joins the n first and lets
+the old ones go before it joins the weights; no stage of the sieve keeps
+a block it has handed on.
 
 Both levels of cuts depend only on the window, _CHUNK_EVENTS and the
 events, never on the worker count or the sieve's blocks, and the results
@@ -141,14 +142,14 @@ overwrites it.
 Arrays whose lifetimes do not overlap share a slot, as every slot adds to
 the peak memory and the cache footprint.  What one thread holds while it
 sweeps a chunk, sieve and sweep together, in bytes per event of the
-sieve's block or the buffer, or per piece of the sub-chunk:
+sieve's block or the held run, or per piece of the sub-chunk:
     sieve     the base primes and their offsets, the powers      < 1 MB
               of 2 and the higher prime powers of the span
     mask      the segment mask, one byte per odd slot            _SEGMENT
     block     the odd primes of _BLOCK slots of the segment,     24 / event
               then its events (ns, ws) with those powers
               merged in
-    buffer    the held run (ns, ws); while a pull joins it, the  16 / event
+    run       the held run (ns, ws); while a pull joins it, the  16 / event
               blocks pulled and one array of the new run too
     keys      event keys, then the running sums of the high and  16 / piece
               the low parts, then the piece lengths
@@ -165,7 +166,7 @@ sieve's block or the buffer, or per piece of the sub-chunk:
               scratch, a, log_top, Lc and c2; scaled also t (top   each
               lives in log_top's slot until its log replaces it),
               d2^j and series^k
-The first four are the sieve's and the buffer's, allocated per block;
+The first four are the sieve's and the held run's, allocated per block;
 the rest are workspace slots.  The desk table's sweep (X = 1e8, nine
 scaled pairs) takes 16 slots, 2.5 MB, and its blocks hold about 7k events
 each, where a segment holds about 110k; a fixed window's, 6 slots,
@@ -600,10 +601,6 @@ class _Midpoints:
             g = lo**m if int(m) % 2 else -(lo**m)
         return (L * g / (2.0 * m * d)).sum(axis=-1)
 
-    def integral(self, order: float, kind: Kind) -> float:
-        """Sum over the pieces of the integral of g(u)."""
-        return self.integrals([(order, kind)])[0]
-
     def integrals(self, pairs: Sequence[Tuple[float, Kind]]) -> list:
         """The integral of g(u) summed over the pieces, for each (order,
         kind) pair; the real absolute orders are integrated together."""
@@ -678,18 +675,21 @@ class _Midpoints:
         return [total + float(rest) for total, rest in zip(totals, crossing)]
 
 
-def _pieces(
-    geom: Fixed | Scaled, ns: np.ndarray, weights: np.ndarray, ka: int, kb: int, grid: int
+def _chunk_moments(
+    geom: Fixed | Scaled, ns: np.ndarray, weights: np.ndarray, ka: int, kb: int,
+    pairs: Sequence[Tuple[float, Kind]], x_end: float | None, grid: int,
 ):
-    """The pieces tiling [ka, kb): their breakpoint keys and, on each, S
-    less the linear part at ka, as a high part on the grid 2^-grid and a
-    low part; points[i] to points[i+1] carries high[i] + low[i].
+    """Integrate all requested (order, kind) pairs over x in [ka/K, kb/K):
+    returns their values and then the length sum, and the piece count.
 
-    Every weight and the linear part are split into a multiple of 2^-grid
-    and a remainder (_grid_split, _split), so the running sum of the high
-    parts is exact (the sweep's grid bounds it) and only the tiny low parts
-    round.  ns/weights hold exactly the events overlapping [ka, kb).  The
-    results are workspace views, valid until the next sub-chunk.
+    ns/weights hold exactly the events overlapping [ka, kb).  On each piece
+    S less the linear part at ka is carried as a high part on the grid
+    2^-grid and a low part: every weight and the linear part are split into
+    a multiple of 2^-grid and a remainder (_grid_split, _split), so the
+    running sum of the high parts is exact (the sweep's grid bounds it) and
+    only the tiny low parts round.  x_end, when given, replaces the right
+    endpoint of the final piece, so the sweep ends at X itself even when
+    X*K is not an integer.
     """
     K = geom.K
     # events entered by ka only set the starting value of S, and events
@@ -706,51 +706,36 @@ def _pieces(
         anchor = geom.delta.numerator * ka, geom.delta.denominator * K
     anchor_high, anchor_low = _split(*anchor, grid)
     entering = ns.size - inside
-    size = entering + leaving
-    keys = _WORK.take("keys", size, np.int64)
+    n_keys = entering + leaving
+    keys = _WORK.take("keys", n_keys, np.int64)
     # entry_key is affine in n, so it is written in place from its values
     # at 0 and 1; no product passes the final key
     base = geom.entry_key(0)
     np.multiply(ns[inside:], geom.entry_key(1) - base, out=keys[:entering])
     keys[:entering] += base
     np.multiply(ns[:leaving], K, out=keys[entering:])
-    deltas = _WORK.take("deltas", size)
+    deltas = _WORK.take("deltas", n_keys)
     deltas[:entering] = weights[inside:]
     np.negative(weights[:leaving], out=deltas[entering:])
     order = np.argsort(keys, kind="stable")
-    # pieces [points[i], points[i+1]) between ka, the sorted keys and kb;
-    # take's default mode="raise" would buffer a copy of its output
-    points = _WORK.take("points", size + 2, np.int64)
+    # pieces [points[i], points[i+1]) between ka, the sorted keys and kb,
+    # on which S less the linear part at ka is high[i] + low[i]; take's
+    # default mode="raise" would buffer a copy of its output.  Keys that
+    # several events share leave empty pieces between them; they stay in
+    # place, with length 0 and so adding 0, as moving the rest to the front
+    # costs more than integrating them
+    size = n_keys + 1
+    points = _WORK.take("points", size + 1, np.int64)
     points[0], points[-1] = ka, kb
     np.take(keys, order, out=points[1:-1], mode="wrap")
-    running = _WORK.take("keys", 2 * (size + 1))
-    high, low = running[: size + 1], running[size + 1 :]
+    running = _WORK.take("keys", 2 * size)
+    high, low = running[:size], running[size:]
     np.take(deltas, order, out=low[1:], mode="wrap")
     _grid_split(low[1:], grid, high[1:], low[1:])
     high[0] = head_high.sum() - anchor_high
     low[0] = head_low.sum() - anchor_low
     np.cumsum(high, out=high)
     np.cumsum(low, out=low)
-
-    # keys that several events share leave empty pieces between them; they
-    # stay in place, with length 0 and so adding 0, as moving the rest to
-    # the front costs more than integrating them
-    return points, high, low
-
-
-def _chunk_moments(
-    geom: Fixed | Scaled, ns: np.ndarray, weights: np.ndarray, ka: int, kb: int,
-    pairs: Sequence[Tuple[float, Kind]], x_end: float | None, grid: int,
-):
-    """Integrate all requested (order, kind) pairs over x in [ka/K, kb/K).
-
-    ns/weights hold exactly the events overlapping [ka, kb).
-    x_end, when given, replaces the right endpoint of the final piece, so
-    the sweep ends at X itself even when X*K is not an integer.
-    """
-    K = geom.K
-    points, high, low = _pieces(geom, ns, weights, ka, kb, grid)
-    size = high.size
     # the keys strictly inside are past ka and below kb: the final piece,
     # as the first, is not empty
     left = int(points[-2])  # where the final piece starts
@@ -794,9 +779,8 @@ def _chunk_moments(
         if x_end is not None:
             d[-1] = float(last * Fraction(p, 2 * q))
     with np.errstate(over="ignore", invalid="ignore"):  # sweep_moments rejects inf and nan
-        pieces = _Midpoints(u, d, lengths)
-        values = pieces.integrals(pairs)
-    return values, piece_count, length_sum
+        values = _Midpoints(u, d, lengths).integrals(pairs)
+    return values + [length_sum], piece_count
 
 
 def _partials(values: list) -> tuple:
@@ -821,118 +805,98 @@ def _partials(values: list) -> tuple:
 
 @dataclass
 class _Chunk:
-    """An outer chunk's sums over its sub-chunks, each as exact partials
-    (_partials): of each pair's values, and of the length sums; and its
+    """An outer chunk's sums over its sub-chunks, one column each as exact
+    partials (_partials): each pair's values, then the length sums; and its
     piece count.  A record so stays the same size however many sub-chunks
     its chunk holds."""
 
-    values: tuple
-    lengths: tuple
+    sums: tuple
     pieces: int
 
 
 def _chunk_span(geom: Fixed | Scaled, limit: int, ka: int, kb: int) -> Tuple[int, int]:
     """[lo, hi): the n whose events overlap [ka, kb), n*K > ka and entry key
-    below kb; hi, as _sweep_chunk's ``below`` reads it, is ceil(right_end(kb/K))."""
+    below kb; hi, as _sub_chunks reads it, is ceil(right_end(kb/K))."""
     return ka // geom.K + 1, min(geom.first_entering(kb), limit + 1)
 
 
-class _EventBuffer:
-    """A rolling buffer over a stream of event blocks (ns, ws), ascending
-    within and across blocks: it pulls blocks only as far as it is asked to
-    read and lets go of a count of its first events, so it holds a
-    sub-chunk's events and the blocks they overlap, never the stream.
+def _join(parts: list) -> np.ndarray:
+    """The parts that are not empty joined into one array; a lone one as it is."""
+    parts = [part for part in parts if part.size] or parts[:1]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    It holds one run of events, so whatever it hands out is a view of it.
-    A pull joins the run and the blocks it pulls into a new run, and pulls
-    until the new events outnumber the held ones or the stream ends: each
-    join but the last copies fewer than twice the events it adds, so the
-    joins copy fewer than three times the stream's events, however wide
-    the window.  The join lets go of the blocks before the sieve builds the
-    next; a lone block, such as a preloaded slice, is held as it is."""
 
-    def __init__(self, blocks):
-        self._blocks = iter(blocks)
-        self._ns, self._ws = np.empty(0, dtype=np.int64), np.empty(0)  # the run not let go
+def _sub_chunks(geom: Fixed | Scaled, ka: int, kb: int, blocks):
+    """The sub-chunks [ca, cb) of [ka, kb) in turn, each as (ca, cb, ns, ws)
+    with its events, read from a stream of event blocks (ns, ws), ascending
+    within and across blocks, that starts at the chunk's span.
 
-    def _pull(self) -> bool:
-        ns, ws, new = [self._ns], [self._ws], 0
-        block = None
-        for block in self._blocks:
-            ns.append(block[0])
-            ws.append(block[1])
+    A sub-chunk ends at the exit key n K of the held event _SUB_EVENTS - 1,
+    or at kb, and holds the events with exit key > ca and entry key < cb:
+    the held ones below first_entering(cb).  The events that have left by
+    cb are those with n' <= cb // K = n: as the n ascend and are distinct,
+    exactly the first _SUB_EVENTS held.  None has left by ka, as the span
+    starts at ka // K + 1.  So after each sub-chunk the first _SUB_EVENTS
+    events are let go, and the held event _SUB_EVENTS - 1 sets every cut.
+
+    One run of events is held, and each sub-chunk's events are a view of
+    it.  A pull joins the run and the blocks it pulls into a new run, and
+    pulls until the new events outnumber the held ones or the stream ends:
+    each join but the last copies fewer than twice the events it adds, so
+    the joins copy fewer than three times the stream's events, however wide
+    the window.  A lone block, such as a preloaded slice, is held as it is;
+    the n are joined, and the old ones let go, before the weights.
+    """
+    blocks = iter(blocks)
+    ns, ws = np.empty(0, dtype=np.int64), np.empty(0)
+
+    def pull() -> bool:
+        """Pull and join; False once the stream has ended."""
+        nonlocal ns, ws
+        n_parts, w_parts, new, block = [ns], [ws], 0, None
+        for block in blocks:
+            n_parts.append(block[0])
+            w_parts.append(block[1])
             new += block[0].size
-            if new > self._ns.size:
+            if new > ns.size:
                 break
-        del block
-        # a lone block, such as a preloaded slice, is held as it is.  The n
-        # are joined first and the old ones let go before the weights are
-        # joined, so at most one new array and the other's parts are held
-        kept = [i for i, part in enumerate(ns) if part.size] or [0]
-        if len(kept) == 1:
-            self._ns, self._ws = ns[kept[0]], ws[kept[0]]
-            return new > 0
-        self._ns = np.concatenate([ns[i] for i in kept])
-        del ns
-        self._ws = np.concatenate([ws[i] for i in kept])
+        del block  # the blocks go before the sieve builds the next
+        ns = _join(n_parts)
+        del n_parts
+        ws = _join(w_parts)
         return new > 0
 
-    def event(self, i: int) -> int | None:
-        """The n of held event i, or None if the stream ends first."""
-        while self._ns.size <= i:
-            if not self._pull():
-                return None
-        return int(self._ns[i])
-
-    def drop(self, count: int):
-        """Let go of the first ``count`` held events, or all there are."""
-        self._ns, self._ws = self._ns[count:], self._ws[count:]
-
-    def below(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The held events < n, once blocks are pulled until one >= n is
-        held or the stream ends: a view of the run."""
-        while not (self._ns.size and self._ns[-1] >= n) and self._pull():
+    ca = ka
+    while ca < kb:
+        while ns.size < _SUB_EVENTS and pull():
             pass
-        k = np.searchsorted(self._ns, n)
-        return self._ns[:k], self._ws[:k]
+        cb = min(int(ns[_SUB_EVENTS - 1]) * geom.K, kb) if ns.size >= _SUB_EVENTS else kb
+        entering = geom.first_entering(cb)
+        while not (ns.size and ns[-1] >= entering) and pull():
+            pass
+        k = int(np.searchsorted(ns, entering))
+        yield ca, cb, ns[:k], ws[:k]
+        ns, ws = ns[_SUB_EVENTS:], ws[_SUB_EVENTS:]
+        ca = cb
 
 
 def _sweep_chunk(
     geom: Fixed | Scaled, pairs: Sequence[Tuple[float, Kind]], limit: int, grid: int,
     b_key: int, X: float, ka: int, kb: int, events: Tuple[np.ndarray, np.ndarray] | None,
 ) -> _Chunk:
-    """Integrate [ka, kb) sub-chunk by sub-chunk, over its events (ns, ws),
-    or the sieve's block stream of their span when ``events`` is None; the
-    sub-chunk ending at b_key ends at X.
-
-    A sub-chunk [ca, cb) ends at the exit key n K of the buffer's event
-    _SUB_EVENTS - 1, or at kb, and holds the events with exit key > ca and
-    entry key < cb: the buffer's first ones.  The events that have left by
-    cb are those with n' <= cb // K = n: as the n ascend and are distinct,
-    exactly the buffer's first _SUB_EVENTS.  None has left by ka, as the
-    span starts at ka // K + 1.  So after each sub-chunk the buffer lets go
-    of _SUB_EVENTS events, and its event _SUB_EVENTS - 1 sets every cut.
-    """
-    K = geom.K
-    span = _chunk_span(geom, limit, ka, kb)
-    buffer = _EventBuffer(sieve_blocks(*span) if events is None else [events])
-    values, lengths, pieces = [], [], 0
-    ca = ka
-    while ca < kb:
-        n = buffer.event(_SUB_EVENTS - 1)
-        cb = kb if n is None or n * K >= kb else n * K
-        entering = geom.first_entering(cb)
-        v, p, s = _chunk_moments(
-            geom, *buffer.below(entering), ca, cb, pairs, X if cb == b_key else None, grid
-        )
-        values.append(v)
-        lengths.append(s)
-        pieces += p
-        buffer.drop(_SUB_EVENTS)
-        ca = cb
+    """Integrate [ka, kb) sub-chunk by sub-chunk (_sub_chunks), over its
+    events (ns, ws), or the sieve's block stream of their span when
+    ``events`` is None; the sub-chunk ending at b_key ends at X."""
+    blocks = sieve_blocks(*_chunk_span(geom, limit, ka, kb)) if events is None else [events]
+    rows, pieces = [], 0
+    for ca, cb, ns, ws in _sub_chunks(geom, ka, kb, blocks):
+        x_end = X if cb == b_key else None
+        row, count = _chunk_moments(geom, ns, ws, ca, cb, pairs, x_end, grid)
+        del ns, ws  # the run's views go before the next pull joins it
+        rows.append(row)
+        pieces += count
     # a chunk is not empty, so it holds at least one sub-chunk
-    columns = zip(*values)
-    return _Chunk(tuple(_partials(list(c)) for c in columns), _partials(lengths), pieces)
+    return _Chunk(tuple(_partials(list(column)) for column in zip(*rows)), pieces)
 
 
 def sweep_moments(
@@ -1006,7 +970,7 @@ def sweep_moments(
     results = []
     for j, (order, kind) in enumerate(pairs):
         try:
-            value = math.fsum(x for c in chunks for x in c.values[j])
+            value = math.fsum(x for c in chunks for x in c.sums[j])
         except (OverflowError, ValueError):  # a sum past float64, or inf - inf
             value = math.nan
         if not math.isfinite(value):
@@ -1016,7 +980,7 @@ def sweep_moments(
         results.append(MomentResult(order, kind, value))
     diag = SweepDiagnostics(
         piece_count=sum(c.pieces for c in chunks),
-        length_sum=math.fsum(x for c in chunks for x in c.lengths),
+        length_sum=math.fsum(x for c in chunks for x in c.sums[-1]),
         wall_seconds=time.monotonic() - start,
         chunks=n_chunks,
     )

@@ -16,7 +16,6 @@ from psimoments.predictions import (
     scaled_main_term,
     scaled_refined_term,
 )
-from psimoments.specfun import double_factorial
 
 
 def test_constants_derive_from_euler():
@@ -132,10 +131,6 @@ def test_width_range_warning():
         warnings.simplefilter("error")
         fixed_main_term(1e8, 1e4, 1.0)  # comfortably inside the band
         scaled_main_term(1e8, 1e-4, 1.0)
-
-
-def test_double_factorial_sequence():
-    assert [double_factorial(2 * m - 1) for m in range(1, 6)] == [1, 3, 15, 105, 945]
 
 
 def test_main_term_monotone_in_order():

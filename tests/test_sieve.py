@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -149,6 +150,17 @@ def test_streamed_blocks_stay_small():
         tracemalloc.stop()
     assert peak < 2.5e6
     assert count == 2**22 // sieve._BLOCK
+
+
+def test_block_stream_keeps_no_block_it_handed_on():
+    # no stage of the stream keeps a block once it is handed on, so a
+    # consumer that lets a block go frees it before it asks for the next
+    stream = sieve_blocks(10**8, 10**8 + 2**20)
+    ns, ws = next(stream)
+    refs = [weakref.ref(ns), weakref.ref(ws)]
+    del ns, ws
+    assert all(ref() is None for ref in refs)
+    assert sum(1 for _ in stream) == 2**19 // sieve._BLOCK - 1
 
 
 def test_sieve_range_windows():

@@ -40,12 +40,6 @@ def test_gaussian_moments_small():
     assert gaussian_abs_moment(4.0) == pytest.approx(3.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("m", range(1, 11))
-def test_gaussian_even_moments_double_factorial(m):
-    want = float(double_factorial(2 * m - 1))
-    assert gaussian_abs_moment(2.0 * m) == pytest.approx(want, rel=1e-10)
-
-
 def test_double_factorial_values():
     assert [double_factorial(m) for m in (-1, 1, 3, 5, 7, 9)] == [1, 1, 3, 15, 105, 945]
 

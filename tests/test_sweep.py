@@ -188,7 +188,7 @@ def test_no_source_builds_no_table(monkeypatch, segment, sub_events):
     # values a preloaded source gives; the oracles never build a table.  At
     # 2^6 odd slots a block holds about 10 events near 2e5, and the scaled
     # window reaches about 147 numbers: every sub-chunk straddles blocks,
-    # and the buffer joins several of them for it
+    # and a pull joins several of them for it
     monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 12)
     monkeypatch.setattr(sweep, "_SUB_EVENTS", sub_events)
     want = []
@@ -272,16 +272,35 @@ def test_chunks_cross_a_process_boundary(monkeypatch):
             assert pools[-1] == 2
             assert len(records) == diag.chunks > 1
             assert all(isinstance(r, sweep._Chunk) for r in records)
-            got = [math.fsum(x for r in records for x in r.values[j]) for j in range(len(want))]
-            assert got == [r.value for r in want]
+            got = [math.fsum(x for r in records for x in r.sums[j]) for j in range(len(want) + 1)]
+            assert got == [r.value for r in want] + [diag.length_sum]
             assert sum(r.pieces for r in records) == diag.piece_count
-            assert math.fsum(x for r in records for x in r.lengths) == diag.length_sum
             if events is None:
                 assert tasks == [None] * diag.chunks
             else:  # the slices overlap by the window's reach and cover the table
                 assert all(ns.size == ws.size < src.arrays()[0].size for ns, ws in tasks)
                 covered = np.unique(np.concatenate([ns for ns, _ in tasks]))
                 assert np.array_equal(covered, src.arrays()[0])
+
+
+WIDE_WINDOWS = (WindowSpec(2e6, Fixed(Fraction(500000))), WindowSpec(2e6, Scaled(Fraction(1, 4))))
+
+
+@pytest.mark.parametrize("w", WIDE_WINDOWS, ids=["fixed", "scaled"])
+def test_wide_window_streams_as_a_table(monkeypatch, w):
+    # at the default sub-chunk and block sizes a window that reaches about
+    # 34k events, four sub-chunks and more, streams from the sieve: a pull
+    # joins several blocks, and the values and piece count are a preloaded
+    # source's bit for bit, on one worker or two
+    monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 15)
+    pairs = [(2.1, Kind.ABSOLUTE), (1, Kind.SIGNED), (3, Kind.POSITIVE_PART)]
+    want, want_diag = sweep_moments(w, pairs, events=EventSource(w.limit()))
+    assert want_diag.chunks > 1
+    for threads in (1, 2):
+        got, diag = sweep_moments(w, pairs, threads=threads)
+        assert [r.value for r in got] == [r.value for r in want]
+        assert diag.piece_count == want_diag.piece_count
+    assert want[1].value == pytest.approx(first_moment_exact(w), rel=1e-9)
 
 
 def _exit_worker(*args):
@@ -358,7 +377,7 @@ def test_no_source_peak_memory_below_table(monkeypatch):
 def test_no_source_peak_memory_below_a_chunk(monkeypatch):
     # each chunk reads its events from the sieve block by block, so no
     # sweep holds a chunk's events: those alone would take 16 bytes (an
-    # int64 and a float64) per event, 512 KB here.  The buffer holds a
+    # int64 and a float64) per event, 512 KB here.  The held run is a
     # sub-chunk's 2^8 events, the window's reach and one or two blocks of
     # 2^11 odd slots (about 280 events near 2e6); with the segment mask and
     # the sieve's and the sub-chunk's temporaries that is about 180 KB
@@ -389,7 +408,7 @@ def test_warm_sweep_allocates_no_piece_arrays(events_1e6, geometry, pairs):
     # allocates only argsort's indices, flatnonzero results and the fixed
     # kernel's temporaries (about 128 KB each at 2^14 pieces a sub-chunk).
     # Given no source it sieves too: one segment covers all of [2, limit],
-    # so its blocks and the buffer's run add at most 16 bytes per event, and
+    # so its blocks and the held run add at most 16 bytes per event, and
     # the segment mask one byte per odd slot
     w = WindowSpec(1e6, geometry)
     events = int(np.searchsorted(events_1e6.arrays()[0], w.limit(), side="right"))
@@ -804,7 +823,7 @@ def test_midpoint_kernel_against_mpmath():
         for order in (0.5, 1, 2, 2.1, 3, 6.5, 12):
             kinds = ALL_KINDS if order == int(order) else (Kind.ABSOLUTE,)
             for kind in kinds:
-                got = pieces.integral(float(order), kind)
+                got = pieces.integrals([(float(order), kind)])[0]
                 want = _mpmath_piece(c, d, 0.625, order, kind)
                 assert abs(got - want) <= 1e-14 * abs(want), (c, d, order, kind, got, want)
 
@@ -819,7 +838,7 @@ def test_midpoint_kernel_large_order_against_mpmath():
     for c, d in _kernel_pieces() + _flat_pieces():
         if abs(c) + d > 1.5:  # the moment itself would pass float64
             continue
-        got = _one_piece(c, d).integral(order, Kind.ABSOLUTE)
+        got = _one_piece(c, d).integrals([(order, Kind.ABSOLUTE)])[0]
         want = _mpmath_piece(c, d, 0.625, order, Kind.ABSOLUTE)
         assert abs(got - want) <= 1e-12 * abs(want), (c, d, got, want)
 
@@ -837,7 +856,7 @@ def test_batched_real_orders_match_one_order_at_a_time():
         pieces = (c[keep], d[keep], lengths[keep])
         pairs = [(order, Kind.ABSOLUTE) for order in orders]
         # one instance at a time: they share the thread's workspace
-        want = [sweep._Midpoints(*pieces).integral(*pair) for pair in pairs]
+        want = [sweep._Midpoints(*pieces).integrals([pair])[0] for pair in pairs]
         batch = sweep._Midpoints(*pieces)
         assert batch.middle.size and batch.crossing.size
         assert batch.integrals(pairs) == want
@@ -853,7 +872,7 @@ def test_empty_pieces_add_nothing():
             for order in (0.5, 1, 2, 2.1, 3, 6.5, 12, 1500.5):
                 kinds = ALL_KINDS if order == int(order) else (Kind.ABSOLUTE,)
                 for kind in kinds:
-                    got = pieces.integral(float(order), kind)
+                    got = pieces.integrals([(float(order), kind)])[0]
                     assert got == 0.0 and not math.copysign(1.0, got) < 0, (c, d, order, kind)
 
 
@@ -866,6 +885,26 @@ def test_chunk_partials_sum_as_their_values(chunks):
     partials = [sweep._partials(values) for values in chunks]
     assert math.fsum(x for p in partials for x in p) == math.fsum(x for v in chunks for x in v)
     assert all(len(p) <= 40 for p in partials)
+
+
+@pytest.mark.parametrize("values", [[1e308, 1e308], [math.inf, -math.inf]])
+def test_non_finite_sums_are_a_range_error(monkeypatch, values):
+    # a sum past float64, or inf - inf, makes math.fsum raise: a chunk's
+    # partials are then (nan,), and chunk records whose total is either
+    # make the sweep raise a range error naming the pair, not the fsum's
+    # OverflowError or ValueError
+    got = sweep._partials(values)
+    assert len(got) == 1 and math.isnan(got[0])
+    monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 12)
+    sums = iter(values)
+
+    def chunk(*args):
+        return sweep._Chunk(((next(sums, 0.0),), ()), 0)
+
+    monkeypatch.setattr(sweep, "_sweep_chunk", chunk)
+    with pytest.raises(RangeLimitError, match="signed moment of order 1 is not finite"):
+        sweep_moments(NO_TABLE_WINDOWS[0], [(1, Kind.SIGNED)])
+    assert next(sums, None) is None  # both records were read
 
 
 def test_desk_like_sweep_workspace():
@@ -1096,84 +1135,84 @@ DESK_LIKE_PAIRS = [(o, Kind.ABSOLUTE) for o in (1.0, 2.1, 3.2, 6.5)] + [
 ]
 
 
-def _walk_event_buffer(ns, ws, edges, rng, reach):
+def _walk_sub_chunks(monkeypatch, ns, ws, edges, h):
     """Read the stream of ns, ws, cut into blocks at edges with an empty
-    block among them, through an _EventBuffer as a sweep does: its event
-    13, then the events below one up to ``reach`` events on, then let go
-    of a random count.  Each slice must be a view of the one run the
-    buffer holds, and the slice of the joined array.  Returns the events
-    the buffer copied and the slices that were views of a block."""
+    block among them, through _sub_chunks as a sweep does, with sub-chunks
+    of 14 events and a fixed window of integer width h: each sub-chunk's
+    run reaches h past its cut.  Each run must be the slice of the joined
+    array and a view of the run the generator holds.  Returns the events
+    the joins copied and the runs that were views of a block."""
+    monkeypatch.setattr(sweep, "_SUB_EVENTS", 14)
     copied = []
+    join = sweep._join
 
-    class Counting(sweep._EventBuffer):
-        def _pull(self):
-            pulled = super()._pull()
-            if pulled and not np.shares_memory(self._ns, ns):  # a join, not a lone block
-                copied.append(self._ns.size)
-            return pulled
+    def counting(parts):
+        joined = join(parts)
+        if joined.dtype == ns.dtype and not any(np.shares_memory(joined, p) for p in parts):
+            copied.append(joined.size)
+        return joined
 
+    monkeypatch.setattr(sweep, "_join", counting)
     blocks = [(ns[a:b], ws[a:b]) for a, b in zip(edges, edges[1:])]
     blocks[3:3] = [(ns[:0], ws[:0])]
-    buffer = Counting(blocks)
-    start, views, last = 0, 0, ns.size - 1
-    while start < last:
-        assert buffer.event(13) == (int(ns[start + 13]) if start + 13 <= last else None)
-        stop = int(ns[min(start + int(rng.integers(1, reach)), last)])
-        got_ns, got_ws = buffer.below(stop)
-        end = int(np.searchsorted(ns, stop))
+    geom, kb = Fixed(Fraction(h)), int(ns[-1])
+    sub_chunks = sweep._sub_chunks(geom, 0, kb, blocks)
+    ca, start, views = 0, 0, 0
+    for got_ca, cb, got_ns, got_ws in sub_chunks:
+        assert got_ca == ca
+        assert cb == (min(int(ns[start + 13]), kb) if start + 13 < ns.size else kb)
+        end = int(np.searchsorted(ns, geom.first_entering(cb)))
         assert np.array_equal(got_ns, ns[start:end]) and np.array_equal(got_ws, ws[start:end])
-        assert got_ns.ctypes.data == buffer._ns.ctypes.data
-        assert got_ws.ctypes.data == buffer._ws.ctypes.data
+        held = sub_chunks.gi_frame.f_locals
+        assert got_ns.ctypes.data == held["ns"].ctypes.data
+        assert got_ws.ctypes.data == held["ws"].ctypes.data
         views += np.shares_memory(got_ns, ns)
-        count = int(rng.integers(1, 20))
-        buffer.drop(count)
-        start += count
-    buffer.drop(ns.size)
-    assert buffer.event(0) is None and buffer.below(int(ns[-1]) + 1)[0].size == 0
+        ca, start = cb, start + 14
+    assert ca == kb and start >= ns.size
     return sum(copied), views
 
 
-def test_event_buffer_slices_match_one_array():
-    # blocks of every size, empty ones too, and counts let go of at random:
-    # each slice the sweep asks for is the slice of the joined array and a
-    # view of the run the buffer holds; a lone block is held as it is, so
-    # some slices are views of a block
+def test_event_buffer_slices_match_one_array(monkeypatch):
+    # blocks of every size, an empty one too, and windows that reach past
+    # no event or several: each run a sub-chunk reads is the slice of the
+    # joined array and a view of the one run held; a lone block is held as
+    # it is, so some runs are views of a block
     rng = np.random.default_rng(7)
     ns = np.cumsum(rng.integers(1, 6, 500))
     ws = rng.random(500)
     edges = [0, *sorted(rng.choice(np.arange(1, 500), 40, replace=False)), 500]
-    copied, views = _walk_event_buffer(ns, ws, edges, rng, 40)
-    assert views > 0 and copied > 0
-    # a window many times a block: the buffer holds about 600 events, 75
-    # blocks of 8, and still copies each event fewer than 3 times
+    walks = [_walk_sub_chunks(monkeypatch, ns, ws, edges, h) for h in (2, 60)]
+    assert all(copied > 0 for copied, _ in walks) and sum(views for _, views in walks) > 0
+    # a window many times a block: the run held is about 600 events, 75
+    # blocks of 8, and the joins still copy each event fewer than 3 times
     ns = np.cumsum(rng.integers(1, 6, 8000))
     ws = rng.random(8000)
-    copied, _ = _walk_event_buffer(ns, ws, range(0, 8001, 8), rng, 1200)
+    copied, _ = _walk_sub_chunks(monkeypatch, ns, ws, range(0, 8001, 8), 1800)
     assert copied < 3 * ns.size
 
 
-def test_event_buffer_pull_joins_one_array_at_a_time():
+def test_event_buffer_pull_joins_one_array_at_a_time(monkeypatch):
     # a pull that joins the held run of n events to a block of n joins the
     # n first and lets the old ones go before it joins the weights: beside
     # the held run it holds the block (16 bytes an event) and one new array
     # of 2n (16) at a time, not both new arrays (32)
     n = 1 << 16
+    monkeypatch.setattr(sweep, "_SUB_EVENTS", n + 1)
+    held = []
 
     def blocks():
-        yield np.arange(n, dtype=np.int64), np.ones(n)
-        yield np.arange(n, 2 * n, dtype=np.int64), np.ones(n)
+        yield np.arange(1, n + 1, dtype=np.int64), np.ones(n)  # held as it is
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        yield np.arange(n + 1, 2 * n + 1, dtype=np.int64), np.ones(n)  # joined to it
 
     tracemalloc.start()
     try:
-        buffer = sweep._EventBuffer(blocks())
-        assert buffer.event(0) == 0  # the first block, held as it is
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        assert buffer.event(n) == n  # the join
-        peak = tracemalloc.get_traced_memory()[1] - before
+        _, cb, ns, _ = next(sweep._sub_chunks(Fixed(Fraction(1)), 0, 4 * n, blocks()))
+        peak = tracemalloc.get_traced_memory()[1] - held[0]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(buffer.below(2 * n)[0], np.arange(2 * n))
+    assert cb == n + 1 and np.array_equal(ns, np.arange(1, n + 2))
     assert peak < 40 * n
 
 
