@@ -15,7 +15,7 @@ import os
 import sys
 import warnings
 
-from .equivalence import decomposition_check, saffari_vaughan_average, width_grid
+from .equivalence import average_event_limit, decomposition_check, saffari_vaughan_average
 from .errors import ConfigError, InvariantError, ResourceError
 from .predictions import _check_odd_order
 from .report import (
@@ -31,7 +31,7 @@ from .report import (
 )
 from .sieve import EventSource
 from .specfun import identity_residuals
-from .sweep import Kind, Scaled, WindowSpec
+from .sweep import Kind
 
 
 def _add_window_args(p: argparse.ArgumentParser, required: bool = True):
@@ -80,6 +80,8 @@ def _flag_config(args) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from None
+        except ValueError:  # json reads no integer past Python's int-to-str digit limit
+            raise ConfigError(f"config {args.config} holds an integer too long to read") from None
         return RunConfig.from_dict(data)
     for key in ("orders", "formulas"):
         if key in data:
@@ -149,8 +151,7 @@ def _cmd_equivalence(args) -> int:
     limit = window.limit()
     if args.average_delta is not None:
         Delta = float(parse_rational(args.average_delta))
-        widest = max(width_grid(config.X, Delta, args.grid_points))
-        limit = max(limit, WindowSpec(config.X, Scaled(widest)).limit())
+        limit = max(limit, average_event_limit(config.X, Delta, args.grid_points))
     events = EventSource(limit)
     for n in config.orders:
         rep = decomposition_check(window, n, events=events, threads=config.threads)

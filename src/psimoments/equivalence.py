@@ -123,6 +123,12 @@ def width_grid(X: float, Delta: float, grid_points: int = 16) -> List[Fraction]:
     return fracs
 
 
+def average_event_limit(X: float, Delta: float, grid_points: int = 16) -> int:
+    """The event limit saffari_vaughan_average needs: that of the widest
+    window on its width grid, which any source it is given must cover."""
+    return WindowSpec(X, Scaled(max(width_grid(X, Delta, grid_points)))).limit()
+
+
 def _width_integral(X: float, d: float, n: int) -> float:
     """Predicted positive-part moment integrated over widths in (0, d]:
     (1/2) C_n int_0^(d X) h^(n/2) (log(X/h))^(n/2) dh, C_n = mu(n)/(n/2+1).
@@ -157,8 +163,7 @@ def saffari_vaughan_average(
     rhs = _width_integral(X, Delta, n)
     head_bound = _width_integral(X, Delta / 100.0, n)
     if events is None:
-        top = WindowSpec(X, Scaled(max(fracs))).limit()
-        events = EventSource(top)
+        events = EventSource(average_event_limit(X, Delta, grid_points))
 
     vals = []
     xs = []

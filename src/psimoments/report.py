@@ -46,16 +46,31 @@ FORMULAS = {
 FORMULA_NAMES = tuple(FORMULAS)
 
 _CONFIG_KEYS = {"x", "h", "delta", "orders", "kinds", "formulas", "threads"}
+# the longest rational string and the largest decimal exponent parse_rational
+# reads: Fraction builds 10^exponent in full, which takes seconds past 10^6,
+# and no window keys an integer past 2^63 anyway
+_RATIONAL_CHARS = 100
+_RATIONAL_EXPONENT = 400
 
 
 def parse_rational(text) -> Fraction:
     """Exact rational from 'p/q', a decimal literal, or a number.
 
     Decimal strings convert exactly ('1e-4' is 1/10000, not the float64
-    nearest to it); bare floats convert via their exact binary value.
+    nearest to it); bare floats convert via their exact binary value.  A
+    string longer than _RATIONAL_CHARS, or with a decimal exponent past
+    _RATIONAL_EXPONENT, is refused before any digit is built.
     """
     if not isinstance(text, (Fraction, int, float)):
         text = str(text).strip()
+        if len(text) > _RATIONAL_CHARS:
+            raise ConfigError(f"rational {text[:20]!r}... has over {_RATIONAL_CHARS} characters")
+        try:
+            exponent = abs(int(text.lower().partition("e")[2]))
+        except ValueError:  # no exponent, or one that Fraction refuses below
+            exponent = 0
+        if exponent > _RATIONAL_EXPONENT:
+            raise ConfigError(f"rational {text!r} has a decimal exponent past {_RATIONAL_EXPONENT}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -282,39 +297,46 @@ def emit(rows: Sequence[ReportRow], fmt: str = "csv") -> str:
 
 
 # Reference values for the two published scales, used for regression
-# comparison by reproduce_tables and the acceptance suite.
+# comparison by reproduce_tables and the acceptance suite: (actual, predicted)
+# per order.  The actuals are psi moments as the sweep computes them, at full
+# float64 precision: desk from one reproduce_tables("desk"), full from one
+# sweep of the nine pairs on 2 workers.  Their last bits rest on numpy's log
+# and exp, which differ between CPUs (see the sweep module).  The full signed
+# n = 1 value is 2 ulps from first_moment_exact, which shares only the events
+# with the sweep.  The predicted values are the refined main term (absolute)
+# and the odd normalizer (signed), to 5 significant digits.
 DESK_SCALE = dict(X=1e8, delta=Fraction(1, 10000))
 FULL_SCALE = dict(X=1e10, delta=Fraction(1, 100000))
 
 REFERENCE_ABSOLUTE = {
     "desk": {
-        1.0: (1.5009e10, 1.4851e10),
-        2.1: (7.1441e12, 6.9344e12),
-        3.2: (4.8737e15, 4.6213e15),
-        4.3: (4.1913e18, 3.8864e18),
-        5.4: (4.2519e21, 3.8768e21),
-        6.5: (4.8884e24, 4.4213e24),
+        1.0: (15007839279.45383, 1.4851e10),
+        2.1: (7143251212074.976, 6.9344e12),
+        3.2: (4872052050050856.0, 4.6213e15),
+        4.3: (4.188005758563787e18, 3.8864e18),
+        5.4: (4.2454480692592163e21, 3.8768e21),
+        6.5: (4.87594026563716e24, 4.4213e24),
     },
     "full": {
-        1.0: (5.3464e12, 5.3452e12),
-        2.1: (1.0218e16, 1.0210e16),
-        3.2: (2.7871e19, 2.7835e19),
-        4.3: (9.5892e22, 9.5764e22),
-        5.4: (3.9120e26, 3.9079e26),
-        6.5: (1.8248e30, 1.8232e30),
+        1.0: (5346354313440.125, 5.3452e12),
+        2.1: (1.02180700265234e16, 1.0210e16),
+        3.2: (2.7869916206547083e19, 2.7835e19),
+        4.3: (9.58865805808612e22, 9.5764e22),
+        5.4: (3.911568861031493e26, 3.9079e26),
+        6.5: (1.824432240724475e30, 1.8232e30),
     },
 }
 
 REFERENCE_ODD = {
     "desk": {
-        1: (-4.9574e7, 1.6143e10),
-        3: (-2.0632e13, 1.7842e15),
-        5: (-3.3174e18, 4.6952e20),
+        1: (-14797634.029955447, 1.6143e10),
+        3: (-15572668471146.336, 1.7842e15),
+        5: (-1.8028037709160136e18, 4.6952e20),
     },
     "full": {
-        1: (7.2371e8, 5.7074e12),
-        3: (-1.3468e16, 7.8851e18),
-        5: (-2.5587e23, 2.5937e25),
+        1: (4117795634.8050165, 5.7074e12),
+        3: (-7287144562356882.0, 7.8851e18),
+        5: (-2.3333217275753874e23, 2.5937e25),
     },
 }
 

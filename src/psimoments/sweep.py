@@ -21,7 +21,8 @@ piece reads c off the exact doubled midpoint key a + b, and its exact
 half-fall is d = delta L / 2.  A fixed piece is a midpoint piece with
 d = 0, the t = 0 end of the forms below: its mean is g(c), L c^n or
 L |c|^l = L exp(l log|c|) at every order, and it forms nothing else.
-With t = d/|c|:
+The orders are those in (0, 1/_SERIES_T] = (0, 1024], as integers for
+every kind but the absolute; the sweep refuses any other.  With t = d/|c|:
     integer n, every kind, where u keeps its sign:
         L c^(n%2) sum_j C(n,2j) c^(n-n%2-2j) d^(2j) / (2j+1),
         e.g. L c (c^2 + d^2) for n = 3; a positive or negative part is
@@ -30,7 +31,7 @@ With t = d/|c|:
     real absolute order l, t <= _SERIES_T = 2^-10:
         L |c|^l (1 + sum_k C(l,2k) t^(2k) / (2k+1)), |c|^l = exp(l log|c|),
         with one log per piece shared by all orders and as many terms as
-        keep the truncation below 1e-16;
+        keep the truncation below 1e-16, a few at every l <= 1/_SERIES_T;
     real absolute order l, 2^-10 < t < 1: the closed form
         L |c|^l ((1+t)^m - (1-t)^m) / (2 m t), m = l + 1, with the
         difference factored out as (1+t)^m (-expm1(-m (log1p(t) - log1p(-t))));
@@ -119,9 +120,14 @@ the high plus the low sum, one rounding of their exact value.  A scaled one
 also takes away the drift of delta x since ka at the piece's midpoint,
 p (mid - 2 ka) / (2 q K) from the exact doubled midpoint key mid, with
 p / (2 q K) split so that its high part times mid - 2 ka is exact.  So each
-residual is within one ulp of max(|u|, drift) of the exact one, and as no
-step uses a wider type than float64, the values are the same on every
-platform.  The per-piece contributions are summed pairwise (``np.sum``),
+residual is within one ulp of max(|u|, drift) of the exact one.  What is
+the same on every platform is the keys and the piece counts, which are
+exact integers, and each length, one correctly rounded division.  The
+values are not: numpy picks its float64 log and exp by CPU feature, so the
+last bits of the sieve's weights, and of the exp, log, log1p and expm1 of
+the real-order kernels, may differ between machines, and the length sums
+rest on the order of numpy's pairwise sum.  No step uses a type wider than
+float64.  The per-piece contributions are summed pairwise (``np.sum``),
 all but the series corrections, which are below 1e-6 of them; a chunk
 carries the exact sum of its sub-chunks' sums, and the sweep combines them
 with ``math.fsum``, which rounds that exact sum once however the sweep is
@@ -165,7 +171,7 @@ sieve's block or the held run, or per piece of the sub-chunk:
     kernel    _Midpoints' own slots, as the pairs need them:      8 / piece
               scratch, a, log_top, Lc and c2; scaled also t (top   each
               lives in log_top's slot until its log replaces it),
-              d2^j and series^k
+              d2, one running power d2^j and series^k
 The first four are the sieve's and the held run's, allocated per block;
 the rest are workspace slots.  The desk table's sweep (X = 1e8, nine
 scaled pairs) takes 16 slots, 2.5 MB, and its blocks hold about 7k events
@@ -222,6 +228,16 @@ _SUBNORMAL = math.ulp(0.0)
 _GRID_MAX = 45
 
 
+def _brief(x) -> str:
+    """A rational for a message: as written while it is short, else to six
+    digits, as its decimal digits could run to thousands."""
+    x = Fraction(x)
+    if x.numerator.bit_length() + x.denominator.bit_length() <= 128:
+        return str(x)
+    exponent = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+    return f"{'-' if x < 0 else ''}{10 ** (exponent % 1):.6g}e{math.floor(exponent):+d}"
+
+
 class Kind(str, Enum):
     ABSOLUTE = "absolute"
     SIGNED = "signed"
@@ -236,7 +252,7 @@ class Fixed:
     def __post_init__(self):
         object.__setattr__(self, "h", Fraction(self.h))
         if self.h <= 0:
-            raise InvalidWindowError(f"window width must be positive, got {self.h}")
+            raise InvalidWindowError(f"window width must be positive, got {_brief(self.h)}")
 
     @property
     def width(self) -> Fraction:
@@ -264,10 +280,10 @@ class Scaled:
     def __post_init__(self):
         object.__setattr__(self, "delta", Fraction(self.delta))
         if not 0 < self.delta < 1:
-            raise InvalidWindowError(f"delta must lie in (0, 1), got {self.delta}")
+            raise InvalidWindowError(f"delta must lie in (0, 1), got {_brief(self.delta)}")
         if self.delta.denominator > MAX_DELTA_DENOMINATOR:
             raise InvalidWindowError(
-                f"delta denominator {self.delta.denominator} exceeds "
+                f"delta denominator {_brief(self.delta.denominator)} exceeds "
                 f"{MAX_DELTA_DENOMINATOR}"
             )
 
@@ -300,7 +316,7 @@ class WindowSpec:
             raise InvalidWindowError(f"X must be finite and at least 1, got {self.X}")
         if isinstance(self.geometry, Fixed) and 1 < self.X <= self.geometry.h:
             raise InvalidWindowError(
-                f"fixed width h={self.geometry.h} must be below X={self.X}"
+                f"fixed width h={_brief(self.geometry.h)} must be below X={self.X}"
             )
 
     def limit(self) -> int:
@@ -308,7 +324,7 @@ class WindowSpec:
         limit = math.floor(self.geometry.right_end(Fraction(self.X)))
         if limit * self.geometry.K >= KEY_LIMIT:
             raise RangeLimitError(
-                f"keys for X={self.X} with denominator {self.geometry.K} overflow 64-bit range"
+                f"keys for X={self.X} with denominator {_brief(self.geometry.K)} overflow 64-bit range"
             )
         return limit
 
@@ -329,9 +345,11 @@ class SweepDiagnostics:
 
 
 def _validate_pairs(pairs: Sequence[Tuple[float, Kind]]):
+    """Refuse an order outside (0, 1 / _SERIES_T] = (0, 1024], or a kind
+    other than absolute at an order that is not an integer."""
     for order, kind in pairs:
-        if not 0 < order < math.inf:
-            raise InvalidOrderError(f"order must be positive and finite, got {order}")
+        if not 0 < order <= 1 / _SERIES_T:
+            raise InvalidOrderError(f"order must lie in (0, {1 / _SERIES_T:g}], got {order:g}")
         if kind != Kind.ABSOLUTE and not float(order).is_integer():
             raise InvalidOrderError(
                 f"kind {kind.value} needs an integer order, got {order}"
@@ -375,10 +393,11 @@ def _series_terms(order: float) -> tuple:
     """b_k = C(order, 2k) / (2k+1) * T^(2k) for k >= 1, T = _SERIES_T.
 
     The mean of |c + s d|^order over s in [-1, 1] is
-    |c|^order (1 + sum_k b_k r^(2k)) with r = t / T, t = d/|c| < 1.  For
-    order * T <= 1 each term is at most 1/20 of the one before when r <= 1,
-    so stopping at the first term below 1e-17 keeps the dropped tail
-    below 1e-16.  Cached, as every sub-chunk of a sweep asks for them.
+    |c|^order (1 + sum_k b_k r^(2k)) with r = t / T, t = d/|c| < 1.  Over
+    the order domain (0, 1/T] = (0, 1024] that _validate_pairs enforces,
+    order * T <= 1, so each term is at most 1/20 of the one before when
+    r <= 1, and stopping at the first term below 1e-17 keeps the dropped
+    tail below 1e-16.  Cached, as every sub-chunk of a sweep asks for them.
     """
     terms, binom, j = [], 1.0, 0  # binom = C(order, j) T^j
     while True:
@@ -460,7 +479,10 @@ class _Midpoints:
 
     Quantities that several (order, kind) pairs share are computed once, on
     first use, into the thread's workspace: one instance per thread is in
-    use at a time.  With t = d/|c|, the real absolute orders take one of
+    use at a time.  The orders lie in (0, 1/_SERIES_T] = (0, 1024], which
+    the sweep enforces, and an integer order n takes d^2 and one running
+    power d^(2j) whatever n, so the workspace holds the same slots at every
+    order.  With t = d/|c|, every real absolute order takes one of
     three forms: the binomial series (t <= _SERIES_T), the closed form with
     the small difference factored out (_SERIES_T < t < 1), and the closed
     form at c + d and c - d on pieces that change sign, where its terms add
@@ -478,7 +500,6 @@ class _Midpoints:
     def __init__(self, c: np.ndarray, d: np.ndarray | None, lengths: np.ndarray):
         self.c, self.d, self.L = c, d, lengths
         self._scratch = self._work("scratch")
-        self._d2_powers = {}
         self._series_weights = {}
 
     def _work(self, name: str, dtype=np.float64) -> np.ndarray:
@@ -531,11 +552,9 @@ class _Midpoints:
     def c2(self) -> np.ndarray:
         return np.multiply(self.c, self.c, out=self._work("c2"))
 
-    def _d2_power(self, j: int) -> np.ndarray:
-        if j not in self._d2_powers:
-            a, b = (self.d, self.d) if j == 1 else (self._d2_power(j - 1), self._d2_power(1))
-            self._d2_powers[j] = np.multiply(a, b, out=self._work(f"d2^{j}"))
-        return self._d2_powers[j]
+    @_cached
+    def d2(self) -> np.ndarray:
+        return np.multiply(self.d, self.d, out=self._work("d2"))
 
     @_cached
     def r2(self) -> np.ndarray:
@@ -564,11 +583,12 @@ class _Midpoints:
             for _ in range(n // 2 - 1):
                 q = np.multiply(q, self.c2, out=self._work("sorted"))
         else:
+            power = self.d2
             for j in range(1, n // 2 + 1):
+                if j > 1:  # d^(2j) in one slot, by one product on d^(2j-2)
+                    power = np.multiply(power, self.d2, out=self._work("d2^j"))
                 b = math.comb(n, 2 * j) / (2 * j + 1)
-                term = self._d2_power(j)
-                if b != 1:
-                    term = np.multiply(b, term, out=self._work("midpoints"))
+                term = power if b == 1 else np.multiply(b, power, out=self._work("midpoints"))
                 if j == 1:
                     q = np.add(self.c2, term, out=self._work("sorted"))
                 else:
@@ -634,10 +654,6 @@ class _Midpoints:
         regime beyond the series; each row is one order's, bit for bit."""
         totals = []
         for order in orders:
-            if self.d is not None and order * _SERIES_T > 1:
-                # the series would need about order/2 terms: the closed form throughout
-                totals.append(0.0)
-                continue
             # series regime: L |c|^order (1 + sum_k b_k r^(2k)); the corrections
             # are below 1e-6 of the leading sum, which alone is summed pairwise
             p = np.multiply(self.log_top, order, out=self._scratch)
@@ -655,24 +671,17 @@ class _Midpoints:
             return totals
         order = np.array(orders)[:, None]
         m = order + 1.0
-        large = (order * _SERIES_T > 1)[:, 0]
-        # past order 1/_SERIES_T every piece but the empty ones (t = 0, which
-        # add nothing) and those that change sign
-        beyond_zero = np.flatnonzero((self.t > 0.0) & (self.t < 1.0)) if large.any() else None
-        for rows, i in ((~large, self.middle), (large, beyond_zero)):
-            if not (rows.any() and i.size):
-                continue
+        middle, i = np.zeros(len(orders)), self.middle
+        if i.size:
             # ((1+t)^m - (1-t)^m) / (2 m t) with the difference factored out:
             # (1+t)^m (1 - ((1-t)/(1+t))^m), the bracket by expm1
-            o, mo = order[rows], m[rows]
             t = self.t[i]
             log_rise = np.log1p(t)
-            x = mo * (log_rise - np.log1p(-t))
-            g = np.exp(o * self.log_top[i] + mo * log_rise) * -np.expm1(-x) / (2.0 * mo * t)
-            for j, total in zip(np.flatnonzero(rows), (self.L[i] * g).sum(axis=1)):
-                totals[j] += float(total)
-        crossing = np.broadcast_to(self._crossing_sum(m, Kind.ABSOLUTE), len(orders))
-        return [total + float(rest) for total, rest in zip(totals, crossing)]
+            x = m * (log_rise - np.log1p(-t))
+            g = np.exp(order * self.log_top[i] + m * log_rise) * -np.expm1(-x) / (2.0 * m * t)
+            middle = (self.L[i] * g).sum(axis=1)
+        crossing = np.broadcast_to(self._crossing_sum(m, Kind.ABSOLUTE), middle.shape)
+        return [total + float(a) + float(b) for total, a, b in zip(totals, middle, crossing)]
 
 
 def _chunk_moments(

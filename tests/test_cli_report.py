@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 import psimoments
 from psimoments import cli, report, sweep
 from psimoments.cli import _flag_config, build_parser, main
-from psimoments.errors import ConfigError, CoverageError
+from psimoments.errors import ConfigError, CoverageError, RangeLimitError
 from psimoments.report import (
     COLUMNS,
     CSV_HEADER,
@@ -32,7 +33,7 @@ from psimoments.report import (
 )
 from psimoments.report import REFERENCE_ABSOLUTE, REFERENCE_ODD
 from psimoments.sieve import EventSource
-from psimoments.sweep import Kind, Scaled, WindowSpec, sweep_moments
+from psimoments.sweep import Fixed, Kind, Scaled, WindowSpec, sweep_moments
 
 
 def test_parse_rational_exact():
@@ -44,13 +45,52 @@ def test_parse_rational_exact():
     assert parse_rational(Fraction(2, 5)) == Fraction(2, 5)
     # a float argument keeps its exact binary value
     assert parse_rational(0.5) == Fraction(1, 2)
+    # the longest string and the largest exponent it reads
+    assert parse_rational("1e-400") == Fraction(1, 10**400)
+    assert parse_rational("1" + "0" * 99) == 10**99
 
 
 def test_parse_rational_rejects_garbage():
-    with pytest.raises(ConfigError):
-        parse_rational("five")
-    with pytest.raises(ConfigError):
-        parse_rational("1/0")
+    # past 100 characters or a decimal exponent of 400 nothing is built
+    for text in ("five", "1/0", "1e401", "1e-999999", "2.5E+99999999", "1" * 101):
+        with pytest.raises(ConfigError):
+            parse_rational(text)
+
+
+def test_huge_rationals_fail_fast(tmp_path, capsys):
+    # a huge decimal exponent or integer is refused before Fraction builds
+    # it (exit 2, one line, fast), and a tiny float width, whose exact
+    # denominator runs to 323 digits, is named briefly in its range error
+    huge = _config_file(tmp_path, "huge", {"x": 100, "h": "1e99999999", "orders": [2]})
+    tiny = _config_file(tmp_path, "tiny", {"x": 100, "h": 1e-320, "orders": [2]})
+    # an integer past Python's 4300-digit limit, which json refuses to read
+    long = tmp_path / "long.json"
+    long.write_text('{"x": 100, "h": 1' + "0" * 5000 + ', "orders": [2]}')
+    cases = [
+        (["moments", "--x", "100", "--h", "1e999999", "--orders", "2"], 2),
+        (["predict", "--x", "100", "--delta", "1e-999999", "--orders", "2",
+          "--formulas", "scaled-main"], 2),
+        (["moments", "--config", huge], 2),
+        (["moments", "--config", str(long)], 2),
+        (["moments", "--config", tiny], 3),
+    ]
+    for argv, code in cases:
+        t0 = time.monotonic()
+        assert main(argv) == code, argv
+        assert time.monotonic() - t0 < 0.5, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200, err
+        assert err.startswith("error: " if code == 2 else "resource error: "), err
+
+
+def test_window_messages_keep_rationals_short():
+    huge = Fraction(10**5000 + 1, 3)
+    for make in (lambda: Fixed(-huge), lambda: Scaled(huge), lambda: Scaled(1 / huge),
+                 lambda: WindowSpec(100, Fixed(huge)),
+                 lambda: WindowSpec(100, Fixed(1 / huge)).limit()):
+        with pytest.raises((ConfigError, RangeLimitError)) as info:
+            make()
+        assert len(str(info.value)) < 200, str(info.value)
 
 
 def test_run_config_from_dict():
@@ -361,6 +401,23 @@ def test_cli_overflowing_moment_exits_3_without_rows(tmp_path, capsys, kind):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "order 200" in captured.err
+
+
+def test_cli_order_domain(capsys):
+    # an order past 1024 exits 2 with one error line, before any sieve; an
+    # integer order up to 1024 gives a value, or a range error (exit 3)
+    # where its moment passes float64, for every kind
+    for orders, kind in (("1024.5", "absolute"), ("1025", "signed"), ("2000", "signed")):
+        argv = ["moments", "--x", "1000", "--delta", "1/100", "--orders", orders, "--kind", kind]
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: order must lie in (0, 1024]") and err.count("\n") == 1
+    for x, code in (("10", 0), ("1000", 3)):
+        for kind in Kind:
+            argv = ["moments", "--x", x, "--delta", "1/10", "--orders", "1023,1024",
+                    "--kind", kind.value, "--threads", "1"]
+            assert main(argv) == code, argv
+    capsys.readouterr()
 
 
 def test_cli_config_file(tmp_path, capsys):

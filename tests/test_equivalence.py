@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from psimoments.equivalence import decomposition_check, saffari_vaughan_average, width_grid
+from psimoments.equivalence import (
+    average_event_limit,
+    decomposition_check,
+    saffari_vaughan_average,
+    width_grid,
+)
 from psimoments.errors import DomainError
 from psimoments.predictions import odd_normalizer
 from psimoments.sieve import EventSource
@@ -92,6 +97,17 @@ def test_average_validation(events_1e6):
         saffari_vaughan_average(1e5, 1e-5, 1, events=events_1e6)  # Delta <= 1/X
     with pytest.raises(DomainError):
         saffari_vaughan_average(1e5, 1.0, 1, events=events_1e6)
+
+
+def test_average_event_limit_is_the_widest_window(recording_source):
+    # the average sizes its own source by the one rule the CLI sizes a
+    # shared one by: the limit of the widest width on the grid
+    X, Delta = 1e5, 1e-2
+    limit = average_event_limit(X, Delta, 8)
+    assert limit == WindowSpec(X, Scaled(width_grid(X, Delta, 8)[-1])).limit()
+    source = recording_source(limit)
+    saffari_vaughan_average(X, Delta, 1, grid_points=8, events=source)
+    assert max(hi for _, hi in source.calls) <= limit + 1
 
 
 def test_width_grid_collapse():

@@ -829,30 +829,33 @@ def test_midpoint_kernel_against_mpmath():
 
 
 def test_midpoint_kernel_large_order_against_mpmath():
-    # past order 1/_SERIES_T the series would need about order/2 terms, so
-    # the closed form covers every piece; its error grows like
-    # order * |log|c|| ulps.  A flat piece (d = 0) takes the leading term
-    # L |c|^order at every order
-    order = 1500.5
-    assert order * sweep._SERIES_T > 1
+    # at the top of the order domain, 1/_SERIES_T = 1024, the series still
+    # covers t <= _SERIES_T with a few terms, and the real order's error
+    # grows like order * |log|c|| ulps; the integer order multiplies its
+    # even part up term by term.  A flat piece (d = 0) takes the leading
+    # term L |c|^order at every order
+    top = 1 / sweep._SERIES_T
+    assert top == 1024
     for c, d in _kernel_pieces() + _flat_pieces():
         if abs(c) + d > 1.5:  # the moment itself would pass float64
             continue
-        got = _one_piece(c, d).integrals([(order, Kind.ABSOLUTE)])[0]
-        want = _mpmath_piece(c, d, 0.625, order, Kind.ABSOLUTE)
-        assert abs(got - want) <= 1e-12 * abs(want), (c, d, got, want)
+        for order in (top - 0.5, top):
+            kinds = ALL_KINDS if order == int(order) else (Kind.ABSOLUTE,)
+            for kind in kinds:
+                got = _one_piece(c, d).integrals([(order, kind)])[0]
+                want = _mpmath_piece(c, d, 0.625, order, kind)
+                assert abs(got - want) <= 1e-12 * abs(want), (c, d, order, kind, got, want)
 
 
 def test_batched_real_orders_match_one_order_at_a_time():
     # the real absolute orders share one (orders x pieces) pass over the
     # middle regime and the pieces that change sign: each row is bit for
-    # bit the value of its order alone, an integer order among them too.
-    # Past order 1/_SERIES_T the closed form covers every piece, in a batch
-    # of its own
+    # bit the value of its order alone, an integer order among them too,
+    # up to the top of the order domain, 1024
     c, d = np.array(_kernel_pieces()).T
     lengths = np.linspace(0.25, 2.0, c.size)
     small = abs(c) + d <= 1.5  # the large orders' moments stay in float64
-    for keep, orders in ((c == c, (2.1, 3.2, 12.0, 6.5)), (small, (1500.5, 2.1, 1100.5))):
+    for keep, orders in ((c == c, (2.1, 3.2, 12.0, 6.5)), (small, (1023.5, 2.1, 1024.0, 900.5))):
         pieces = (c[keep], d[keep], lengths[keep])
         pairs = [(order, Kind.ABSOLUTE) for order in orders]
         # one instance at a time: they share the thread's workspace
@@ -869,7 +872,7 @@ def test_empty_pieces_add_nothing():
     for c in (0.0, 0.75, -0.75):
         for d in (np.zeros(1), None):
             pieces = sweep._Midpoints(np.array([c]), d, np.zeros(1))
-            for order in (0.5, 1, 2, 2.1, 3, 6.5, 12, 1500.5):
+            for order in (0.5, 1, 2, 2.1, 3, 6.5, 12, 1023.5, 1024):
                 kinds = ALL_KINDS if order == int(order) else (Kind.ABSOLUTE,)
                 for kind in kinds:
                     got = pieces.integrals([(float(order), kind)])[0]
@@ -926,6 +929,24 @@ def test_desk_like_sweep_workspace():
     thread.join(timeout=120)
     assert not thread.is_alive() and slots
     assert sum(slot.size for slot in slots.values()) <= 2.7e6
+
+
+def test_workspace_slots_do_not_grow_with_the_order():
+    # an integer order n takes d^2 and one running power d^(2j), not a slot
+    # per power: in a thread whose workspace starts empty, a scaled sweep
+    # at signed order 401 leaves as many slots as one at order 5
+    counts = []
+
+    def run():
+        for order in (5, 401):
+            sweep_moments(WindowSpec(30, Scaled(Fraction(1, 10))), [(order, Kind.SIGNED)])
+            counts.append(len(sweep._WORK._slots))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(counts) == 2
+    assert counts[0] == counts[1], counts
 
 
 @pytest.mark.parametrize("geometry", [Scaled(Fraction(1, 100)), Fixed(Fraction(100))])
@@ -1013,6 +1034,12 @@ def test_validation_errors():
         sweep_moments(w, [(0.0, Kind.ABSOLUTE)])
     with pytest.raises(InvalidOrderError):
         sweep_moments(w, [(2.5, Kind.SIGNED)])
+    # the order domain ends at 1/_SERIES_T = 1024, for the oracle too
+    for order, kind in ((1024.5, Kind.ABSOLUTE), (1025.0, Kind.SIGNED), (math.nan, Kind.ABSOLUTE)):
+        with pytest.raises(InvalidOrderError, match=r"order must lie in \(0, 1024\]"):
+            sweep_moments(w, [(order, kind)])
+        with pytest.raises(InvalidOrderError):
+            grid_oracle(w, [order], kind, step=0.5)
     with pytest.raises(InvalidWindowError):
         grid_oracle(w, [1.0], Kind.ABSOLUTE, step=5.0)
 
