@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import warnings
@@ -30,7 +29,7 @@ from .report import (
     run,
 )
 from .sieve import EventSource
-from .specfun import identity_residuals
+from .specfun import IDENTITY_GATE, identity_residuals
 from .sweep import Kind
 
 
@@ -127,17 +126,16 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_verify_identities(args) -> int:
-    tol = args.tolerance
-    if not 0 < tol < math.inf:
-        raise ConfigError(f"tolerance must be positive and finite, got {tol}")
     checks = identity_residuals()
     for name, resid in checks:
-        print(f"{'ok' if resid <= tol else 'FAIL':>4}  {resid:.3e}  {name}")
-    # a NaN residual fails too: it is not <= tol, though max() would skip it
-    failed = [f"{name} ({resid:.3e})" for name, resid in checks if not resid <= tol]
+        print(f"{'ok' if resid <= IDENTITY_GATE else 'FAIL':>4}  {resid:.3e}  {name}")
+    # a NaN residual fails too: it is not <= the gate, though max() would skip it
+    failed = [f"{name} ({resid:.3e})" for name, resid in checks if not resid <= IDENTITY_GATE]
     if failed:
-        raise InvariantError(f"identity residuals not within {tol:g}: {', '.join(failed)}")
-    print(f"all {len(checks)} identities within {tol:g}")
+        raise InvariantError(
+            f"identity residuals not within {IDENTITY_GATE:g}: {', '.join(failed)}"
+        )
+    print(f"all {len(checks)} identities within {IDENTITY_GATE:g}")
     return 0
 
 
@@ -151,7 +149,7 @@ def _cmd_equivalence(args) -> int:
     limit = window.limit()
     if args.average_delta is not None:
         Delta = float(parse_rational(args.average_delta))
-        limit = max(limit, average_event_limit(config.X, Delta, args.grid_points))
+        limit = max(limit, average_event_limit(config.X, Delta))
     events = EventSource(limit)
     for n in config.orders:
         rep = decomposition_check(window, n, events=events, threads=config.threads)
@@ -162,12 +160,7 @@ def _cmd_equivalence(args) -> int:
     if args.average_delta is not None:
         for n in config.orders:
             avg = saffari_vaughan_average(
-                config.X,
-                Delta,
-                n,
-                grid_points=args.grid_points,
-                events=events,
-                threads=config.threads,
+                config.X, Delta, n, events=events, threads=config.threads
             )
             print(
                 f"n={n:g} averaged over delta<={Delta:g}: lhs={avg.lhs:.6e} "
@@ -220,13 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser(
-        "verify-identities", help="check special function identities numerically"
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=1e-8,
-        help="relative residual gate",
+        "verify-identities",
+        help=f"check special function identities to a relative {IDENTITY_GATE:g}",
     )
     p.set_defaults(func=_cmd_verify_identities)
 
@@ -239,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--average-delta",
         help="also run the width-averaged comparison up to this delta",
     )
-    p.add_argument("--grid-points", type=int, default=16)
     _add_threads_arg(p)
     p.set_defaults(func=_cmd_equivalence)
 

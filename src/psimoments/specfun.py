@@ -27,6 +27,10 @@ SQRT_PI = math.sqrt(math.pi)
 # math.gamma overflows float64 just above 171.62
 _GAMMA_OVERFLOW = 171.7
 
+# the relative residual every identity of identity_residuals stays within:
+# the gate of `psimoments verify-identities` and of acceptance criterion 6
+IDENTITY_GATE = 1e-10
+
 
 def upper_gamma(s: float, z: float) -> float:
     """Gamma(s, z) = int_z^inf t^(s-1) e^(-t) dt for half-integer s > 0, z >= 0.

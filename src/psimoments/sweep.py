@@ -27,7 +27,9 @@ every kind but the absolute; the sweep refuses any other.  With t = d/|c|:
         L c^(n%2) sum_j C(n,2j) c^(n-n%2-2j) d^(2j) / (2j+1),
         e.g. L c (c^2 + d^2) for n = 3; a positive or negative part is
         that or 0.  Every term has the sign of c^n, so nothing cancels,
-        and for u^n (signed, even absolute) the sum holds on every piece.
+        and for u^n of odd n (signed) the sum holds on every piece: the
+        closed form below would cancel there.  A signed moment of even
+        order is the absolute one;
     real absolute order l, t <= _SERIES_T = 2^-10:
         L |c|^l (1 + sum_k C(l,2k) t^(2k) / (2k+1)), |c|^l = exp(l log|c|),
         with one log per piece shared by all orders and as many terms as
@@ -35,9 +37,11 @@ every kind but the absolute; the sweep refuses any other.  With t = d/|c|:
     real absolute order l, 2^-10 < t < 1: the closed form
         L |c|^l ((1+t)^m - (1-t)^m) / (2 m t), m = l + 1, with the
         difference factored out as (1+t)^m (-expm1(-m (log1p(t) - log1p(-t))));
-    a piece that changes sign (t >= 1): the closed form at c + d and
-        c - d, L (|c+d|^m + |c-d|^m) / (2 m d), or one of its terms for a
-        part.  There its terms add, so it is exact too.
+    a piece that changes sign (t >= 1), every kind but the odd signed
+        one: the closed form at c + d and c - d, L (|c+d|^m + |c-d|^m) /
+        (2 m d), or one of its terms for a part.  There its terms add, so
+        it is exact too, and it does not overflow where the sum's terms
+        b_j d^(2j) would at the top of the order domain.
 No piece is integrated as a difference G(u_a) - G(u_b) of antiderivatives,
 which would cancel: u_a - u_b = 2d is tiny next to |u| on most pieces.
 No ``**`` takes a negative base: numpy's power leaves its vectorised path
@@ -86,24 +90,12 @@ entry_key(n) < e exactly when n < first_entering(e), so no chunk-wide key
 array is formed.  Those already inside the window at its left end only set
 the starting value of S, and those leaving at its right end or later never
 step it, so a window wider than a sub-chunk costs one sum, not a larger
-sort.  One generator (_sub_chunks) cuts the chunk's block stream into
-sub-chunks and owns both the cut rule and the run of events it serves.  A
-sub-chunk [ca, cb) ends at the exit key n K of the held event
-_SUB_EVENTS - 1; blocks are pulled until that event and the first
-n >= first_entering(cb) are held, or the stream ends.  The sub-chunk's
-events are then the first ones held, the very slice a single array of the
-chunk's events would give, so the values do not depend on the blocks.
-After it exactly _SUB_EVENTS events are let go: the n are distinct and
-ascend, so those with n <= cb // K, which have left by cb, are the first
-_SUB_EVENTS.  One run of events is held, and a sub-chunk gets a view of
-it.  A pull joins what is still held, at most a sub-chunk's events and
-the window's reach, to the blocks it pulls, until the new events outnumber
-the held ones or the stream ends: each join but the last copies fewer
-than twice the events it adds, so the joins copy fewer than three times
-the chunk's events, however wide the window.  The join lets go of the
-blocks before the sieve builds the next, and joins the n first and lets
-the old ones go before it joins the weights; no stage of the sieve keeps
-a block it has handed on.
+sort.  One generator, _sub_chunks, cuts the chunk's block stream into
+sub-chunks: its docstring sets out the cut rule and when it pulls and joins
+blocks into the one run of events it holds.  Each sub-chunk's events are
+the very slice a single array of the chunk's events would give, so the
+values do not depend on the blocks, and no stage keeps a block it has
+handed on.
 
 Both levels of cuts depend only on the window, _CHUNK_EVENTS and the
 events, never on the worker count or the sieve's blocks, and the results
@@ -126,7 +118,8 @@ exact integers, and each length, one correctly rounded division.  The
 values are not: numpy picks its float64 log and exp by CPU feature, so the
 last bits of the sieve's weights, and of the exp, log, log1p and expm1 of
 the real-order kernels, may differ between machines, and the length sums
-rest on the order of numpy's pairwise sum.  No step uses a type wider than
+rest on the order of numpy's pairwise sum, which the tests check against
+stored sums on each platform they run on.  No step uses a type wider than
 float64.  The per-piece contributions are summed pairwise (``np.sum``),
 all but the series corrections, which are below 1e-6 of them; a chunk
 carries the exact sum of its sub-chunks' sums, and the sweep combines them
@@ -628,25 +621,29 @@ class _Midpoints:
         return [next(real) if o != int(o) else self._integer(int(o), k) for o, k in pairs]
 
     def _integer(self, n: int, kind: Kind) -> float:
-        if kind == Kind.SIGNED or (kind == Kind.ABSOLUTE and n % 2 == 0):
-            # u^n is one polynomial on every piece, sign change or not
-            weighted, rest = (self.Lc if n % 2 else self.L), 0.0
-        else:
-            if kind == Kind.ABSOLUTE:
-                factor = self.a
-            else:  # 1 where c has the part's sign, 0 elsewhere
-                compare = np.greater if kind == Kind.POSITIVE_PART else np.less
-                factor = compare(self.c, 0.0, out=self._work("midpoints", bool))
+        if kind == Kind.SIGNED and n % 2 == 0:
+            kind = Kind.ABSOLUTE  # u^n = |u|^n
+        if kind == Kind.SIGNED:
+            # u^n of odd n on every piece: at a sign change its closed form
+            # would cancel, where the polynomial does not
+            weighted = self.Lc
+        elif kind == Kind.ABSOLUTE:
+            weighted = np.multiply(self.L, self.a, out=self._scratch) if n % 2 else self.L
+        else:  # 1 where c has the part's sign, 0 elsewhere
+            compare = np.greater if kind == Kind.POSITIVE_PART else np.less
+            factor = compare(self.c, 0.0, out=self._work("midpoints", bool))
             weighted = np.multiply(self.L, factor, out=self._scratch)
-            rest = 0.0
-            if self.d is not None:
-                weighted[self.crossing] = 0.0  # summed by _crossing_sum
-                rest = float(self._crossing_sum(n + 1.0, kind))
-            if n % 2 and kind != Kind.ABSOLUTE:
+            if n % 2:
                 np.multiply(weighted, self.c, out=weighted)
         q = self._even_part(n)
         if q is not None:
             weighted = np.multiply(weighted, q, out=self._scratch)
+        rest = 0.0
+        if kind != Kind.SIGNED and self.d is not None:
+            # the pieces that change sign, where Q_n may have overflowed
+            # though their closed form has not, are summed by _crossing_sum
+            weighted[self.crossing] = 0.0
+            rest = float(self._crossing_sum(n + 1.0, kind))
         return float(weighted.sum()) + rest
 
     def _real_absolute(self, orders: list) -> list:

@@ -30,7 +30,7 @@ from psimoments import (
     sweep_moments,
 )
 from psimoments.report import REFERENCE_ABSOLUTE, REFERENCE_ODD
-from psimoments.specfun import identity_residuals
+from psimoments.specfun import IDENTITY_GATE, identity_residuals
 
 from conftest import ACCEPTANCE_LINES, DESK_ABS_ORDERS, DESK_DELTA, DESK_ODD_ORDERS, DESK_X
 
@@ -156,11 +156,11 @@ def test_criterion_6_identity_suite():
     checks = identity_residuals()
     name, worst = max(checks, key=lambda c: c[1])
     wall = time.monotonic() - t0
-    ok = all(resid <= 1e-10 for _, resid in checks) and wall < 10.0
+    ok = all(resid <= IDENTITY_GATE for _, resid in checks) and wall < 10.0
     record(
         6,
         ok,
-        f"{len(checks)} identities, worst {worst:.1e} at {name} (gate 1e-10), "
+        f"{len(checks)} identities, worst {worst:.1e} at {name} (gate {IDENTITY_GATE:g}), "
         f"{wall:.2f} s (budget 10 s)",
     )
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import psimoments
-from psimoments import cli, report, sweep
+from psimoments import cli, report, specfun, sweep
 from psimoments.cli import _flag_config, build_parser, main
 from psimoments.errors import ConfigError, CoverageError, RangeLimitError
 from psimoments.report import (
@@ -507,17 +507,15 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["moments", "--config", _config_file(tmp_path, "chunk", {**cfg, "chunk_events": 4096})], 2),
         # and keys that differ only in case never override each other
         (["moments", "--config", _config_file(tmp_path, "case", {**cfg, "X": 2000})], 2),
-        # an identity gate that is not a positive finite number
-        (["verify-identities", "--tolerance", "nan"], 2),
-        (["verify-identities", "--tolerance", "-1"], 2),
-        # argparse usage errors
+        # argparse usage errors: no identity gate but the package's, and
+        # the width average's grid is its own
         (["moments", "--kind", "bogus"], 2),
+        (["verify-identities", "--tolerance", "1e-8"], 2),
+        (["equivalence", "--x", "2000", "--delta", "1/50", "--grid-points", "16"], 2),
         # 3: resource problems (keys past the 64-bit range, an unwritable output)
         (["moments", "--x", "1e20", "--h", "1", "--orders", "1"], 3),
         (["moments", "--x", "100", "--h", "1", "--orders", "1",
           "--output", str(tmp_path / "missing" / "out.csv")], 3),
-        # 4: an identity gate tighter than the identities' rounding
-        (["verify-identities", "--tolerance", "1e-300"], 4),
     ]
     for argv, code in cases:
         assert main(argv) == code, argv
@@ -570,10 +568,11 @@ def test_default_threads_follows_affinity(monkeypatch):
 
 def test_cli_equivalence_average_wider_than_window(capsys):
     # the one event source must cover the averaging widths up to Delta too
-    argv = ["equivalence", "--x", "2e4", "--delta", "1/1000", "--orders", "1",
+    argv = ["equivalence", "--x", "2e4", "--delta", "1/1000", "--orders", "1,3",
             "--average-delta", "1/100", "--threads", "1"]
     assert main(argv) == 0
-    assert "averaged over delta<=0.01" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "n=1 averaged over delta<=0.01" in out and "n=3 averaged over delta<=0.01" in out
 
 
 def test_cli_equivalence_rejects_non_odd_order_before_sieving(monkeypatch, capsys):
@@ -642,9 +641,11 @@ def test_readme_python_blocks_run(capsys):
 
 
 def test_cli_verify_identities(capsys):
+    # one gate, the one acceptance criterion 6 reads
+    assert specfun.IDENTITY_GATE == 1e-10
     assert main(["verify-identities"]) == 0
     out = capsys.readouterr().out
-    assert "identities within" in out
+    assert "identities within 1e-10" in out
     # and README's "identity suite, N checks" quotes the count it prints
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     quoted = re.search(r"Special function identity suite, (\d+) checks", text)
@@ -652,11 +653,20 @@ def test_cli_verify_identities(capsys):
     assert quoted and printed and quoted.group(1) == printed.group(1)
 
 
-def test_cli_verify_identities_fails_on_a_nan_residual(monkeypatch, capsys):
-    # a NaN residual is not within any tolerance, wherever it falls in the
-    # suite: max() would skip it unless it came first
-    from psimoments import specfun
+def test_cli_verify_identities_fails_above_the_gate(monkeypatch, capsys):
+    residual = specfun.duplication_residual
+    monkeypatch.setattr(
+        specfun, "duplication_residual", lambda z: 2e-10 if z == 7.0 else residual(z)
+    )
+    assert main(["verify-identities"]) == 4
+    captured = capsys.readouterr()
+    assert "FAIL  2.000e-10  duplication z=7" in captured.out
+    assert "not within 1e-10: duplication z=7 (2.000e-10)" in captured.err
 
+
+def test_cli_verify_identities_fails_on_a_nan_residual(monkeypatch, capsys):
+    # a NaN residual is not within the gate, wherever it falls in the
+    # suite: max() would skip it unless it came first
     residual = specfun.duplication_residual
     monkeypatch.setattr(
         specfun, "duplication_residual", lambda z: math.nan if z == 7.0 else residual(z)

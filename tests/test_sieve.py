@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 import weakref
 
@@ -29,6 +30,94 @@ def brute_prime_powers(limit):
                     out.append((n, math.log(p)))
                 break
     return out
+
+
+# the 12 prime bases up to 37 make Miller-Rabin exact below 3.3e24
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin, exact for n below 3.3e24."""
+    if n < 2:
+        return False
+    for a in MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def integer_root(n, k):
+    """floor(n^(1/k)) for n >= 0, exact: the float guess is corrected in integers."""
+    r = int(round(n ** (1.0 / k)))
+    while r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
+def miller_rabin_prime_powers(lo, hi):
+    """(n, p) for every prime power n = p^a in [lo, hi), 2 <= lo, ascending:
+    the n that pass is_prime, and p^a for a >= 2, each p between exact
+    integer roots of the span's ends, that pass it; no sieve."""
+    events = {n: n for n in range(lo, hi) if (n == 2 or n % 2) and is_prime(n)}
+    for a in range(2, hi.bit_length()):
+        for p in range(integer_root(lo - 1, a) + 1, integer_root(hi - 1, a) + 1):
+            if is_prime(p):
+                events[p**a] = p
+    return sorted(events.items())
+
+
+def test_miller_rabin_oracle_against_trial_division():
+    assert [n for n, _ in miller_rabin_prime_powers(2, 5000)] == [
+        n for n, _ in brute_prime_powers(4999)
+    ]
+    # strong pseudoprimes to the first 1 to 9 bases, and three primes
+    assert not any(map(is_prime, (2047, 1373653, 25326001, 3215031751, 3825123056546413051)))
+    assert all(map(is_prime, (2**31 - 1, 2**61 - 1, 10**12 + 39)))
+
+
+EXTENDED = pytest.mark.skipif(
+    os.environ.get("PSIMOMENTS_EXTENDED") != "1",
+    reason="a sieve with base primes up to 3.4e7; set PSIMOMENTS_EXTENDED=1",
+)
+
+
+@pytest.mark.parametrize(
+    "lo",
+    [10**10, 10**12, pytest.param(10**15, marks=EXTENDED), pytest.param(2**50, marks=EXTENDED)],
+)
+def test_sieve_against_miller_rabin(monkeypatch, lo):
+    # the large-prime path, where every base prime up to sqrt(hi) marks
+    # the span, against an oracle that shares no code with the sieve: the
+    # events exactly, and each weight within one ulp of math.log of its
+    # base, as numpy's log, picked by CPU feature, may round the other way
+    hi = lo + 2**15
+    ns, ws = sieve_range(lo, hi)
+    want = miller_rabin_prime_powers(lo, hi)
+    assert ns.tolist() == [n for n, _ in want]
+    for w, (_, p) in zip(ws.tolist(), want):
+        assert abs(w - math.log(p)) <= math.ulp(math.log(p)), p
+    # segments of 2^12 odd slots: the span's 2^14 odd slots are sieved in
+    # four, each base prime carrying its offset to the next
+    monkeypatch.setattr(sieve, "_SEGMENT", 1 << 12)
+    blocks = list(sieve_blocks(lo, hi))
+    assert len(blocks) == 4
+    assert b"".join(b.tobytes() for b, _ in blocks) == ns.tobytes()
+    assert b"".join(w.tobytes() for _, w in blocks) == ws.tobytes()
 
 
 def test_small_events_against_trial_division():
@@ -103,8 +192,10 @@ def test_segmented_sieve_tiles_arrays(monkeypatch, segment):
 @pytest.mark.parametrize(
     "lo, hi",
     # from 2; from inside a segment; across many segment edges; holding
-    # 1024 and 2048, powers of 2, which no odd slot holds; none but 2 or 4
-    [(2, 700), (2, 3), (4, 5), (300, 9000), (1001, 1100), (2040, 2060), (1023, 1026)],
+    # 1024 and 2048, powers of 2, which no odd slot holds; none but 2 or 4;
+    # one number, a prime; up to the table's end
+    [(2, 700), (2, 3), (4, 5), (300, 9000), (1001, 1100), (2040, 2060), (1023, 1026),
+     (2, 100), (97, 98), (5000, 7500), (9990, 10_001)],
 )
 def test_blocks_join_to_sieve_range(monkeypatch, lo, hi):
     # the sweep reads the block stream, psi and the sources the joined
@@ -161,15 +252,6 @@ def test_block_stream_keeps_no_block_it_handed_on():
     del ns, ws
     assert all(ref() is None for ref in refs)
     assert sum(1 for _ in stream) == 2**19 // sieve._BLOCK - 1
-
-
-def test_sieve_range_windows():
-    full_ns, full_ws = EventSource(10_000).arrays()
-    for lo, hi in ((2, 100), (97, 98), (5000, 7500), (9990, 10_001)):
-        ns, ws = sieve_range(lo, hi)
-        mask = (full_ns >= lo) & (full_ns < hi)
-        assert ns.tolist() == full_ns[mask].tolist()
-        assert ws.tolist() == full_ws[mask].tolist()
 
 
 def test_psi_10():

@@ -591,6 +591,26 @@ def test_desk_first_moment_matches_oracle(desk_sweep):
     assert got == pytest.approx(want, rel=1e-13)
 
 
+def test_counts_and_length_sums_on_every_platform(desk_sweep):
+    # the keys and piece counts are exact integers and each length one
+    # correctly rounded division, so these hold bit for bit on every
+    # machine, as long as numpy sums pairwise in the same order: h = 73/3
+    # sums to one ulp below X - 1.  The moments are left out, as numpy's
+    # float64 log and exp, which their last bits rest on, differ by CPU
+    runs = [(desk_sweep["diag"], 11_526_275, "0x1.7d783fc000000p+26")]
+    windows = [
+        # tied keys n - 20 = n', and a final piece that ends at X
+        (WindowSpec(20000.3, Fixed(Fraction(20))), 4155, "0x1.387d333333333p+14"),
+        (WindowSpec(15000.3, Fixed(Fraction(73, 3))), 3613, "0x1.d4ba666666665p+13"),
+        # event 8192 enters where event 8191 leaves
+        (WindowSpec(2e5, Scaled(Fraction(1, 8191))), 36244, "0x1.869f800000000p+17"),
+    ]
+    for w, pieces, length_sum in windows:
+        runs.append((sweep_moments(w, [(1, Kind.SIGNED)])[1], pieces, length_sum))
+    for diag, pieces, length_sum in runs:
+        assert (diag.piece_count, diag.length_sum.hex()) == (pieces, length_sum)
+
+
 def test_sweep_matches_grid_oracle(events_small):
     # signed and one-sided moments can be small, so every kind is gated
     # against the absolute moment of the same order
@@ -647,8 +667,8 @@ def test_kind_algebra(events_small):
 def mpmath_scaled_moment(window, pairs, events, dps=40):
     """High-precision reference for scaled windows: exact Fraction
     breakpoints, an mpf running sum of the float64 weights, and the closed
-    form (G(u_a) - G(u_b)) / delta on every piece at ``dps`` digits, where
-    G(u) = u^(m+1)/(m+1) (signed) or sgn(u)|u|^(m+1)/(m+1) (absolute)."""
+    form (G(u_a) - G(u_b)) / delta on every piece at ``dps`` digits, G the
+    antiderivative of g (_mpmath_G)."""
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
     delta = window.geometry.delta
@@ -662,14 +682,6 @@ def mpmath_scaled_moment(window, pairs, events, dps=40):
     cuts = sorted({Fraction(1), X} | {c for c, _ in steps if 1 < c < X})
     with mp.workdps(dps):
         d = mpmath.mpf(delta.numerator) / delta.denominator
-
-        def G(u, j):
-            order, kind = pairs[j]
-            if kind == Kind.SIGNED:
-                return u ** (int(order) + 1) / (int(order) + 1)
-            m1 = mpmath.mpf(order) + 1
-            return mpmath.sign(u) * abs(u) ** m1 / m1
-
         totals = [mpmath.mpf(0)] * len(pairs)
         S = mpmath.mpf(0)
         i = 0
@@ -679,15 +691,17 @@ def mpmath_scaled_moment(window, pairs, events, dps=40):
                 i += 1
             ua = S - d * (mpmath.mpf(a.numerator) / a.denominator)
             ub = S - d * (mpmath.mpf(b.numerator) / b.denominator)
-            for j in range(len(pairs)):
-                totals[j] += (G(ua, j) - G(ub, j)) / d
+            for j, (order, kind) in enumerate(pairs):
+                totals[j] += (_mpmath_G(ua, order, kind) - _mpmath_G(ub, order, kind)) / d
         return totals
 
 
 def test_scaled_sweep_against_mpmath():
-    pairs = [(n, Kind.SIGNED) for n in (1.0, 3.0, 5.0)] + [
+    # the even signed order is the absolute one, by the closed form on the
+    # pieces that change sign
+    pairs = [(n, Kind.SIGNED) for n in (1.0, 2.0, 3.0, 5.0)] + [
         (o, Kind.ABSOLUTE) for o in (1.0, 2.1, 3.0, 6.5)
-    ]
+    ] + [(3.0, Kind.POSITIVE_PART), (3.0, Kind.NEGATIVE_PART)]
     cases = [
         # few pieces, many with 2^-10 < d/|c| < 1, where a series would be off
         (2e3, Fraction(1, 50), 673),
@@ -716,6 +730,22 @@ def _mpmath_g(u, order, kind):
     if kind == Kind.POSITIVE_PART:
         return max(u, 0) ** int(order)
     return min(u, 0) ** int(order)
+
+
+def _mpmath_G(u, order, kind):
+    """The antiderivative of g, continuous at 0, for an mpf u: with
+    m = order + 1, u^m / m, sgn(u) |u|^m / m, or max(u, 0)^m / m and
+    min(u, 0)^m / m for the parts.  Its callers have imported mpmath."""
+    import mpmath
+
+    m = int(order) + 1 if order == int(order) else mpmath.mpf(order) + 1
+    if kind == Kind.SIGNED:
+        return u**m / m
+    if kind == Kind.ABSOLUTE:
+        return mpmath.sign(u) * abs(u) ** m / m
+    if kind == Kind.POSITIVE_PART:
+        return max(u, 0) ** m / m
+    return min(u, 0) ** m / m
 
 
 def mpmath_fixed_moment(window, pairs, events, dps=40):
@@ -769,24 +799,14 @@ def test_fixed_sweep_against_mpmath(window):
 
 def _mpmath_piece(c, d, length, order, kind):
     """L times the mean of g(u) over [c - d, c + d] at 40 digits, from the
-    antiderivative G of g, continuous at 0; L g(c) when d = 0."""
+    antiderivative of g (_mpmath_G); L g(c) when d = 0."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.mp.workdps(40):
         if d == 0:
             return float(mpmath.mpf(length) * _mpmath_g(mpmath.mpf(c), order, kind))
-        m = mpmath.mpf(order) + 1
-
-        def G(u):
-            if kind == Kind.SIGNED:
-                return u**m / m
-            if kind == Kind.ABSOLUTE:
-                return mpmath.sign(u) * abs(u) ** m / m
-            if kind == Kind.POSITIVE_PART:
-                return max(u, 0) ** m / m
-            return min(u, 0) ** m / m
-
         c, d = mpmath.mpf(c), mpmath.mpf(d)
-        return float(mpmath.mpf(length) * (G(c + d) - G(c - d)) / (2 * d))
+        rise = _mpmath_G(c + d, order, kind) - _mpmath_G(c - d, order, kind)
+        return float(mpmath.mpf(length) * rise / (2 * d))
 
 
 def _kernel_pieces():
@@ -833,16 +853,24 @@ def test_midpoint_kernel_large_order_against_mpmath():
     # covers t <= _SERIES_T with a few terms, and the real order's error
     # grows like order * |log|c|| ulps; the integer order multiplies its
     # even part up term by term.  A flat piece (d = 0) takes the leading
-    # term L |c|^order at every order
+    # term L |c|^order at every order.  On a piece that changes sign with
+    # d > 1 the even part's terms b_j d^(2j) pass float64 (b_j reaches
+    # about 1e304): every kind but the odd signed one takes the closed
+    # form there, and the odd signed one overflows, so it is not checked
     top = 1 / sweep._SERIES_T
     assert top == 1024
-    for c, d in _kernel_pieces() + _flat_pieces():
+    overflowing = {(0.3, 1.2), (-0.3, 1.2)}
+    for c, d in _kernel_pieces() + _flat_pieces() + sorted(overflowing):
         if abs(c) + d > 1.5:  # the moment itself would pass float64
             continue
-        for order in (top - 0.5, top):
+        for order in (top - 1, top - 0.5, top):
             kinds = ALL_KINDS if order == int(order) else (Kind.ABSOLUTE,)
             for kind in kinds:
-                got = _one_piece(c, d).integrals([(order, kind)])[0]
+                if (c, d) in overflowing and kind == Kind.SIGNED and order % 2:
+                    continue
+                # the even part's overflow is ignored, as in _chunk_moments
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = _one_piece(c, d).integrals([(order, kind)])[0]
                 want = _mpmath_piece(c, d, 0.625, order, kind)
                 assert abs(got - want) <= 1e-12 * abs(want), (c, d, order, kind, got, want)
 
@@ -969,15 +997,22 @@ def test_power_mean_monotone(events_small):
 
 
 def test_thread_count_determinism(events_1e6, monkeypatch):
-    # small chunks, so the pools really split the sweep
+    # small chunks, so the pools really split the sweep.  At delta = 1/8191
+    # event 8192 enters where event 8191 leaves, at key 8191 * 8192, and
+    # h = 1000 ties many keys: both leave empty pieces in place
     monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 1 << 13)
-    w = WindowSpec(1e6, Scaled(Fraction(1, 1000)))
     pairs = [(1.0, Kind.ABSOLUTE), (2.1, Kind.ABSOLUTE), (3.0, Kind.SIGNED)]
-    base, diag = sweep_moments(w, pairs, events=events_1e6, threads=1)
-    assert diag.chunks == 9
-    for threads in (2, 4, 7):
-        res, _ = sweep_moments(w, pairs, events=events_1e6, threads=threads)
-        assert [r.value for r in res] == [b.value for b in base]  # bit for bit
+    windows = [
+        (WindowSpec(1e6, Scaled(Fraction(1, 1000))), 9),
+        (WindowSpec(2e5, Scaled(Fraction(1, 8191))), 3),
+        (WindowSpec(2e5, Fixed(Fraction(1000))), 3),
+    ]
+    for w, chunks in windows:
+        base, diag = sweep_moments(w, pairs, events=events_1e6, threads=1)
+        assert diag.chunks == chunks
+        for threads in (2, 4, 7):
+            res, _ = sweep_moments(w, pairs, events=events_1e6, threads=threads)
+            assert [r.value for r in res] == [b.value for b in base]  # bit for bit
 
 
 def test_chunk_size_stability(events_1e6, monkeypatch):
