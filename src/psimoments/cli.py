@@ -30,7 +30,7 @@ from .report import (
 )
 from .sieve import EventSource
 from .specfun import IDENTITY_GATE, identity_residuals
-from .sweep import Kind
+from .sweep import MAX_THREADS, Kind
 
 
 def _add_window_args(p: argparse.ArgumentParser, required: bool = True):
@@ -49,7 +49,7 @@ def _add_threads_arg(p: argparse.ArgumentParser):
         "--threads",
         type=parse_threads,
         default=0,
-        help="worker processes; 0: one per usable core, at most 8",
+        help=f"worker processes, at most {MAX_THREADS}; 0: one per usable core, at most 8",
     )
 
 
@@ -148,7 +148,10 @@ def _cmd_equivalence(args) -> int:
     # one event source, sized for the widest window either step sweeps
     limit = window.limit()
     if args.average_delta is not None:
-        Delta = float(parse_rational(args.average_delta))
+        try:
+            Delta = float(parse_rational(args.average_delta))
+        except OverflowError:
+            raise ConfigError(f"--average-delta {args.average_delta} is past float64") from None
         limit = max(limit, average_event_limit(config.X, Delta))
     events = EventSource(limit)
     for n in config.orders:

@@ -31,7 +31,7 @@ from .predictions import (
     scaled_refined_term,
 )
 from .sieve import EventSource
-from .sweep import Fixed, Kind, Scaled, WindowSpec, _validate_pairs, sweep_moments
+from .sweep import MAX_THREADS, Fixed, Kind, Scaled, WindowSpec, _validate_pairs, sweep_moments
 
 # name -> (window geometry it needs, value at (X, width, order))
 FORMULAS = {
@@ -78,11 +78,12 @@ def parse_rational(text) -> Fraction:
 
 
 def parse_threads(value) -> int:
-    """A worker count: an integer >= 0 or its digits; 0 means one per usable core."""
+    """A worker count: an integer from 0 to MAX_THREADS or its digits; 0
+    means one per usable core."""
     if isinstance(value, str) and value.strip().isdecimal():
         value = int(value)
-    if type(value) is not int or value < 0:  # a bool is an int too
-        raise ConfigError(f"threads must be an integer >= 0, got {value!r}")
+    if type(value) is not int or not 0 <= value <= MAX_THREADS:  # a bool is an int too
+        raise ConfigError(f"threads must be an integer from 0 to {MAX_THREADS}, got {value!r}")
     return value
 
 
@@ -155,6 +156,8 @@ class RunConfig:
                 formulas=data.get("formulas", []),
                 threads=parse_threads(data.get("threads", 0)),
             )
+        except OverflowError:  # float() of an integer past float64
+            raise ConfigError("config 'x' and 'orders' take numbers within float64") from None
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 

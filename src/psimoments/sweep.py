@@ -196,6 +196,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InvalidOrderError,
     InvalidWindowError,
     RangeLimitError,
@@ -204,6 +205,9 @@ from .errors import (
 from .sieve import KEY_LIMIT, EventSource, sieve_blocks, sieve_range
 
 MAX_DELTA_DENOMINATOR = 10**9
+# most worker processes a sweep takes: a fork pool starts all of its workers
+# at once, so a count is refused before any pool starts
+MAX_THREADS = 64
 # events per outer chunk: one pool task each
 _CHUNK_EVENTS = 1 << 20
 # most outer chunks a sweep plans: their bounds and tasks are lists, built
@@ -915,12 +919,14 @@ def sweep_moments(
     """All requested (order, kind) moments in one pass over the pieces.
 
     Returns (results, diagnostics); results align with ``pairs``.
-    ``threads`` is the number of worker processes; <= 0 means one per
-    core, up to 8.  A sweep of one chunk, or on one worker, runs in the
-    calling process.
+    ``threads`` is the number of worker processes, at most MAX_THREADS;
+    <= 0 means one per core, up to 8.  A sweep of one chunk, or on one
+    worker, runs in the calling process.
     """
     pairs = [(float(o), Kind(k)) for o, k in pairs]
     _validate_pairs(pairs)
+    if threads > MAX_THREADS:
+        raise ConfigError(f"threads must be at most {MAX_THREADS}, got {threads}")
     if threads <= 0:
         threads = default_threads()
     start = time.monotonic()

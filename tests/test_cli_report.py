@@ -66,12 +66,21 @@ def test_huge_rationals_fail_fast(tmp_path, capsys):
     # an integer past Python's 4300-digit limit, which json refuses to read
     long = tmp_path / "long.json"
     long.write_text('{"x": 100, "h": 1' + "0" * 5000 + ', "orders": [2]}')
+    # integers that json reads but float64 cannot hold, and a worker count
+    # that would fork that many processes
+    past_float = [
+        _config_file(tmp_path, "x", {"x": 10**400, "h": 1, "orders": [2]}),
+        _config_file(tmp_path, "order", {"x": 100, "h": 1, "orders": [2, 10**400]}),
+        _config_file(tmp_path, "threads", {"x": 100, "h": 1, "orders": [2], "threads": 100000}),
+    ]
     cases = [
         (["moments", "--x", "100", "--h", "1e999999", "--orders", "2"], 2),
         (["predict", "--x", "100", "--delta", "1e-999999", "--orders", "2",
           "--formulas", "scaled-main"], 2),
         (["moments", "--config", huge], 2),
         (["moments", "--config", str(long)], 2),
+        *((["moments", "--config", path], 2) for path in past_float),
+        (["equivalence", "--x", "100", "--h", "1", "--orders", "3", "--average-delta", "1e400"], 2),
         (["moments", "--config", tiny], 3),
     ]
     for argv, code in cases:
@@ -479,6 +488,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["moments", "--config", _config_file(tmp_path, "frac", {**cfg, "threads": 2.7})], 2),
         (["moments", "--config", _config_file(tmp_path, "bool", {**cfg, "threads": True})], 2),
         (["moments", "--x", "1000", "--delta", "1/100", "--orders", "1", "--threads", "-1"], 2),
+        (["moments", "--x", "1000", "--delta", "1/100", "--orders", "1", "--threads", "100000"], 2),
         (["reproduce-tables", "--formulas-only", "--threads", "-1"], 2),
         (["moments", "--config", _config_file(tmp_path, "array", [cfg])], 2),
         # a repeated order, kind or formula, never a duplicate row
@@ -552,6 +562,24 @@ def test_threads_zero_means_one_per_core(monkeypatch):
     (result,), diag = sweep_moments(window, [(1, Kind.ABSOLUTE)], threads=20)
     assert 3 < diag.chunks < 20 and pools[3:] == [diag.chunks]
     assert result.value == values[0]
+
+
+def test_thread_count_past_the_bound_starts_no_pool(monkeypatch):
+    # a fork pool starts all of its workers at once, so a count past
+    # MAX_THREADS is refused before any pool starts or any span is sieved
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started or a span sieved")
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(sweep, "sieve_blocks", refuse)
+    monkeypatch.setattr(sweep, "_CHUNK_EVENTS", 256)
+    window = WindowSpec(2e4, Scaled(Fraction(1, 100)))
+    assert sweep.MAX_THREADS == 64
+    with pytest.raises(ConfigError, match="threads must be at most 64, got 65"):
+        sweep_moments(window, [(1, Kind.ABSOLUTE)], threads=65)
+    assert report.parse_threads("64") == 64
+    with pytest.raises(ConfigError, match="from 0 to 64, got 65"):
+        report.parse_threads(65)
 
 
 def test_default_threads_follows_affinity(monkeypatch):

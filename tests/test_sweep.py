@@ -9,6 +9,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,8 @@ from psimoments.errors import (
     ResourceError,
 )
 from psimoments import sieve, sweep
+from psimoments.predictions import odd_normalizer
+from psimoments.report import REFERENCE_ABSOLUTE, REFERENCE_ODD
 from psimoments.sieve import EventSource, psi, sieve_blocks, sieve_range
 from psimoments.sweep import (
     Fixed,
@@ -36,53 +39,91 @@ from psimoments.sweep import (
 ALL_KINDS = (Kind.ABSOLUTE, Kind.SIGNED, Kind.POSITIVE_PART, Kind.NEGATIVE_PART)
 
 
-def _exact_piece(ua, ub, length, n, kind):
-    """Exact integral of g(u) over a piece on which u runs linearly from ua
-    to ub without changing sign."""
-    if ua == ub:
-        integral = length * ua**n
+def exact_pieces(window, ka=None, kb=None):
+    """Every piece [a, b) of the key span [ka, kb) as Fractions of x, with S
+    on it: the exact Fraction sum of the float64 weights of the events
+    inside the window there.  By default the span is the whole window, and
+    a span that ends at ceil(X K) ends at X itself.  The pieces lie between
+    the distinct breakpoints inside the span, so none is empty."""
+    geometry, X = window.geometry, Fraction(window.X)
+    a = Fraction(1) if ka is None else Fraction(ka, geometry.K)
+    end = X if kb is None else min(Fraction(kb, geometry.K), X)
+    if isinstance(geometry, Fixed):
+        enter, reach = (lambda n: n - geometry.h), end + geometry.h
     else:
-        integral = length * (ua ** (n + 1) - ub ** (n + 1)) / ((n + 1) * (ua - ub))
-    negative, positive = ua + ub < 0, ua + ub > 0
-    if kind == Kind.ABSOLUTE and negative:
-        return (-1) ** n * integral
-    if (kind == Kind.POSITIVE_PART and negative) or (kind == Kind.NEGATIVE_PART and positive):
-        return 0
-    return integral
+        enter, reach = (lambda n: n / (1 + geometry.delta)), end * (1 + geometry.delta)
+    # the events that leave past a and enter before end; those entered by a
+    # set S there
+    ns, ws = sieve_range(math.floor(a) + 1, min(math.ceil(reach), window.limit() + 1))
+    S, steps = Fraction(0), {}
+    for n, w in zip(map(Fraction, ns.tolist()), map(Fraction, ws.tolist())):
+        e = enter(n)
+        if e <= a:
+            S += w
+        elif e < end:
+            steps[e] = steps.get(e, 0) + w
+        if n < end:
+            steps[n] = steps.get(n, 0) - w
+    for b in sorted(steps):
+        yield a, b, S
+        a, S = b, S + steps[b]
+    yield a, end, S
 
 
-def brute_moment(window, order, kind, events):
-    """Exact reference for integer orders: enumerate breakpoints as
-    Fractions, sum each constant piece of S over the exact Fraction values
-    of the float weights, split a scaled piece where u = 0, integrate
-    u^order in exact arithmetic and round once at the end.  Quadratic in
-    the event count, fine for tiny windows."""
-    n = int(order)
-    assert n == order
-    X = Fraction(window.X)
-    ns, ws = events.arrays()
-    ns = [int(v) for v in ns]
-    ws = [Fraction(w) for w in ws.tolist()]
-    if isinstance(window.geometry, Fixed):
-        width, slope = window.geometry.h, Fraction(0)
-        enters = [Fraction(v) - width for v in ns]
-    else:
-        width, slope = Fraction(0), window.geometry.delta
-        enters = [Fraction(v) / (1 + slope) for v in ns]
-    cuts = {Fraction(1), X}
-    for v, e in zip(ns, enters):
-        cuts.update(c for c in (e, Fraction(v)) if 1 < c < X)
-    cuts = sorted(cuts)
-    total = Fraction(0)
-    for a, b in zip(cuts, cuts[1:]):
-        s = sum((w for v, e, w in zip(ns, enters, ws) if e <= a < v), Fraction(0))
-        ends = [a, b]
-        if slope and a < s / slope < b:
-            ends.insert(1, s / slope)
-        for lo, hi in zip(ends, ends[1:]):
-            u_lo, u_hi = s - width - slope * lo, s - width - slope * hi
-            total += _exact_piece(u_lo, u_hi, hi - lo, n, kind)
-    return float(total)
+def oracle_moments(window, pairs, ka=None, kb=None):
+    """The value of each (order, kind) pair over the pieces of exact_pieces,
+    each integrated by _mpmath_piece and summed at 40 digits, and the piece
+    count."""
+    geometry, totals, count = window.geometry, [0] * len(pairs), 0
+    with mpmath.mp.workdps(40):
+        for a, b, S in exact_pieces(window, ka, kb):
+            if isinstance(geometry, Fixed):
+                c, d = S - geometry.h, 0
+            else:
+                c, d = S - geometry.delta * (a + b) / 2, geometry.delta * (b - a) / 2
+            c, d, L = (mpmath.mpf(v.numerator) / v.denominator for v in (c, d, b - a))
+            totals = [t + v for t, v in zip(totals, _mpmath_piece(c, d, L, pairs))]
+            count += 1
+        return [float(t) for t in totals], count
+
+
+def _mpmath_piece(c, d, length, pairs):
+    """For each (order, kind) pair, L times the mean of g(u) over
+    [c - d, c + d] at 40 digits, an mpf: L g(c) on a flat piece (d = 0),
+    else L (G(c + d) - G(c - d)) / (2d), G the antiderivative of g
+    (_mpmath_G).  c, d and L are floats or mpfs."""
+    with mpmath.mp.workdps(40):
+        c, d = mpmath.mpf(c), mpmath.mpf(d)
+        if not d:
+            return [length * _mpmath_g(c, order, kind) for order, kind in pairs]
+        hi, lo, scale = c + d, c - d, length / (2 * d)
+        return [(_mpmath_G(hi, *pair) - _mpmath_G(lo, *pair)) * scale for pair in pairs]
+
+
+def _mpmath_g(u, order, kind):
+    """g(u) for an mpf u."""
+    if kind == Kind.SIGNED:
+        return u ** int(order)
+    if kind == Kind.ABSOLUTE:
+        return abs(u) ** order
+    if kind == Kind.POSITIVE_PART:
+        return max(u, 0) ** int(order)
+    return min(u, 0) ** int(order)
+
+
+def _mpmath_G(u, order, kind):
+    """The antiderivative of g, continuous at 0, for an mpf u: with
+    m = order + 1, u^m / m, sgn(u) |u|^m / m, or max(u, 0)^m / m and
+    min(u, 0)^m / m for the parts."""
+    m = int(order) + 1 if order == int(order) else mpmath.mpf(order) + 1
+    if kind == Kind.SIGNED:
+        return u**m / m
+    if kind == Kind.ABSOLUTE:
+        G = abs(u) ** m / m
+        return -G if u < 0 else G
+    if kind == Kind.POSITIVE_PART:
+        return max(u, 0) ** m / m
+    return min(u, 0) ** m / m
 
 
 @pytest.fixture(scope="module")
@@ -93,16 +134,16 @@ def events_toy():
 def test_fixed_toy_signed_first_moment(events_toy):
     w = WindowSpec(10.0, Fixed(Fraction(2)))
     (res,), diag = sweep_moments(w, [(1, Kind.SIGNED)], events=events_toy)
-    want = brute_moment(w, 1, Kind.SIGNED, events_toy)
+    (want,), pieces = oracle_moments(w, [(1, Kind.SIGNED)])
     assert res.value == pytest.approx(want, rel=1e-12)
     assert res.value == pytest.approx(-0.6312235467506362, rel=1e-12)
-    assert diag.piece_count == 9
+    assert diag.piece_count == pieces == 9
 
 
 def test_scaled_toy_signed_first_moment(events_toy):
     w = WindowSpec(10.0, Scaled(Fraction(1, 2)))
     (res,), _ = sweep_moments(w, [(1, Kind.SIGNED)], events=events_toy)
-    want = brute_moment(w, 1, Kind.SIGNED, events_toy)
+    (want,), _ = oracle_moments(w, [(1, Kind.SIGNED)])
     assert res.value == pytest.approx(want, rel=1e-12)
     assert res.value == pytest.approx(-0.08369059678421209, rel=1e-12)
 
@@ -113,7 +154,7 @@ def test_toy_all_kinds_against_brute(events_toy, kind, order):
     for geometry in (Fixed(Fraction(3, 2)), Scaled(Fraction(1, 4))):
         w = WindowSpec(12.0, geometry)
         res, _ = sweep_moments(w, [(order, kind)], events=events_toy)
-        want = brute_moment(w, order, kind, events_toy)
+        (want,), _ = oracle_moments(w, [(order, kind)])
         assert res[0].value == pytest.approx(want, rel=1e-11, abs=1e-13)
 
 
@@ -124,7 +165,7 @@ def test_fractional_endpoint(events_toy, monkeypatch):
     for X in (10.5, 20.25):
         for geometry in (Fixed(Fraction(1, 3)), Scaled(Fraction(1, 7))):
             w = WindowSpec(X, geometry)
-            want = brute_moment(w, 2, Kind.SIGNED, events_toy)
+            (want,), _ = oracle_moments(w, [(2, Kind.SIGNED)])
             for chunk_events in (default, 1):
                 monkeypatch.setattr(sweep, "_CHUNK_EVENTS", chunk_events)
                 res, diag = sweep_moments(w, [(2, Kind.SIGNED)], events=events_toy)
@@ -595,8 +636,20 @@ def test_counts_and_length_sums_on_every_platform(desk_sweep):
     # the keys and piece counts are exact integers and each length one
     # correctly rounded division, so these hold bit for bit on every
     # machine, as long as numpy sums pairwise in the same order: h = 73/3
-    # sums to one ulp below X - 1.  The moments are left out, as numpy's
-    # float64 log and exp, which their last bits rest on, differ by CPU
+    # sums to one ulp below X - 1.  The desk moments rest on numpy's
+    # float64 log and exp, whose last bits differ by CPU, so they are held
+    # at 1e-12, about three orders of magnitude above those differences:
+    # an absolute moment relative to its stored value, a signed one to its
+    # normalizer
+    X, delta = desk_sweep["window"].X, float(desk_sweep["window"].geometry.delta)
+    for (order, kind), value in desk_sweep["values"].items():
+        if kind == Kind.ABSOLUTE:
+            want = REFERENCE_ABSOLUTE["desk"][order][0]
+            scale = abs(want)
+        else:
+            want = REFERENCE_ODD["desk"][int(order)][0]
+            scale = odd_normalizer(X, delta, order)
+        assert abs(value - want) <= 1e-12 * scale, (order, kind, value, want)
     runs = [(desk_sweep["diag"], 11_526_275, "0x1.7d783fc000000p+26")]
     windows = [
         # tied keys n - 20 = n', and a final piece that ends at X
@@ -664,38 +717,6 @@ def test_kind_algebra(events_small):
             assert p >= 0.0 >= (q if n % 2 else -q)
 
 
-def mpmath_scaled_moment(window, pairs, events, dps=40):
-    """High-precision reference for scaled windows: exact Fraction
-    breakpoints, an mpf running sum of the float64 weights, and the closed
-    form (G(u_a) - G(u_b)) / delta on every piece at ``dps`` digits, G the
-    antiderivative of g (_mpmath_G)."""
-    mpmath = pytest.importorskip("mpmath")
-    mp = mpmath.mp
-    delta = window.geometry.delta
-    X = Fraction(window.X)
-    ns, ws = events.range(2, window.limit() + 1)
-    steps = []
-    for n, w in zip(ns.tolist(), ws.tolist()):
-        steps.append((Fraction(n) / (1 + delta), w))
-        steps.append((Fraction(n), -w))
-    steps.sort(key=lambda s: s[0])
-    cuts = sorted({Fraction(1), X} | {c for c, _ in steps if 1 < c < X})
-    with mp.workdps(dps):
-        d = mpmath.mpf(delta.numerator) / delta.denominator
-        totals = [mpmath.mpf(0)] * len(pairs)
-        S = mpmath.mpf(0)
-        i = 0
-        for a, b in zip(cuts, cuts[1:]):
-            while i < len(steps) and steps[i][0] <= a:
-                S += steps[i][1]
-                i += 1
-            ua = S - d * (mpmath.mpf(a.numerator) / a.denominator)
-            ub = S - d * (mpmath.mpf(b.numerator) / b.denominator)
-            for j, (order, kind) in enumerate(pairs):
-                totals[j] += (_mpmath_G(ua, order, kind) - _mpmath_G(ub, order, kind)) / d
-        return totals
-
-
 def test_scaled_sweep_against_mpmath():
     # the even signed order is the absolute one, by the closed form on the
     # pieces that change sign
@@ -712,70 +733,12 @@ def test_scaled_sweep_against_mpmath():
     ]
     for x, delta, pieces in cases:
         window = WindowSpec(x, Scaled(delta))
-        events = EventSource(window.limit())
-        res, diag = sweep_moments(window, pairs, events=events)
-        assert diag.piece_count == pieces
-        want = mpmath_scaled_moment(window, pairs, events)
+        res, diag = sweep_moments(window, pairs)
+        want, oracle_pieces = oracle_moments(window, pairs)
+        assert diag.piece_count == oracle_pieces == pieces
         for r, w in zip(res, want):
-            dev = float(abs((r.value - w) / w))
+            dev = abs((r.value - w) / w)
             assert dev <= 1e-14, (x, r.order, r.kind, dev)
-
-
-def _mpmath_g(u, order, kind):
-    """g(u) for an mpf u."""
-    if kind == Kind.SIGNED:
-        return u ** int(order)
-    if kind == Kind.ABSOLUTE:
-        return abs(u) ** order
-    if kind == Kind.POSITIVE_PART:
-        return max(u, 0) ** int(order)
-    return min(u, 0) ** int(order)
-
-
-def _mpmath_G(u, order, kind):
-    """The antiderivative of g, continuous at 0, for an mpf u: with
-    m = order + 1, u^m / m, sgn(u) |u|^m / m, or max(u, 0)^m / m and
-    min(u, 0)^m / m for the parts.  Its callers have imported mpmath."""
-    import mpmath
-
-    m = int(order) + 1 if order == int(order) else mpmath.mpf(order) + 1
-    if kind == Kind.SIGNED:
-        return u**m / m
-    if kind == Kind.ABSOLUTE:
-        return mpmath.sign(u) * abs(u) ** m / m
-    if kind == Kind.POSITIVE_PART:
-        return max(u, 0) ** m / m
-    return min(u, 0) ** m / m
-
-
-def mpmath_fixed_moment(window, pairs, events, dps=40):
-    """High-precision reference for fixed windows: exact Fraction
-    breakpoints, S as a sum of the logs of the primes at ``dps`` digits, not
-    of the float64 weights, and L g(S - h) on every piece, on which u is
-    constant."""
-    mpmath = pytest.importorskip("mpmath")
-    h = window.geometry.h
-    X = Fraction(window.X)
-    ns, ws = events.range(2, window.limit() + 1)
-    steps = []
-    for n, w in zip(ns.tolist(), ws.tolist()):
-        p = round(math.exp(w))  # the weight of p^k is log p
-        steps += [(n - h, p, 1), (Fraction(n), p, -1)]
-    steps.sort(key=lambda s: s[0])
-    cuts = sorted({Fraction(1), X} | {c for c, _, _ in steps if 1 < c < X})
-    with mpmath.mp.workdps(dps):
-        totals = [mpmath.mpf(0)] * len(pairs)
-        S = mpmath.mpf(0)
-        i = 0
-        for a, b in zip(cuts, cuts[1:]):
-            while i < len(steps) and steps[i][0] <= a:
-                S += steps[i][2] * mpmath.log(steps[i][1])
-                i += 1
-            u = S - mpmath.mpf(h.numerator) / h.denominator
-            length = mpmath.mpf((b - a).numerator) / (b - a).denominator
-            for j, (order, kind) in enumerate(pairs):
-                totals[j] += length * _mpmath_g(u, order, kind)
-        return totals
 
 
 @pytest.mark.parametrize(
@@ -786,27 +749,76 @@ def mpmath_fixed_moment(window, pairs, events, dps=40):
     ],
 )
 def test_fixed_sweep_against_mpmath(window):
-    # flat pieces through the midpoint kernel, against constant residuals
-    # from 40-digit logs of the primes
+    # flat pieces through the midpoint kernel, against the exact constant
+    # residual of each piece
     pairs = DESK_LIKE_PAIRS + [(3.0, Kind.POSITIVE_PART), (3.0, Kind.NEGATIVE_PART)]
-    events = EventSource(window.limit())
-    res, _ = sweep_moments(window, pairs, events=events)
-    want = mpmath_fixed_moment(window, pairs, events)
+    res, diag = sweep_moments(window, pairs)
+    want, pieces = oracle_moments(window, pairs)
+    assert diag.piece_count == pieces
     for r, w in zip(res, want):
-        dev = float(abs((r.value - w) / w))
+        dev = abs((r.value - w) / w)
         assert dev <= 1e-14, (window.geometry.h, r.order, r.kind, dev)
 
 
-def _mpmath_piece(c, d, length, order, kind):
-    """L times the mean of g(u) over [c - d, c + d] at 40 digits, from the
-    antiderivative of g (_mpmath_G); L g(c) when d = 0."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.mp.workdps(40):
-        if d == 0:
-            return float(mpmath.mpf(length) * _mpmath_g(mpmath.mpf(c), order, kind))
-        c, d = mpmath.mpf(c), mpmath.mpf(d)
-        rise = _mpmath_G(c + d, order, kind) - _mpmath_G(c - d, order, kind)
-        return float(mpmath.mpf(length) * rise / (2 * d))
+DESK_PAIRS = [(o, Kind.ABSOLUTE) for o in (1.0, 2.1, 3.2, 4.3, 5.4, 6.5)] + [
+    (float(n), Kind.SIGNED) for n in (1, 3, 5)
+]
+FULL_SCALE = WindowSpec(1e10, Scaled(Fraction(1, 100000)))
+# (window, the span's end below X, its length, pairs)
+FULL_SCALE_SPANS = [
+    pytest.param(
+        FULL_SCALE, 0, 40_000, DESK_PAIRS + [(3.0, Kind.POSITIVE_PART), (3.0, Kind.NEGATIVE_PART)],
+        id="scaled-1e10",
+    ),
+    pytest.param(
+        WindowSpec(3e8, Fixed(Fraction(10000))), 1_000_000, 40_000,
+        [(2.1, Kind.ABSOLUTE)] + [(3.0, kind) for kind in ALL_KINDS], id="fixed-3e8",
+    ),
+    pytest.param(
+        FULL_SCALE, 0, 800_000, DESK_PAIRS, id="scaled-1e10-extended",
+        marks=pytest.mark.skipif(
+            os.environ.get("PSIMOMENTS_EXTENDED") != "1",
+            reason="about 70k pieces, a minute; set PSIMOMENTS_EXTENDED=1",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("window, below, length, pairs", FULL_SCALE_SPANS)
+def test_sub_chunks_at_full_scale_against_mpmath(monkeypatch, window, below, length, pairs):
+    # a span of the key range, integrated on its own as an outer chunk is,
+    # against the 40-digit oracle, which shares only the events with it:
+    # the scaled span ends at X = 1e10, so its final piece ends at X.  At
+    # _SUB_EVENTS = 1000 each span crosses sub-chunk cuts, as the extended
+    # one does at the default size.  Each value is gated against the
+    # oracle's absolute moment of its order
+    geom, limit = window.geometry, window.limit()
+    b_key = math.ceil(Fraction(window.X) * geom.K)
+    kb = b_key - below * geom.K
+    ka = kb - length * geom.K
+    # the grid as sweep_moments derives it
+    reach = geom.right_end(Fraction(window.X) + 1) - Fraction(window.X) - 1
+    grid = sweep._grid((float(reach) + 1.0) * math.log(limit))
+    extra = sorted({(order, Kind.ABSOLUTE) for order, _ in pairs} - set(pairs))
+    values, pieces = oracle_moments(window, pairs + extra, ka, kb)
+    want = dict(zip(pairs + extra, values))
+    sub_chunks = []
+    chunk_moments = sweep._chunk_moments
+
+    def counting(*args):
+        sub_chunks[-1] += 1
+        return chunk_moments(*args)
+
+    monkeypatch.setattr(sweep, "_chunk_moments", counting)
+    for sub_events in (sweep._SUB_EVENTS, 1000):
+        monkeypatch.setattr(sweep, "_SUB_EVENTS", sub_events)
+        sub_chunks.append(0)
+        chunk = sweep._sweep_chunk(geom, pairs, limit, grid, b_key, window.X, ka, kb, None)
+        assert chunk.pieces == pieces
+        for (order, kind), sums in zip(pairs, chunk.sums):
+            dev = abs(math.fsum(sums) - want[order, kind]) / want[order, Kind.ABSOLUTE]
+            assert dev <= 1e-14, (sub_events, order, kind, dev)
+    assert sub_chunks[1] > max(sub_chunks[0], 1)
 
 
 def _kernel_pieces():
@@ -844,7 +856,7 @@ def test_midpoint_kernel_against_mpmath():
             kinds = ALL_KINDS if order == int(order) else (Kind.ABSOLUTE,)
             for kind in kinds:
                 got = pieces.integrals([(float(order), kind)])[0]
-                want = _mpmath_piece(c, d, 0.625, order, kind)
+                want = float(_mpmath_piece(c, d, 0.625, [(order, kind)])[0])
                 assert abs(got - want) <= 1e-14 * abs(want), (c, d, order, kind, got, want)
 
 
@@ -871,7 +883,7 @@ def test_midpoint_kernel_large_order_against_mpmath():
                 # the even part's overflow is ignored, as in _chunk_moments
                 with np.errstate(over="ignore", invalid="ignore"):
                     got = _one_piece(c, d).integrals([(order, kind)])[0]
-                want = _mpmath_piece(c, d, 0.625, order, kind)
+                want = float(_mpmath_piece(c, d, 0.625, [(order, kind)])[0])
                 assert abs(got - want) <= 1e-12 * abs(want), (c, d, order, kind, got, want)
 
 
@@ -943,13 +955,10 @@ def test_desk_like_sweep_workspace():
     # pairs) writes every per-piece array into workspace slots sized for a
     # sub-chunk of _SUB_EVENTS = 2^13 events, about 2^14 pieces: 16 slots,
     # 2.5 MB, in a thread whose workspace starts empty
-    pairs = [(o, Kind.ABSOLUTE) for o in (1.0, 2.1, 3.2, 4.3, 5.4, 6.5)] + [
-        (float(n), Kind.SIGNED) for n in (1, 3, 5)
-    ]
     slots = {}
 
     def run():
-        sweep_moments(WindowSpec(2e7, Scaled(Fraction(1, 10000))), pairs, threads=1)
+        sweep_moments(WindowSpec(2e7, Scaled(Fraction(1, 10000))), DESK_PAIRS, threads=1)
         slots.update(sweep._WORK._slots)
 
     thread = threading.Thread(target=run)
@@ -1114,28 +1123,6 @@ RESIDUAL_WINDOWS = [
 ]
 
 
-def _exact_residuals(window, events):
-    """Each piece's exact residual u at its midpoint (the constant u of a
-    fixed piece) and the midpoint, as Fractions of the float weights, and
-    whether keys tie."""
-    X = Fraction(window.X)
-    geometry = window.geometry
-    ns, ws = events.arrays()
-    ns, ws = [int(v) for v in ns], [Fraction(w) for w in ws.tolist()]
-    enters = [geometry.entry_key(n) / Fraction(geometry.K) for n in ns]
-    raw = [c for e, n in zip(enters, ns) for c in (e, Fraction(n)) if 1 < c < X]
-    cuts = sorted({Fraction(1), X, *raw})
-    pieces = []
-    for a, b in zip(cuts, cuts[1:]):
-        s = sum((w for n, e, w in zip(ns, enters, ws) if e <= a < n), Fraction(0))
-        mid = (a + b) / 2
-        if isinstance(geometry, Fixed):
-            pieces.append((s - geometry.h, mid))
-        else:
-            pieces.append((s - geometry.delta * mid, mid))
-    return pieces, len(raw) > len(set(raw))
-
-
 @pytest.mark.parametrize("sub_events", [sweep._SUB_EVENTS, 5], ids=["default", "5"])
 @pytest.mark.parametrize("geometry, ties", RESIDUAL_WINDOWS)
 def test_residuals_against_exact_fractions(monkeypatch, geometry, ties, sub_events):
@@ -1170,14 +1157,17 @@ def test_residuals_against_exact_fractions(monkeypatch, geometry, ties, sub_even
     monkeypatch.setattr(sweep, "_Midpoints", Recording)
     monkeypatch.setattr(sweep, "_chunk_moments", recording_chunk)
     _, diag = sweep_moments(window, [(1, Kind.SIGNED)], events=events)
-    want, tied = _exact_residuals(window, events)
-    assert tied == ties
+    # the exact residual at each piece's midpoint, and the midpoint
+    slope = geometry.delta if isinstance(geometry, Scaled) else 0
+    width = geometry.h if isinstance(geometry, Fixed) else 0
+    want = [(S - width - slope * (a + b) / 2, (a + b) / 2) for a, b, S in exact_pieces(window)]
     pieces = [(got, start) for got, start, L in zip(residuals, starts, lengths) if L > 0]
     assert diag.piece_count == len(pieces) == len(want)
     keys = Counter(
         key for n in events.arrays()[0].tolist() for key in (geometry.entry_key(n), n * K)
         if K < key < window.X * K
     )
+    assert max(keys.values()) > 1 if ties else max(keys.values()) == 1
     cuts = set(starts)
     assert len(residuals) - len(pieces) == sum(
         count - 1 for key, count in keys.items() if key not in cuts
@@ -1186,7 +1176,6 @@ def test_residuals_against_exact_fractions(monkeypatch, geometry, ties, sub_even
         assert len(cuts) > 1
     if ties and sub_events == sweep._SUB_EVENTS:
         assert len(residuals) > len(pieces)
-    slope = geometry.delta if isinstance(geometry, Scaled) else 0
     for (got, start), (exact, mid) in zip(pieces, want):
         drift = slope * (mid - Fraction(start, K))
         assert abs(Fraction(got) - exact) <= math.ulp(max(abs(float(exact)), float(drift)))
@@ -1294,7 +1283,7 @@ def test_fixed_windows_match_brute(x_num, h_num, h_den, order, kind):
     src = EventSource(max(8, int(X + float(h)) + 2))
     w = WindowSpec(X, Fixed(h))
     res, _ = sweep_moments(w, [(order, kind)], events=src)
-    want = brute_moment(w, order, kind, src)
+    (want,), _ = oracle_moments(w, [(order, kind)])
     assert res[0].value == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
@@ -1314,5 +1303,5 @@ def test_scaled_windows_match_brute(x_num, d_num, d_den, order, kind):
     src = EventSource(max(8, int(X * (1 + float(d))) + 2))
     w = WindowSpec(X, Scaled(d))
     res, _ = sweep_moments(w, [(order, kind)], events=src)
-    want = brute_moment(w, order, kind, src)
+    (want,), _ = oracle_moments(w, [(order, kind)])
     assert res[0].value == pytest.approx(want, rel=1e-10, abs=1e-12)
